@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 # Suffixes tried longest-first; a rule only applies if the stem keeps >= 3 chars.
 _SUFFIXES = ("ing", "es", "ed", "s")
@@ -36,9 +38,36 @@ class Subgraph:
     nodes: set[int]
     edges: list[tuple[int, int, int]]
     seeds: set[int]
+    # Built on first use; a subgraph is not mutated after it is made.
+    _sorted_nodes: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    _messages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def sorted_nodes(self) -> list[int]:
-        return sorted(self.nodes)
+        """Node ids in ascending order, the row order of every per-node array.
+
+        The same list is returned on every call; callers must not mutate it.
+        """
+        if self._sorted_nodes is None:
+            self._sorted_nodes = sorted(self.nodes)
+        return self._sorted_nodes
+
+    def message_arrays(self, n_relations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Local (src, dst, rel) index arrays of the messages along the edges.
+
+        Indices are rows of `sorted_nodes()`.  Edge by edge, a triple (h, r, t)
+        sends h -> t under r, then t -> h under the inverse relation
+        r + n_relations.  Built once per `n_relations` and kept.
+        """
+        arrays = self._messages.get(n_relations)
+        if arrays is None:
+            row = {cid: i for i, cid in enumerate(self.sorted_nodes())}
+            hrt = np.array([(row[h], r, row[t]) for h, r, t in self.edges],
+                           dtype=np.int64).reshape(-1, 3)
+            h, r, t = hrt.T
+            arrays = (np.column_stack([h, t]).ravel(), np.column_stack([t, h]).ravel(),
+                      np.column_stack([r, r + n_relations]).ravel())
+            self._messages[n_relations] = arrays
+        return arrays
 
 
 class KnowledgeGraph:
@@ -137,36 +166,53 @@ def ground_concepts(text: str, kg: KnowledgeGraph) -> set[int]:
     return found
 
 
+def _discover(seeds: set[int], kg: KnowledgeGraph, hops: int, limit: float) -> list[int]:
+    """Undirected BFS discovery order from the sorted seeds, stopped at `limit` nodes."""
+    discovery = sorted(seeds)
+    found = set(discovery)
+    frontier = discovery
+    for _ in range(hops):
+        next_frontier: list[int] = []
+        for v in sorted(frontier):
+            for u, _idx in kg.adjacency[v]:
+                if u not in found:
+                    if len(discovery) >= limit:
+                        return discovery
+                    found.add(u)
+                    discovery.append(u)
+                    next_frontier.append(u)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return discovery
+
+
 def extract_subgraph(seed_ids, kg: KnowledgeGraph, hops: int = 2,
                      max_nodes: int | None = 300) -> Subgraph:
     """Undirected BFS expansion of the seeds up to `hops`.
 
     Nodes are the union of BFS frontiers; edges are every KG triple with both
-    endpoints inside the node set (original direction preserved).  The optional
-    cap truncates by discovery order with seeds always kept.
+    endpoints inside the node set, in KG order (original direction preserved).
+    The optional cap truncates by discovery order with seeds always kept.
+
+    Cost: the BFS stops once `max_nodes` nodes are discovered, and the edges
+    are read from the adjacency lists of the kept nodes, so the work follows
+    the discovered nodes up to the cap plus the adjacency of the kept nodes,
+    not the number of triples in the KG.
     """
+    if hops < 0:
+        raise ValueError(f"hops must be >= 0, got {hops}")
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be >= 0 or None, got {max_nodes}")
     seeds = set(seed_ids)
     for cid in seeds:
         if cid < 0 or cid >= kg.num_concepts:
             raise KeyError(f"unknown concept id {cid}")
 
-    discovery = sorted(seeds)
-    nodes = set(discovery)
-    frontier = deque(discovery)
-    for _ in range(hops):
-        next_frontier: list[int] = []
-        for v in sorted(frontier):
-            for u, _idx in kg.adjacency[v]:
-                if u not in nodes:
-                    nodes.add(u)
-                    discovery.append(u)
-                    next_frontier.append(u)
-        frontier = deque(next_frontier)
-        if not frontier:
-            break
-
-    if max_nodes is not None and len(discovery) > max_nodes:
-        nodes = set(discovery[:max_nodes]) | seeds
-
-    edges = [t for t in kg.triples if t[0] in nodes and t[2] in nodes]
+    discovery = _discover(seeds, kg, hops, math.inf if max_nodes is None else max_nodes)
+    nodes = set(discovery[:max_nodes]) | seeds
+    # Each triple sits in the adjacency of both endpoints (a self-loop once), so
+    # taking it from the endpoint with the smaller id counts it exactly once.
+    kept = sorted(idx for v in nodes for u, idx in kg.adjacency[v] if u >= v and u in nodes)
+    edges = [kg.triples[idx] for idx in kept]
     return Subgraph(nodes=nodes, edges=edges, seeds=seeds)

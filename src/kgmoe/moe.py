@@ -53,6 +53,10 @@ class TrainConfig:
             raise ValueError("n_experts must be >= 1")
         if self.concept_weight < 0:
             raise ValueError("concept_weight must be >= 0")
+        if self.subgraph_hops < 0:
+            raise ValueError(f"subgraph_hops must be >= 0, got {self.subgraph_hops}")
+        if self.max_subgraph_nodes < 0:
+            raise ValueError(f"max_subgraph_nodes must be >= 0, got {self.max_subgraph_nodes}")
 
     def generator_config(self) -> GeneratorConfig:
         return GeneratorConfig(self.d_model, self.n_heads, self.n_encoder_layers,

@@ -23,9 +23,6 @@ class NodeStates:
     states: T.Tensor                 # [n_nodes, d]
     rel_states: T.Tensor             # [2 * n_relations, d]; second half = inverses
 
-    def index_of(self, concept_id: int) -> int:
-        return self.node_ids.index(concept_id)
-
 
 def init_rgcn_params(rng: np.random.Generator, n_concepts: int, n_relations: int,
                      d: int, layers: int) -> dict[str, T.Tensor]:
@@ -47,25 +44,13 @@ def compose(h_u: T.Tensor, h_r: T.Tensor) -> T.Tensor:
     return T.sub(h_u, h_r)
 
 
-def _edge_arrays(subgraph: Subgraph, node_ids: list[int], n_relations: int):
-    """Source/destination/relation index arrays with reverse edges appended."""
-    local = {cid: i for i, cid in enumerate(node_ids)}
-    src, dst, rel = [], [], []
-    for h, r, t in subgraph.edges:
-        src.append(local[h])
-        dst.append(local[t])
-        rel.append(r)
-        src.append(local[t])
-        dst.append(local[h])
-        rel.append(r + n_relations)
-    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(rel, dtype=np.int64)
-
-
 def rgcn_layer(states: NodeStates, subgraph: Subgraph, w_neighbor: T.Tensor,
                w_self: T.Tensor, w_rel: T.Tensor, n_relations: int) -> NodeStates:
     """One relational convolution layer; nodes without incoming edges aggregate zero."""
     n = len(states.node_ids)
-    src, dst, rel = _edge_arrays(subgraph, states.node_ids, n_relations)
+    if states.node_ids != subgraph.sorted_nodes():
+        raise ValueError("node states must follow the subgraph's sorted node order")
+    src, dst, rel = subgraph.message_arrays(n_relations)
     self_term = T.matmul(states.states, w_self)
     if len(src):
         h_u = T.embedding(states.states, src)

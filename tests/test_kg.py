@@ -15,8 +15,32 @@ def build_kg(triples):
     return kg
 
 
-def brute_force_subgraph(seed_ids, kg, hops=2):
-    """Naive repeated one-round neighbor expansion over the raw edge list."""
+def brute_force_subgraph(seed_ids, kg, hops=2, max_nodes=None):
+    """Naive level-by-level expansion over the raw edge list, capped by discovery order.
+
+    Within a level, frontier nodes are expanded in ascending id and each one's
+    neighbours are met in KG order; the cap keeps the first `max_nodes`
+    discovered nodes plus every seed.  Edges come from a full scan of the KG.
+    """
+    discovery = sorted(seed_ids)
+    frontier = list(discovery)
+    for _ in range(hops):
+        level = []
+        for v in sorted(frontier):
+            for h, _r, t in kg.triples:
+                u = t if h == v else h if t == v else None
+                if u is not None and u not in discovery:
+                    discovery.append(u)
+                    level.append(u)
+        frontier = level
+    kept = discovery if max_nodes is None else discovery[:max_nodes]
+    nodes = set(kept) | set(seed_ids)
+    edges = [tr for tr in kg.triples if tr[0] in nodes and tr[2] in nodes]
+    return nodes, edges
+
+
+def expanded_nodes(seed_ids, kg, hops):
+    """Uncapped node set by repeated one-round neighbour expansion."""
     nodes = set(seed_ids)
     for _ in range(hops):
         grown = set(nodes)
@@ -26,8 +50,7 @@ def brute_force_subgraph(seed_ids, kg, hops=2):
             if t in nodes:
                 grown.add(h)
         nodes = grown
-    edges = [tr for tr in kg.triples if tr[0] in nodes and tr[2] in nodes]
-    return nodes, edges
+    return nodes
 
 
 # --- loading ---------------------------------------------------------------
@@ -161,17 +184,74 @@ def random_kg(rng, n_nodes, n_edges):
     return kg
 
 
+def random_case(rng):
+    """A random KG (self-loops likely on few nodes) and 1-5 distinct seeds."""
+    kg = random_kg(rng, int(rng.integers(2, 50)), int(rng.integers(1, 80)))
+    k = int(rng.integers(1, min(5, kg.num_concepts) + 1))
+    seeds = set(rng.choice(kg.num_concepts, size=k, replace=False).tolist())
+    return kg, seeds
+
+
 def test_matches_brute_force_on_100_random_graphs():
     rng = np.random.default_rng(7)
+    self_loops = seeds_over_cap = truncated = 0
     for _ in range(100):
-        n_nodes = int(rng.integers(2, 50))
-        kg = random_kg(rng, n_nodes, int(rng.integers(1, 80)))
-        k = int(rng.integers(1, min(4, kg.num_concepts + 1)))
-        seeds = set(rng.choice(kg.num_concepts, size=k, replace=False).tolist())
-        sub = extract_subgraph(seeds, kg, hops=2, max_nodes=None)
-        nodes, edges = brute_force_subgraph(seeds, kg, hops=2)
-        assert sub.nodes == nodes
-        assert set(sub.edges) == set(edges)
+        kg, seeds = random_case(rng)
+        self_loops += any(h == t for h, _r, t in kg.triples)
+        for hops in range(4):
+            reachable = expanded_nodes(seeds, kg, hops)
+            for cap in (None, 0, 1, 3, 8):
+                sub = extract_subgraph(seeds, kg, hops=hops, max_nodes=cap)
+                nodes, edges = brute_force_subgraph(seeds, kg, hops=hops, max_nodes=cap)
+                assert sub.nodes == nodes
+                assert sub.edges == edges
+                assert sub.seeds == seeds
+                if cap is None:
+                    assert nodes == reachable
+                else:
+                    seeds_over_cap += len(seeds) > cap
+                    truncated += len(nodes) < len(reachable)
+    assert self_loops and seeds_over_cap and truncated
+
+
+class ScanGuard(list):
+    """Triple list that allows indexing but refuses a full iteration."""
+
+    def __init__(self, triples):
+        super().__init__(triples)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        raise AssertionError("full scan of kg.triples")
+
+
+def test_extraction_reads_only_the_triples_it_returns():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        kg, seeds = random_case(rng)
+        for hops, cap in ((2, None), (2, 3), (1, 0), (3, 8)):
+            nodes, edges = brute_force_subgraph(seeds, kg, hops=hops, max_nodes=cap)
+            triples = kg.triples
+            kg.triples = guard = ScanGuard(triples)
+            try:
+                sub = extract_subgraph(seeds, kg, hops=hops, max_nodes=cap)
+            finally:
+                kg.triples = triples
+            assert sub.nodes == nodes and sub.edges == edges
+            assert guard.reads == len(edges)
+
+
+def test_negative_subgraph_parameters_raise():
+    kg = build_kg([("hub", "r", f"n{i}") for i in range(6)])
+    seed = {kg.concept_ids["hub"]}
+    with pytest.raises(ValueError, match="max_nodes"):
+        extract_subgraph(seed, kg, hops=1, max_nodes=-2)
+    with pytest.raises(ValueError, match="hops"):
+        extract_subgraph(seed, kg, hops=-1)
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -214,6 +214,13 @@ def test_sub_seed_is_stable_and_name_sensitive():
 
 # --- full training loop ------------------------------------------------------
 
+def test_config_rejects_negative_subgraph_parameters():
+    with pytest.raises(ValueError, match="subgraph_hops"):
+        tiny_config(subgraph_hops=-1)
+    with pytest.raises(ValueError, match="max_subgraph_nodes"):
+        tiny_config(max_subgraph_nodes=-2)
+
+
 def test_train_empty_dataset_raises():
     with pytest.raises(ValueError):
         train([], tiny_kg(), tiny_config())

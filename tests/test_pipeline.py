@@ -271,6 +271,13 @@ def test_cli_subgraph_emits_json(tmp_path, capsys):
     assert ["piano", "relatedto", "music"] in obj["edges"]
 
 
+def test_cli_subgraph_rejects_negative_max_nodes(tmp_path):
+    save_kg_tsv(tmp_path / "k.tsv", [("piano", "relatedto", "music")])
+    with pytest.raises(ValueError, match="max_nodes"):
+        cli_main(["subgraph", "--kg", str(tmp_path / "k.tsv"), "--text", "a piano",
+                  "--max-nodes", "-2"])
+
+
 def test_cli_full_pipeline(tmp_path, capsys):
     d, k = str(tmp_path / "d.jsonl"), str(tmp_path / "k.tsv")
     cli_main(["synth", "--n-inputs", "2", "--k-modes", "2",

@@ -92,6 +92,25 @@ def test_mean_of_equal_neighbors():
     assert np.allclose(got_v, np.array(h) + np.array([0.5, 0.5]))
 
 
+def test_message_arrays_interleave_forward_and_reverse_in_edge_order():
+    # segment_mean sums messages in this order, so it fixes the float results.
+    sub = Subgraph(nodes={5, 2, 9}, edges=[(9, 0, 2), (2, 1, 5)], seeds=set())
+    src, dst, rel = sub.message_arrays(2)
+    assert src.tolist() == [2, 0, 0, 1]
+    assert dst.tolist() == [0, 2, 1, 0]
+    assert rel.tolist() == [0, 2, 1, 3]
+    assert all(a is b for a, b in zip(sub.message_arrays(2), (src, dst, rel)))
+
+
+def test_layer_rejects_states_out_of_subgraph_order():
+    kg = build_kg([("u", "r", "v")])
+    u, v = kg.concept_ids["u"], kg.concept_ids["v"]
+    sub = Subgraph(nodes={u, v}, edges=list(kg.triples), seeds=set())
+    states = NodeStates([v, u], T.Tensor(np.eye(2)), T.Tensor(np.zeros((2, 2))))
+    with pytest.raises(ValueError, match="sorted node order"):
+        rgcn_layer(states, sub, *identity_layer_params(2), kg.num_relations)
+
+
 def test_encode_zero_layers_returns_embedding_rows():
     kg = build_kg([("a", "r", "b")])
     sub = extract_subgraph({0}, kg, hops=1)
