@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .kg import load_kg
-from .moe import TrainConfig
-from .pipeline import (RunConfig, load_run_config, make_synthetic_task, run_evaluate,
-                       run_generate, run_train, save_dataset, save_kg_tsv,
-                       subgraph_json, Example)
+from .pipeline import (RunConfig, apply_override, load_run_config, make_synthetic_task,
+                       run_evaluate, run_generate, run_train, save_dataset, save_kg_tsv,
+                       subgraph_json)
 
 
 def _add_override_flags(parser: argparse.ArgumentParser):
@@ -21,26 +19,13 @@ def _add_override_flags(parser: argparse.ArgumentParser):
 
 def _build_run_config(args) -> RunConfig:
     cfg = load_run_config(args.config) if args.config else RunConfig()
-    train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
     for item in args.set:
         if "=" not in item:
             raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
-        key, raw = item.split("=", 1)
-        from .pipeline import _coerce
-        if key in train_fields:
-            setattr(cfg.train, key, _coerce(key, raw))
-        elif hasattr(cfg, key):
-            current = getattr(cfg, key)
-            if isinstance(current, bool):
-                setattr(cfg, key, raw.lower() in ("1", "true", "yes", "on"))
-            elif isinstance(current, int):
-                setattr(cfg, key, int(raw))
-            elif isinstance(current, float):
-                setattr(cfg, key, float(raw))
-            else:
-                setattr(cfg, key, raw)
-        else:
-            raise SystemExit(f"unknown config key {key!r}")
+        try:
+            apply_override(cfg, *item.split("=", 1))
+        except ValueError as err:
+            raise SystemExit(f"--set {item}: {err}") from None
     return cfg
 
 

@@ -7,7 +7,7 @@ ties by the lowest token id (numpy argmax already does).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,7 +9,7 @@ one Adam step on the mean joint loss of the chosen experts only.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,9 +78,6 @@ class Model:
     kg: KnowledgeGraph
     cfg: TrainConfig
     positions: np.ndarray
-
-    def trainable(self) -> dict[str, T.Tensor]:
-        return self.params
 
 
 def build_model(kg: KnowledgeGraph, vocab: Vocab, cfg: TrainConfig) -> Model:

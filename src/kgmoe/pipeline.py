@@ -162,27 +162,49 @@ class RunConfig:
     n_outputs: int | None = None         # defaults to n_experts
 
 
-_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_TRAIN_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+_RUN_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig) if f.name != "train"}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
-def _coerce(name: str, raw: str):
-    kind = _CONFIG_TYPES.get(name, "str")
-    if name in ("warmup_steps",):
-        return None if raw.lower() == "none" else int(raw)
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "bool":
-        return raw.lower() in ("1", "true", "yes", "on")
+def _coerce(key: str, kind: str, raw: str):
+    """Parse a config value from its string form by the field's annotation."""
+    raw = raw.strip()
+    base, _, optional = kind.partition("|")
+    if optional and raw.lower() == "none":
+        return None
+    base = base.strip()
+    try:
+        if base == "int":
+            return int(raw)
+        if base == "float":
+            return float(raw)
+    except ValueError:
+        raise ValueError(f"config key {key!r} expects {base}, got {raw!r}") from None
+    if base == "bool":
+        if raw.lower() not in _TRUE + _FALSE:
+            raise ValueError(f"config key {key!r} expects a boolean, got {raw!r}")
+        return raw.lower() in _TRUE
     return raw
 
 
+def apply_override(cfg: RunConfig, key: str, raw: str) -> None:
+    """Set one key of a RunConfig or its TrainConfig from its string form.
+
+    A TrainConfig key is validated at once, so a bad value raises a
+    ValueError that names the key; an unknown key raises too.
+    """
+    if key in _TRAIN_TYPES:
+        cfg.train = dataclasses.replace(cfg.train, **{key: _coerce(key, _TRAIN_TYPES[key], raw)})
+    elif key in _RUN_TYPES:
+        setattr(cfg, key, _coerce(key, _RUN_TYPES[key], raw))
+    else:
+        raise ValueError(f"unknown config key {key!r}")
+
+
 def load_run_config(path) -> RunConfig:
-    """Flat key=value config file; unknown keys raise."""
+    """Flat key=value config file; unknown keys and invalid values raise."""
     cfg = RunConfig()
-    train_fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    run_fields = {f.name for f in dataclasses.fields(RunConfig)} - {"train"}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -191,21 +213,10 @@ def load_run_config(path) -> RunConfig:
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno} is not key=value")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key in train_fields:
-                setattr(cfg.train, key, _coerce(key, raw))
-            elif key in run_fields:
-                current = getattr(cfg, key)
-                if isinstance(current, bool):
-                    setattr(cfg, key, raw.lower() in ("1", "true", "yes", "on"))
-                elif isinstance(current, int):
-                    setattr(cfg, key, int(raw))
-                elif isinstance(current, float):
-                    setattr(cfg, key, float(raw))
-                else:
-                    setattr(cfg, key, raw)
-            else:
-                raise ValueError(f"{path}: unknown config key {key!r} on line {lineno}")
-    cfg.train = dataclasses.replace(cfg.train)  # rerun validation
+            try:
+                apply_override(cfg, key, raw)
+            except ValueError as err:
+                raise ValueError(f"{path}: line {lineno}: {err}") from None
     return cfg
 
 
@@ -235,9 +246,16 @@ def load_model(cfg: RunConfig) -> Model:
     if meta.get("vocab_hash") and meta["vocab_hash"] != vocab.content_hash():
         raise ValueError("checkpoint/vocabulary mismatch (vocab hash differs)")
     model = build_model(kg, vocab, train_cfg)
-    for name in model.params:
+    path = cfg.checkpoint_path
+    extra = sorted(set(params) - set(model.params))
+    if extra:
+        raise ValueError(f"{path}: unexpected parameter {extra[0]!r}")
+    for name, built in model.params.items():
         if name not in params:
-            raise ValueError(f"checkpoint missing parameter {name!r}")
+            raise ValueError(f"{path}: checkpoint missing parameter {name!r}")
+        if params[name].shape != built.shape:
+            raise ValueError(f"{path}: parameter {name!r} has shape {params[name].shape}, "
+                             f"expected {built.shape}")
         model.params[name] = params[name]
     return model
 
@@ -291,6 +309,9 @@ def load_generations(path) -> dict[str, dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}: malformed JSON on line {lineno}: {err}") from None
+            for key in ("id", "strategy", "output", "concepts"):
+                if key not in obj:
+                    raise ValueError(f"{path}: line {lineno} missing {key!r}")
             entry = grouped.setdefault(obj["id"], {"strategy": obj["strategy"],
                                                    "outputs": [], "concepts": []})
             entry["outputs"].append(obj["output"])
@@ -311,6 +332,10 @@ def run_evaluate(cfg: RunConfig) -> MetricReport:
             continue
         entry = grouped[ex.id]
         strategy = entry["strategy"]
+        if hypothesis_sets and len(entry["outputs"]) != len(hypothesis_sets[0]):
+            raise ValueError(f"{cfg.generations_path}: example {ex.id!r} has "
+                             f"{len(entry['outputs'])} outputs, expected "
+                             f"{len(hypothesis_sets[0])} like the first example")
         hypothesis_sets.append(entry["outputs"])
         references.append(ex.references)
         concept_sets.append([ground_concepts(out, kg) for out in entry["outputs"]])

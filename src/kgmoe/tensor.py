@@ -243,7 +243,7 @@ def embedding(table: Tensor, ids) -> Tensor:
         if not table.requires_grad:
             return
         if table.grad is None:
-            table.grad = np.zeros_like(table.data)
+            table.grad = np.zeros(table.data.shape)
         np.add.at(table.grad, idx, g)
     return _make(table.data[idx], (table,), backward)
 
@@ -260,14 +260,6 @@ def segment_mean(x: Tensor, seg_ids, num_segments: int) -> Tensor:
     def backward(g):
         _accum(x, g[seg] / safe[seg][(...,) + (None,) * (x.data.ndim - 1)])
     return _make(out, (x,), backward)
-
-
-def mean_over_axis(a: Tensor, axis: int) -> Tensor:
-    n = a.data.shape[axis]
-
-    def backward(g):
-        _accum(a, np.expand_dims(g, axis).repeat(n, axis=axis) / n)
-    return _make(a.data.mean(axis=axis), (a,), backward)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -346,37 +338,72 @@ def softmax_cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> T
 # optimizer and checkpointing
 
 class Adam:
-    """Adam over a name->Tensor parameter dict, updating in place."""
+    """Adam over a name->Tensor parameter dict, updating in place.
+
+    Rows are skipped exactly.  For a parameter with two or more dimensions a
+    row (index on axis 0) goes live once any element of its gradient, after
+    weight decay, is nonzero, and stays live.  Until then its moments are
+    exactly 0 and the dense rule would compute m = v = 0 and subtract
+    lr * 0 / (0 + eps) = 0, so only live rows are gathered, updated with the
+    dense arithmetic and scattered back; the result is bit-identical to
+    updating every row.  The moment buffers come from ``np.zeros``, so pages of
+    rows that never go live are never written.  1-D and scalar parameters are
+    updated densely.
+    """
 
     def __init__(self, params: dict, lr: float = 1e-3, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0):
+        b1, b2 = betas
+        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
+            raise ValueError(f"Adam betas must lie in [0, 1), got {betas}")
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"Adam eps must be finite and > 0, got {eps}")
+        _check_lr(lr)
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
+        self.b1, self.b2 = b1, b2
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
+        self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
+        self.live = {k: np.zeros(p.data.shape[0], dtype=bool)
+                     for k, p in params.items() if p.data.ndim >= 2}
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
 
     def step(self, lr: float | None = None):
-        lr = self.lr if lr is None else lr
+        lr = self.lr if lr is None else _check_lr(lr)
         self.t += 1
+        c1 = 1 - self.b1 ** self.t
+        c2 = 1 - self.b2 ** self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
-            mhat = self.m[k] / (1 - self.b1 ** self.t)
-            vhat = self.v[k] / (1 - self.b2 ** self.t)
-            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            rows = ...
+            live = self.live.get(k)
+            if live is not None and not live.all():
+                live |= g.any(axis=tuple(range(1, g.ndim)))
+                if not live.all():
+                    rows = np.flatnonzero(live)
+                    g = g[rows]
+            m = self.b1 * self.m[k][rows] + (1 - self.b1) * g
+            v = self.b2 * self.v[k][rows] + (1 - self.b2) * g * g
+            self.m[k][rows] = m
+            self.v[k][rows] = v
+            p.data[rows] -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+def _check_lr(lr: float) -> float:
+    # A row skipped as untouched is exact only if the dense update there is +0.
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError(f"Adam learning rate must be finite and >= 0, got {lr}")
+    return lr
 
 
 CHECKPOINT_VERSION = 1

@@ -10,10 +10,10 @@ import pytest
 from kgmoe.cli import main as cli_main
 from kgmoe.kg import extract_subgraph, ground_concepts
 from kgmoe.moe import TrainConfig
-from kgmoe.pipeline import (Example, RunConfig, load_dataset, load_generations,
-                            load_run_config, make_synthetic_task, run_evaluate,
-                            run_generate, run_train, save_dataset, save_kg_tsv,
-                            subgraph_json, synthetic_kg)
+from kgmoe.pipeline import (Example, RunConfig, apply_override, load_dataset,
+                            load_generations, load_model, load_run_config,
+                            make_synthetic_task, run_evaluate, run_generate, run_train,
+                            save_dataset, save_kg_tsv, subgraph_json, synthetic_kg)
 
 
 SMALL_TRAIN = dict(n_experts=2, d_model=8, n_heads=2, n_encoder_layers=1,
@@ -153,6 +153,40 @@ def test_load_run_config_validates_values(tmp_path):
         load_run_config(p)
 
 
+
+@pytest.mark.parametrize("item, key", [("n_experts=0", "n_experts"),
+                                       ("concept_weight=-1", "concept_weight"),
+                                       ("subgraph_hops=-1", "subgraph_hops"),
+                                       ("max_subgraph_nodes=-5", "max_subgraph_nodes"),
+                                       ("epochs=many", "epochs"),
+                                       ("disjoint_rule=maybe", "disjoint_rule"),
+                                       ("sample_p=high", "sample_p")])
+def test_cli_set_rejects_bad_value_naming_key(item, key):
+    with pytest.raises(SystemExit, match=key):
+        cli_main(["train", "--set", item])
+
+
+def test_load_run_config_bad_value_names_line_and_key(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("n_experts = 2\nconcept_weight = -1\n")
+    with pytest.raises(ValueError, match=r"line 2: .*concept_weight"):
+        load_run_config(p)
+
+
+def test_apply_override_coerces_by_field_type():
+    cfg = RunConfig()
+    apply_override(cfg, "n_outputs", "4")
+    apply_override(cfg, "warmup_steps", "none")
+    apply_override(cfg, "disjoint_rule", "off")
+    apply_override(cfg, "n_experts", "5")
+    assert cfg.n_outputs == 4
+    assert cfg.train.warmup_steps is None
+    assert cfg.train.disjoint_rule is False
+    assert cfg.train.n_experts == 5
+    with pytest.raises(ValueError, match="unknown config key 'mystery'"):
+        apply_override(cfg, "mystery", "1")
+
+
 # --- end-to-end round trip ---------------------------------------------------
 
 def run_config_in(tmp_path, **overrides) -> RunConfig:
@@ -237,6 +271,60 @@ def test_vocab_hash_mismatch_detected(trained_run, tmp_path):
     (tmp_path / "vocab.txt").write_text("<pad>\n<bos>\n<eos>\n<unk>\n<expert0>\n<expert1>\nzzz\n")
     with pytest.raises(ValueError, match="vocab"):
         run_generate(trained_run)
+
+
+
+def _rewrite_checkpoint(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload["params"])
+    path.write_text(json.dumps(payload))
+
+
+def test_load_model_rejects_wrong_shape(trained_run, tmp_path):
+    path = tmp_path / "checkpoint.json"
+    name = "sel.expert_embed"
+    expected = tuple(json.loads(path.read_text())["params"][name]["shape"])
+
+    def shrink(params):
+        params[name] = {"shape": [1, expected[1]], "data": [0.0] * expected[1]}
+    _rewrite_checkpoint(path, shrink)
+    found = (1, expected[1])
+    with pytest.raises(ValueError) as err:
+        load_model(trained_run)
+    message = str(err.value)
+    for part in (str(path), repr(name), str(found), str(expected)):
+        assert part in message
+
+
+def test_load_model_rejects_unexpected_parameter(trained_run, tmp_path):
+    path = tmp_path / "checkpoint.json"
+    _rewrite_checkpoint(path, lambda params: params.update(
+        {"bogus.weight": {"shape": [1], "data": [0.0]}}))
+    with pytest.raises(ValueError, match=r"checkpoint\.json: unexpected parameter 'bogus\.weight'"):
+        load_model(trained_run)
+
+
+@pytest.mark.parametrize("missing", ["id", "strategy", "output", "concepts"])
+def test_load_generations_missing_field_names_line_and_key(tmp_path, missing):
+    p = tmp_path / "g.jsonl"
+    rows = [{"id": "a", "strategy": "moe", "expert": z, "output": f"o{z}", "concepts": []}
+            for z in range(2)]
+    del rows[1][missing]
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=rf"g\.jsonl: line 2 missing '{missing}'"):
+        load_generations(p)
+
+
+def test_evaluate_rejects_uneven_output_counts(tmp_path):
+    examples, triples = make_synthetic_task(seed=0, n_inputs=3, k_modes=2)
+    save_dataset(tmp_path / "dataset.jsonl", examples)
+    save_kg_tsv(tmp_path / "kg.tsv", triples)
+    counts = {examples[0].id: 2, examples[1].id: 2, examples[2].id: 1}
+    rows = [{"id": ex_id, "strategy": "moe", "expert": z, "output": "x y", "concepts": []}
+            for ex_id, n in counts.items() for z in range(n)]
+    (tmp_path / "generations.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=rf"example '{examples[2].id}' has 1 outputs, expected 2"):
+        run_evaluate(run_config_in(tmp_path))
 
 
 def test_load_generations_groups_by_id(tmp_path):

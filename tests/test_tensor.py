@@ -170,6 +170,104 @@ def test_adam_descends():
     assert values[-1] < values[0] * 0.01
 
 
+
+class DenseAdam:
+    """Reference: the plain Adam update applied to every element."""
+
+    def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self, lr):
+        self.t += 1
+        for k, p in self.params.items():
+            if p.grad is None:
+                continue
+            g = p.grad
+            if self.weight_decay:
+                g = g + self.weight_decay * p.data
+            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
+            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
+            mhat = self.m[k] / (1 - self.b1 ** self.t)
+            vhat = self.v[k] / (1 - self.b2 ** self.t)
+            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_row_skipping_matches_dense_oracle(weight_decay):
+    rng = np.random.default_rng(11)
+    init = {
+        "table": rng.normal(size=(8, 3)),
+        "bias": rng.normal(size=(3,)),
+        "cube": rng.normal(size=(4, 2, 2)),
+        "late": rng.normal(size=(5, 2)),
+    }
+    init["table"][6] = 0.0          # zero row: stays dead even under weight decay
+    init["table"][7] = [-0.0, 1.5, -2.0]
+    # table rows touched per step: row 0 only in step 1, row 5 gets -0.0,
+    # rows 6 and 7 never; step 5 has an all-zero gradient.
+    table_rows = [[0, 1], [2, 5], [3, 1], [4], []]
+    steps = len(table_rows)
+    grads = []
+    for s, rows in enumerate(table_rows):
+        g = {"table": np.zeros((8, 3)), "bias": rng.normal(size=3),
+             "cube": np.zeros((4, 2, 2)), "late": rng.normal(size=(5, 2))}
+        for r in rows:
+            g["table"][r] = -0.0 if r == 5 else rng.normal(size=3)
+        g["cube"][s % 4, 1, 0] = rng.normal()
+        if s == 2:
+            g["late"] = None
+        grads.append(g)
+
+    fast = {k: T.Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+    dense = {k: T.Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+    opt = T.Adam(fast, lr=1e-2, weight_decay=weight_decay)
+    ref = DenseAdam(dense, lr=1e-2, weight_decay=weight_decay)
+    for s in range(steps):
+        for k in init:
+            g = grads[s][k]
+            fast[k].grad = None if g is None else g.copy()
+            dense[k].grad = None if g is None else g.copy()
+        lr = 1e-2 * (s + 1) / steps
+        opt.step(lr=lr)
+        ref.step(lr)
+        for k in init:
+            assert _same_bits(fast[k].data, dense[k].data), (s, k)
+            assert _same_bits(opt.m[k], ref.m[k]), (s, k)
+            assert _same_bits(opt.v[k], ref.v[k]), (s, k)
+
+    # under weight decay every row with a nonzero value goes live
+    never = [6] if weight_decay else [5, 6, 7]
+    for buf in (opt.m["table"], opt.v["table"]):
+        assert _same_bits(buf[never], np.zeros((len(never), 3)))
+    assert opt.live["table"].tolist() == [r not in never for r in range(8)]
+    assert "bias" not in opt.live
+
+
+@pytest.mark.parametrize("kwargs", [dict(eps=0.0), dict(eps=float("nan")), dict(lr=-1e-3),
+                                    dict(lr=float("inf")), dict(betas=(1.0, 0.999))])
+def test_adam_rejects_settings_that_break_row_skipping(kwargs):
+    p = T.Tensor(np.ones((2, 2)), requires_grad=True)
+    with pytest.raises(ValueError, match="Adam"):
+        T.Adam({"p": p}, **kwargs)
+
+
+def test_adam_step_rejects_negative_lr():
+    p = T.Tensor(np.ones((2, 2)), requires_grad=True)
+    opt = T.Adam({"p": p})
+    p.grad = np.ones((2, 2))
+    with pytest.raises(ValueError, match="learning rate"):
+        opt.step(lr=-0.1)
+
+
 def test_checkpoint_round_trip_exact(tmp_path):
     rng = np.random.default_rng(6)
     params = {
