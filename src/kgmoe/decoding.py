@@ -1,8 +1,10 @@
 """Inference-time decoders: per-expert greedy enumeration plus beam search,
 truncated (top-k) sampling and nucleus (top-p) sampling baselines.
 
-All decoders stop at EOS or at the maximum decode length, and break argmax
-ties by the lowest token id (numpy argmax already does).
+All four run one token loop, `_search`, and differ only in its width and in
+the rule that expands a next-token distribution into continuations.  Every
+decoder stops at EOS or at the maximum decode length, and breaks argmax ties
+by the lowest token id (numpy argmax already does).
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import generator
 from . import tensor as T
-from .generator import BOS, EOS, GeneratorInput, memory_next_dist
+from .generator import EOS, GeneratorInput, memory_next_dist
 from .moe import ExampleContext, Model, select_concepts, sub_seed
 
 MAX_DECODE_LEN = 64
@@ -34,30 +37,56 @@ class GenerationBundle:
     entries: list[GenerationEntry]
 
 
-def _encoder_memory(ctx: ExampleContext, model: Model, expert: int,
-                    concepts: list[int]):
+def _expert_memory(ctx: ExampleContext, model: Model, expert: int,
+                   forbidden: set[int] | None):
+    """The expert's selected concept ids and the encoder memory they give."""
+    concepts = select_concepts(ctx, model, expert, forbidden)
     inp = GeneratorInput(ctx.x_ids, [ctx.concept_tokens[c] for c in concepts],
                          expert, model.cfg.expert_mode)
-    from .generator import encode_inputs
     with T.no_grad():
-        return encode_inputs(inp, model.params, model.vocab,
-                             model.cfg.generator_config(), model.positions)
+        memory = generator.encode_inputs(inp, model.params, model.vocab,
+                                         model.cfg.generator_config(), model.positions)
+    return concepts, memory
 
 
-def _max_len(model: Model) -> int:
-    return min(MAX_DECODE_LEN, model.cfg.max_len - 1)
+def _search(memory, model: Model, width: int, expand,
+            length_normalize: bool = False) -> list[list[int]]:
+    """Token ids of the best `width` hypotheses, best first.
 
-
-def _greedy_from_memory(memory, model: Model) -> list[int]:
+    Each step asks for the next-token distribution of every live hypothesis
+    and extends it by the (token, log-probability) pairs of `expand(dist)`;
+    a rule with one continuation may score it 0.  Candidates are ranked by
+    score (summed log-probability, per token if `length_normalize`), then by
+    token ids; one that ends in EOS is finished.
+    The search stops once `width` hypotheses are finished, none is live, or
+    the maximum decode length is reached.
+    """
     cfg = model.cfg.generator_config()
-    out: list[int] = []
-    for _ in range(_max_len(model)):
-        dist = memory_next_dist(memory, out, model.params, cfg, model.positions)
-        nxt = int(np.argmax(dist))
-        out.append(nxt)
-        if nxt == EOS:
+
+    def rank(hyp):
+        ids, logp = hyp
+        return -(logp / len(ids) if length_normalize else logp), ids
+
+    live: list[tuple[list[int], float]] = [([], 0.0)]
+    finished: list[tuple[list[int], float]] = []
+    for _ in range(min(MAX_DECODE_LEN, model.cfg.max_len - 1)):
+        candidates = []
+        for ids, logp in live:
+            dist = memory_next_dist(memory, ids, model.params, cfg, model.positions)
+            candidates += [(ids + [tok], logp + step) for tok, step in expand(dist)]
+        candidates.sort(key=rank)
+        live = []
+        for hyp in candidates:
+            (finished if hyp[0][-1] == EOS else live).append(hyp)
+            if len(live) >= width:
+                break
+        if len(finished) >= width or not live:
             break
-    return out
+    return [ids for ids, _ in sorted(finished + live, key=rank)[:width]]
+
+
+def _argmax(dist: np.ndarray) -> list[tuple[int, float]]:
+    return [(int(np.argmax(dist)), 0.0)]
 
 
 def decode_moe(ctx: ExampleContext, model: Model) -> GenerationBundle:
@@ -69,12 +98,11 @@ def decode_moe(ctx: ExampleContext, model: Model) -> GenerationBundle:
     entries = []
     forbidden: set[int] = set()
     for z in range(model.cfg.n_experts):
-        concepts = select_concepts(ctx, model, z,
-                                   forbidden if model.cfg.disjoint_rule else None)
+        concepts, memory = _expert_memory(ctx, model, z,
+                                          forbidden if model.cfg.disjoint_rule else None)
         if model.cfg.disjoint_rule:
             forbidden.update(concepts)
-        memory = _encoder_memory(ctx, model, z, concepts)
-        ids = _greedy_from_memory(memory, model)
+        [ids] = _search(memory, model, 1, _argmax)
         entries.append(GenerationEntry(z, model.vocab.decode(ids),
                                        [model.kg.concepts[c] for c in concepts]))
     return GenerationBundle(ctx.example_id, "moe", entries)
@@ -86,56 +114,16 @@ def decode_beam(ctx: ExampleContext, model: Model, beam: int,
     hypotheses (used as the no-MoE ablation decoder)."""
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    concepts = select_concepts(ctx, model, 0)
-    memory = _encoder_memory(ctx, model, 0, concepts)
-    cfg = model.cfg.generator_config()
-    max_len = _max_len(model)
+    concepts, memory = _expert_memory(ctx, model, 0, None)
 
-    def score(logp: float, length: int) -> float:
-        return logp / length if length_normalize else logp
+    def top(dist: np.ndarray) -> list[tuple[int, float]]:
+        logs = np.log(np.maximum(dist, 1e-300))
+        return [(int(tok), float(logs[tok])) for tok in np.argsort(-logs, kind="stable")[:beam]]
 
-    live = [([], 0.0)]
-    finished: list[tuple[list[int], float]] = []
-    for _ in range(max_len):
-        candidates = []
-        for ids, logp in live:
-            dist = memory_next_dist(memory, ids, model.params, cfg, model.positions)
-            logs = np.log(np.maximum(dist, 1e-300))
-            top = np.argsort(-logs, kind="stable")[: beam]
-            for tok in top:
-                candidates.append((ids + [int(tok)], logp + float(logs[tok])))
-        candidates.sort(key=lambda c: (-score(c[1], len(c[0])), c[0]))
-        live = []
-        for ids, logp in candidates:
-            if ids[-1] == EOS:
-                finished.append((ids, logp))
-            else:
-                live.append((ids, logp))
-            if len(live) >= beam:
-                break
-        if len(finished) >= beam or not live:
-            break
-    for ids, logp in live:
-        finished.append((ids, logp))
-    finished.sort(key=lambda c: (-score(c[1], len(c[0])), c[0]))
     surfaces = [model.kg.concepts[c] for c in concepts]
     entries = [GenerationEntry(i, model.vocab.decode(ids), surfaces)
-               for i, (ids, _) in enumerate(finished[: beam])]
+               for i, ids in enumerate(_search(memory, model, beam, top, length_normalize))]
     return GenerationBundle(ctx.example_id, "beam", entries)
-
-
-def _sample_decode(ctx: ExampleContext, model: Model, pick, rng) -> list[int]:
-    concepts = select_concepts(ctx, model, 0)
-    memory = _encoder_memory(ctx, model, 0, concepts)
-    cfg = model.cfg.generator_config()
-    out: list[int] = []
-    for _ in range(_max_len(model)):
-        dist = memory_next_dist(memory, out, model.params, cfg, model.positions)
-        nxt = pick(dist, rng)
-        out.append(nxt)
-        if nxt == EOS:
-            break
-    return out
 
 
 def truncated_pick(k: int):
@@ -165,27 +153,26 @@ def nucleus_pick(p: float):
     return pick
 
 
+def _decode_samples(ctx: ExampleContext, model: Model, strategy: str, pick,
+                    seed: int, n_samples: int) -> GenerationBundle:
+    """n independent draws on expert 0, each from its own seeded generator."""
+    concepts = [model.kg.concepts[c] for c in select_concepts(ctx, model, 0)]
+    entries = []
+    for i in range(n_samples):
+        rng = np.random.default_rng(sub_seed(seed, f"{strategy}:{ctx.example_id}:{i}"))
+        _, memory = _expert_memory(ctx, model, 0, None)
+        [ids] = _search(memory, model, 1, lambda dist: [(pick(dist, rng), 0.0)])
+        entries.append(GenerationEntry(i, model.vocab.decode(ids), concepts))
+    return GenerationBundle(ctx.example_id, strategy, entries)
+
+
 def decode_truncated(ctx: ExampleContext, model: Model, k: int, seed: int,
                      n_samples: int = 1) -> GenerationBundle:
     """n independent seeded top-k sampling draws."""
-    pick = truncated_pick(k)
-    entries = []
-    concepts = [model.kg.concepts[c] for c in select_concepts(ctx, model, 0)]
-    for i in range(n_samples):
-        rng = np.random.default_rng(sub_seed(seed, f"truncated:{ctx.example_id}:{i}"))
-        ids = _sample_decode(ctx, model, pick, rng)
-        entries.append(GenerationEntry(i, model.vocab.decode(ids), concepts))
-    return GenerationBundle(ctx.example_id, "truncated", entries)
+    return _decode_samples(ctx, model, "truncated", truncated_pick(k), seed, n_samples)
 
 
 def decode_nucleus(ctx: ExampleContext, model: Model, p: float, seed: int,
                    n_samples: int = 1) -> GenerationBundle:
     """n independent seeded nucleus sampling draws."""
-    pick = nucleus_pick(p)
-    entries = []
-    concepts = [model.kg.concepts[c] for c in select_concepts(ctx, model, 0)]
-    for i in range(n_samples):
-        rng = np.random.default_rng(sub_seed(seed, f"nucleus:{ctx.example_id}:{i}"))
-        ids = _sample_decode(ctx, model, pick, rng)
-        entries.append(GenerationEntry(i, model.vocab.decode(ids), concepts))
-    return GenerationBundle(ctx.example_id, "nucleus", entries)
+    return _decode_samples(ctx, model, "nucleus", nucleus_pick(p), seed, n_samples)

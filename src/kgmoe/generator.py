@@ -260,14 +260,6 @@ def generation_loss(inp: GeneratorInput, y_ids: list[int], params, vocab: Vocab,
     return T.softmax_cross_entropy(logits, y_ids)
 
 
-def next_token_dist(inp: GeneratorInput, prefix_ids: list[int], params, vocab: Vocab,
-                    cfg: GeneratorConfig, positions: np.ndarray) -> np.ndarray:
-    """Probability vector over the vocabulary for the next token (forward only)."""
-    with T.no_grad():
-        memory = encode_inputs(inp, params, vocab, cfg, positions)
-        return memory_next_dist(memory, prefix_ids, params, cfg, positions)
-
-
 def memory_next_dist(memory: T.Tensor, prefix_ids: list[int], params,
                      cfg: GeneratorConfig, positions: np.ndarray) -> np.ndarray:
     """Next-token distribution given a precomputed encoder memory."""

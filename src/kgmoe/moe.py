@@ -140,8 +140,12 @@ def select_concepts(ctx: ExampleContext, model: Model, expert: int,
     with T.no_grad():
         states = encode(ctx.subgraph, model.params, model.kg, model.cfg.rgcn_layers)
         p = score_concepts(states, model.params, expert)
-    scores = dict(zip(ctx.node_ids, p.data.tolist()))
-    return top_n(scores, model.cfg.top_concepts, forbidden)
+    return _top_concepts(ctx, p, model, forbidden)
+
+
+def _top_concepts(ctx: ExampleContext, p: T.Tensor, model: Model,
+                  forbidden: set[int] | None) -> list[int]:
+    return top_n(dict(zip(ctx.node_ids, p.data.tolist())), model.cfg.top_concepts, forbidden)
 
 
 def joint_loss(ctx: ExampleContext, ref_idx: int, expert: int, model: Model,
@@ -153,8 +157,7 @@ def joint_loss(ctx: ExampleContext, ref_idx: int, expert: int, model: Model,
     states = encode(ctx.subgraph, model.params, model.kg, cfg.rgcn_layers)
     p = score_concepts(states, model.params, expert)
     l_concept = concept_loss(p, ctx.labels[ref_idx])
-    scores = dict(zip(ctx.node_ids, p.data.tolist()))
-    chosen = top_n(scores, cfg.top_concepts, forbidden)
+    chosen = _top_concepts(ctx, p, model, forbidden)
     inp = GeneratorInput(ctx.x_ids, [ctx.concept_tokens[c] for c in chosen],
                          expert, cfg.expert_mode)
     l_gen = generation_loss(inp, ctx.y_ids[ref_idx], model.params, model.vocab,

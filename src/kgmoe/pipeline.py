@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .decoding import (GenerationBundle, decode_beam, decode_moe, decode_nucleus,
-                       decode_truncated)
+                       decode_truncated, nucleus_pick, truncated_pick)
 from .generator import Vocab
 from .kg import KnowledgeGraph, ground_concepts, load_kg
 from .metrics import MetricReport, evaluate_hypothesis_sets
@@ -144,6 +144,9 @@ def synthetic_kg(triples: list[tuple[str, str, str]]) -> KnowledgeGraph:
 # ---------------------------------------------------------------------------
 # run configuration and subcommand bodies
 
+STRATEGIES = ("moe", "beam", "truncated", "nucleus")
+
+
 @dataclass
 class RunConfig:
     """TrainConfig plus file locations and the decode strategy."""
@@ -156,10 +159,19 @@ class RunConfig:
     generations_path: str = "generations.jsonl"
     metrics_path: str = "metrics.json"
     train_log_path: str = "train_log.jsonl"
-    strategy: str = "moe"                # moe | beam | truncated | nucleus
+    strategy: str = "moe"                # one of STRATEGIES
     sample_k: int = 5                    # truncated sampling cutoff
     sample_p: float = 0.9                # nucleus mass
     n_outputs: int | None = None         # defaults to n_experts
+
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {', '.join(STRATEGIES)}, "
+                             f"got {self.strategy!r}")
+        truncated_pick(self.sample_k)
+        nucleus_pick(self.sample_p)
+        if self.n_outputs is not None and self.n_outputs < 1:
+            raise ValueError(f"n_outputs must be >= 1, got {self.n_outputs}")
 
 
 _TRAIN_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
@@ -191,15 +203,20 @@ def _coerce(key: str, kind: str, raw: str):
 def apply_override(cfg: RunConfig, key: str, raw: str) -> None:
     """Set one key of a RunConfig or its TrainConfig from its string form.
 
-    A TrainConfig key is validated at once, so a bad value raises a
+    The changed config is validated at once, so a bad value raises a
     ValueError that names the key; an unknown key raises too.
     """
-    if key in _TRAIN_TYPES:
-        cfg.train = dataclasses.replace(cfg.train, **{key: _coerce(key, _TRAIN_TYPES[key], raw)})
-    elif key in _RUN_TYPES:
-        setattr(cfg, key, _coerce(key, _RUN_TYPES[key], raw))
-    else:
+    if key not in _TRAIN_TYPES and key not in _RUN_TYPES:
         raise ValueError(f"unknown config key {key!r}")
+    value = _coerce(key, _TRAIN_TYPES.get(key) or _RUN_TYPES[key], raw)
+    try:
+        if key in _TRAIN_TYPES:
+            cfg.train = dataclasses.replace(cfg.train, **{key: value})
+        else:
+            dataclasses.replace(cfg, **{key: value})    # validates; cfg itself is kept
+            setattr(cfg, key, value)
+    except ValueError as err:
+        raise ValueError(f"config key {key!r}: {err}") from None
 
 
 def load_run_config(path) -> RunConfig:
@@ -239,14 +256,17 @@ def run_train(cfg: RunConfig) -> Model:
 
 def load_model(cfg: RunConfig) -> Model:
     kg = load_kg(cfg.kg_path)
-    params, meta = T.load_checkpoint(cfg.checkpoint_path)
+    path = cfg.checkpoint_path
+    params, meta = T.load_checkpoint(path)
     saved = meta.get("train_config", {})
-    train_cfg = TrainConfig(**saved) if saved else cfg.train
+    try:
+        train_cfg = TrainConfig(**saved) if saved else cfg.train
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: bad train_config: {err}") from None
     vocab = Vocab.load(cfg.vocab_path, train_cfg.n_experts)
     if meta.get("vocab_hash") and meta["vocab_hash"] != vocab.content_hash():
         raise ValueError("checkpoint/vocabulary mismatch (vocab hash differs)")
     model = build_model(kg, vocab, train_cfg)
-    path = cfg.checkpoint_path
     extra = sorted(set(params) - set(model.params))
     if extra:
         raise ValueError(f"{path}: unexpected parameter {extra[0]!r}")
@@ -262,7 +282,7 @@ def load_model(cfg: RunConfig) -> Model:
 
 def generate_bundles(model: Model, dataset: list[Example], cfg: RunConfig) -> list[GenerationBundle]:
     bundles = []
-    n_out = cfg.n_outputs or model.cfg.n_experts
+    n_out = model.cfg.n_experts if cfg.n_outputs is None else cfg.n_outputs
     for ex in dataset:
         ctx = prepare_example(ex, model.kg, model.vocab, model.cfg)
         if cfg.strategy == "moe":

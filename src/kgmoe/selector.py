@@ -37,14 +37,6 @@ def score_concepts(states: NodeStates, params: dict[str, T.Tensor],
     return T.reshape(T.sigmoid(logits), (len(states.node_ids),))
 
 
-def score_map(states: NodeStates, params: dict[str, T.Tensor],
-              expert: int | None = None) -> dict[int, float]:
-    """Plain concept-id -> probability map (forward only)."""
-    with T.no_grad():
-        p = score_concepts(states, params, expert)
-    return dict(zip(states.node_ids, p.data.tolist()))
-
-
 def build_labels(subgraph: Subgraph, reference: str, kg: KnowledgeGraph) -> np.ndarray:
     """Binary supervision over sorted subgraph nodes: positive iff grounded in y."""
     positives = ground_concepts(reference, kg) & subgraph.nodes

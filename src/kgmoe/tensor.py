@@ -54,12 +54,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def validate(self):
-        """Raise if the tensor holds NaN or Inf."""
-        if not np.all(np.isfinite(self.data)):
-            raise FloatingPointError("tensor contains NaN or Inf")
-        return self
-
     def zero_grad(self):
         self.grad = None
 
@@ -305,7 +299,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make(xhat * gain.data + bias.data, (x, gain, bias), backward)
 
 
-def softmax_cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> Tensor:
+def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of integer targets under row softmax.
 
     Uses a log-sum-exp stable formulation; gradient is softmax minus one-hot.
@@ -319,19 +313,13 @@ def softmax_cross_entropy(logits: Tensor, targets, reduction: str = "mean") -> T
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.data.max(axis=-1)
     nll = lse - logits.data[np.arange(n), t]
-    if reduction == "mean":
-        value, denom = nll.mean(), n
-    elif reduction == "sum":
-        value, denom = nll.sum(), 1
-    else:
-        raise ValueError(f"unknown reduction {reduction!r}")
 
     def backward(g):
         p = np.exp(shifted)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(n), t] -= 1.0
-        _accum(logits, float(g) * p / denom)
-    return _make(value, (logits,), backward)
+        _accum(logits, float(g) * p / n)
+    return _make(nll.mean(), (logits,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from kgmoe import decoding as D
 from kgmoe.generator import EOS
 from kgmoe.kg import KnowledgeGraph
 from kgmoe.generator import Vocab
-from kgmoe.moe import TrainConfig, build_model, prepare_example
+from kgmoe.moe import TrainConfig, build_model, prepare_example, sub_seed
 from kgmoe.pipeline import Example
 
 
@@ -237,3 +237,50 @@ def test_samples_within_bundle_are_independent_draws():
     bundle = D.decode_truncated(ctx, model, k=5, seed=3, n_samples=6)
     assert len(bundle.entries) == 6
     assert [e.expert for e in bundle.entries] == list(range(6))
+
+
+# --- hand-built LM: sampling seeds and the length stop ------------------------
+
+def max_decode_len(model):
+    return min(D.MAX_DECODE_LEN, model.cfg.max_len - 1)
+
+
+def stepwise_samples(lm, model, strategy, pick, seed, example_id, n_samples):
+    """Draw each sample token by token from its own named sub-seed."""
+    outputs = []
+    for i in range(n_samples):
+        rng = np.random.default_rng(sub_seed(seed, f"{strategy}:{example_id}:{i}"))
+        ids = []
+        while len(ids) < max_decode_len(model) and EOS not in ids:
+            ids.append(pick(lm(None, ids, None, None, None), rng))
+        outputs.append(model.vocab.decode(ids))
+    return outputs
+
+
+@pytest.mark.parametrize("strategy, fn, pick, kw", [
+    ("truncated", D.decode_truncated, D.truncated_pick(2), {"k": 2}),
+    ("nucleus", D.decode_nucleus, D.nucleus_pick(0.75), {"p": 0.75})])
+def test_sampling_matches_stepwise_reference(monkeypatch, strategy, fn, pick, kw):
+    model, ctx = tiny_setup()
+    a, b = hand_tokens(model)
+    step = {EOS: 0.3, a: 0.4, b: 0.3}
+    lm = patched_lm(monkeypatch, model, [step] * 3, forced_eos_at=3)
+    bundle = fn(ctx, model, seed=5, n_samples=8, **kw)
+    expected = stepwise_samples(lm, model, strategy, pick, 5, ctx.example_id, 8)
+    assert bundle.strategy == strategy
+    assert [e.output for e in bundle.entries] == expected
+    assert len(set(expected)) > 1
+
+
+def test_decoders_stop_at_max_length_without_eos(monkeypatch):
+    model, ctx = tiny_setup()
+    a, b = hand_tokens(model)
+    n = max_decode_len(model)
+    # one more step than the cap would index past the list and raise
+    patched_lm(monkeypatch, model, [{a: 0.6, b: 0.4}] * n, forced_eos_at=n + 1)
+    bundles = [D.decode_moe(ctx, model), D.decode_beam(ctx, model, beam=2),
+               D.decode_truncated(ctx, model, k=2, seed=1, n_samples=3),
+               D.decode_nucleus(ctx, model, p=0.9, seed=1, n_samples=3)]
+    for bundle in bundles:
+        assert [len(e.output.split()) for e in bundle.entries] == [n] * len(bundle.entries)
+    assert bundles[0].entries[0].output == model.vocab.decode([a] * n)

@@ -10,8 +10,7 @@ from kgmoe import tensor as T
 from kgmoe.generator import (BOS, EOS, PAD, UNK, GeneratorConfig, GeneratorInput,
                              Vocab, decoder_logits, encode_inputs,
                              generation_loss, init_generator_params,
-                             memory_next_dist, next_token_dist,
-                             sinusoidal_positions)
+                             memory_next_dist, sinusoidal_positions)
 
 from util import check_gradients
 
@@ -123,10 +122,12 @@ def test_concept_permutation_invariance_of_loss():
 def test_expert_conditioning_changes_distribution_both_modes():
     vocab, cfg, params, pos = small_setup()
     x = vocab.encode("the cat sat")
+
+    def first_dist(expert, mode):
+        memory = encode_inputs(GeneratorInput(x, [], expert, mode), params, vocab, cfg, pos)
+        return memory_next_dist(memory, [], params, cfg, pos)
     for mode in ("prompt", "embed"):
-        d0 = next_token_dist(GeneratorInput(x, [], 0, mode), [], params, vocab, cfg, pos)
-        d1 = next_token_dist(GeneratorInput(x, [], 1, mode), [], params, vocab, cfg, pos)
-        assert np.abs(d0 - d1).max() > 1e-9
+        assert np.abs(first_dist(0, mode) - first_dist(1, mode)).max() > 1e-9
 
 
 def test_multiword_concept_uses_mean_of_token_rows():
@@ -202,8 +203,8 @@ def test_loss_requires_eos_and_nonempty_target():
 
 def test_next_token_dist_is_normalized():
     vocab, cfg, params, pos = small_setup()
-    d = next_token_dist(GeneratorInput(vocab.encode("the"), [], 0), [5],
-                        params, vocab, cfg, pos)
+    memory = encode_inputs(GeneratorInput(vocab.encode("the"), [], 0), params, vocab, cfg, pos)
+    d = memory_next_dist(memory, [5], params, cfg, pos)
     assert d.shape == (len(vocab),)
     assert d.sum() == pytest.approx(1.0, abs=1e-12)
     assert (d > 0).all()

@@ -160,7 +160,12 @@ def test_load_run_config_validates_values(tmp_path):
                                        ("max_subgraph_nodes=-5", "max_subgraph_nodes"),
                                        ("epochs=many", "epochs"),
                                        ("disjoint_rule=maybe", "disjoint_rule"),
-                                       ("sample_p=high", "sample_p")])
+                                       ("sample_p=high", "sample_p"),
+                                       ("strategy=magic", "strategy"),
+                                       ("sample_k=0", "sample_k"),
+                                       ("sample_p=1.5", "sample_p"),
+                                       ("n_outputs=0", "n_outputs"),
+                                       ("n_outputs=-2", "n_outputs")])
 def test_cli_set_rejects_bad_value_naming_key(item, key):
     with pytest.raises(SystemExit, match=key):
         cli_main(["train", "--set", item])
@@ -170,6 +175,13 @@ def test_load_run_config_bad_value_names_line_and_key(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("n_experts = 2\nconcept_weight = -1\n")
     with pytest.raises(ValueError, match=r"line 2: .*concept_weight"):
+        load_run_config(p)
+
+
+def test_load_run_config_bad_run_key_names_line_and_key(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("strategy = nucleus\nsample_p = 1.5\n")
+    with pytest.raises(ValueError, match=r"line 2: .*sample_p"):
         load_run_config(p)
 
 
@@ -302,6 +314,17 @@ def test_load_model_rejects_unexpected_parameter(trained_run, tmp_path):
         {"bogus.weight": {"shape": [1], "data": [0.0]}}))
     with pytest.raises(ValueError, match=r"checkpoint\.json: unexpected parameter 'bogus\.weight'"):
         load_model(trained_run)
+
+
+@pytest.mark.parametrize("edit, key", [({"bogus": 1}, "bogus"), ({"n_experts": 0}, "n_experts")])
+def test_load_model_rejects_bad_saved_train_config(trained_run, tmp_path, edit, key):
+    path = tmp_path / "checkpoint.json"
+    payload = json.loads(path.read_text())
+    payload["meta"]["train_config"].update(edit)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        load_model(trained_run)
+    assert str(path) in str(err.value) and key in str(err.value)
 
 
 @pytest.mark.parametrize("missing", ["id", "strategy", "output", "concepts"])
