@@ -6,9 +6,8 @@ import argparse
 import sys
 
 from .kg import load_kg
-from .pipeline import (RunConfig, apply_override, load_run_config, make_synthetic_task,
-                       run_evaluate, run_generate, run_train, save_dataset, save_kg_tsv,
-                       subgraph_json)
+from .pipeline import (RunConfig, load_run_config, make_synthetic_task, run_evaluate,
+                       run_generate, run_train, save_dataset, save_kg_tsv, subgraph_json)
 
 
 def _add_override_flags(parser: argparse.ArgumentParser):
@@ -18,15 +17,10 @@ def _add_override_flags(parser: argparse.ArgumentParser):
 
 
 def _build_run_config(args) -> RunConfig:
-    cfg = load_run_config(args.config) if args.config else RunConfig()
-    for item in args.set:
-        if "=" not in item:
-            raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
-        try:
-            apply_override(cfg, *item.split("=", 1))
-        except ValueError as err:
-            raise SystemExit(f"--set {item}: {err}") from None
-    return cfg
+    try:
+        return load_run_config(args.config, args.set)
+    except ValueError as err:
+        raise SystemExit(str(err)) from None
 
 
 def main(argv=None) -> int:

@@ -41,11 +41,10 @@ def _expert_memory(ctx: ExampleContext, model: Model, expert: int,
                    forbidden: set[int] | None):
     """The expert's selected concept ids and the encoder memory they give."""
     concepts = select_concepts(ctx, model, expert, forbidden)
-    inp = GeneratorInput(ctx.x_ids, [ctx.concept_tokens[c] for c in concepts],
-                         expert, model.cfg.expert_mode)
+    inp = GeneratorInput(ctx.x_ids, [ctx.concept_tokens[c] for c in concepts], expert)
     with T.no_grad():
-        memory = generator.encode_inputs(inp, model.params, model.vocab,
-                                         model.cfg.generator_config(), model.positions)
+        memory = generator.encode_inputs(inp, model.params, model.vocab, model.cfg,
+                                         model.positions)
     return concepts, memory
 
 
@@ -61,8 +60,6 @@ def _search(memory, model: Model, width: int, expand,
     The search stops once `width` hypotheses are finished, none is live, or
     the maximum decode length is reached.
     """
-    cfg = model.cfg.generator_config()
-
     def rank(hyp):
         ids, logp = hyp
         return -(logp / len(ids) if length_normalize else logp), ids
@@ -72,7 +69,7 @@ def _search(memory, model: Model, width: int, expand,
     for _ in range(min(MAX_DECODE_LEN, model.cfg.max_len - 1)):
         candidates = []
         for ids, logp in live:
-            dist = memory_next_dist(memory, ids, model.params, cfg, model.positions)
+            dist = memory_next_dist(memory, ids, model.params, model.cfg, model.positions)
             candidates += [(ids + [tok], logp + step) for tok, step in expand(dist)]
         candidates.sort(key=rank)
         live = []

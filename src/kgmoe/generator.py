@@ -4,7 +4,8 @@ The encoder memory is [expert prefix token?] + input tokens + concept tokens.
 Positional encodings are applied to the input sequence only, so the concept
 block is order-free and cross-attention over it is permutation invariant.
 Expert conditioning is either an added per-expert embedding ("embed" mode) or a
-reserved prefix token ("prompt" mode).
+reserved prefix token ("prompt" mode).  The shape, the expert count and the
+expert mode are read from the model's `TrainConfig`, passed as `cfg`.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
+
+if TYPE_CHECKING:
+    from .moe import TrainConfig
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 _SPECIALS = ["<pad>", "<bos>", "<eos>", "<unk>"]
@@ -67,25 +72,14 @@ class Vocab:
     def load(cls, path, n_experts: int) -> "Vocab":
         with open(path, encoding="utf-8") as f:
             tokens = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-        return cls(tokens, n_experts)
+        try:
+            return cls(tokens, n_experts)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
     def content_hash(self) -> str:
         digest = hashlib.sha256("\n".join(self.tokens).encode("utf-8"))
         return digest.hexdigest()[:16]
-
-
-@dataclass
-class GeneratorConfig:
-    d_model: int = 64
-    n_heads: int = 4
-    n_encoder_layers: int = 2
-    n_decoder_layers: int = 2
-    d_ff: int = 256
-    max_len: int = 64
-
-    def __post_init__(self):
-        if self.d_model % self.n_heads:
-            raise ValueError("head count must divide d_model")
 
 
 @dataclass
@@ -95,7 +89,6 @@ class GeneratorInput:
     x_ids: list[int]
     concept_token_ids: list[list[int]]   # surface tokens per selected concept
     expert: int
-    mode: str = "prompt"                 # "embed" | "prompt"
 
 
 def sinusoidal_positions(max_len: int, d: int) -> np.ndarray:
@@ -108,12 +101,12 @@ def sinusoidal_positions(max_len: int, d: int) -> np.ndarray:
     return enc
 
 
-def init_generator_params(rng: np.random.Generator, vocab_size: int, n_experts: int,
-                          cfg: GeneratorConfig) -> dict[str, T.Tensor]:
+def init_generator_params(rng: np.random.Generator, vocab_size: int,
+                          cfg: TrainConfig) -> dict[str, T.Tensor]:
     d, ff = cfg.d_model, cfg.d_ff
     params = {
         "gen.tok_embed": T.uniform_init(rng, (vocab_size, d)),
-        "gen.expert_embed": T.uniform_init(rng, (max(n_experts, 1), d)),
+        "gen.expert_embed": T.uniform_init(rng, (cfg.n_experts, d)),
         "gen.out_w": T.glorot_init(rng, (d, vocab_size)),
         "gen.out_b": T.zeros_init((vocab_size,)),
     }
@@ -143,7 +136,7 @@ def init_generator_params(rng: np.random.Generator, vocab_size: int, n_experts: 
     return params
 
 
-def _attention(q_in: T.Tensor, kv_in: T.Tensor, params, prefix: str, cfg: GeneratorConfig,
+def _attention(q_in: T.Tensor, kv_in: T.Tensor, params, prefix: str, cfg: TrainConfig,
                mask: np.ndarray | None = None) -> T.Tensor:
     d, h = cfg.d_model, cfg.n_heads
     dh = d // h
@@ -189,14 +182,12 @@ def _concept_embeddings(concept_token_ids: list[list[int]], params) -> T.Tensor 
 
 
 def encode_inputs(inp: GeneratorInput, params: dict[str, T.Tensor], vocab: Vocab,
-                  cfg: GeneratorConfig, positions: np.ndarray) -> T.Tensor:
+                  cfg: TrainConfig, positions: np.ndarray) -> T.Tensor:
     """Encoder memory over [prefix?] + x + concepts; positions only on x."""
     if len(inp.x_ids) > cfg.max_len:
         raise ValueError(f"input length {len(inp.x_ids)} exceeds max_len {cfg.max_len}")
-    if inp.mode not in ("embed", "prompt"):
-        raise ValueError(f"unknown expert mode {inp.mode!r}")
-    if not 0 <= inp.expert:
-        raise ValueError(f"invalid expert id {inp.expert}")
+    if not 0 <= inp.expert < cfg.n_experts:
+        raise ValueError(f"invalid expert id {inp.expert} for {cfg.n_experts} experts")
 
     x_emb = T.add(T.embedding(params["gen.tok_embed"], inp.x_ids),
                   T.constant(positions[: len(inp.x_ids)]))
@@ -204,14 +195,10 @@ def encode_inputs(inp: GeneratorInput, params: dict[str, T.Tensor], vocab: Vocab
     concept_emb = _concept_embeddings(inp.concept_token_ids, params)
     if concept_emb is not None:
         parts.append(concept_emb)
-    if inp.mode == "prompt":
-        prefix = T.embedding(params["gen.tok_embed"], [vocab.expert_token(inp.expert)])
-        parts.insert(0, prefix)
-        stream = T.concat(parts, axis=0)
-    else:
-        if inp.expert >= params["gen.expert_embed"].shape[0]:
-            raise ValueError(f"invalid expert id {inp.expert}")
-        stream = T.concat(parts, axis=0)
+    if cfg.expert_mode == "prompt":
+        parts.insert(0, T.embedding(params["gen.tok_embed"], [vocab.expert_token(inp.expert)]))
+    stream = T.concat(parts, axis=0)
+    if cfg.expert_mode == "embed":
         stream = T.add(stream, T.embedding(params["gen.expert_embed"], [inp.expert]))
 
     for layer in range(cfg.n_encoder_layers):
@@ -227,7 +214,7 @@ def _causal_mask(t: int) -> np.ndarray:
     return np.triu(np.full((t, t), -1e9), k=1)
 
 
-def decoder_logits(memory: T.Tensor, dec_ids: list[int], params, cfg: GeneratorConfig,
+def decoder_logits(memory: T.Tensor, dec_ids: list[int], params, cfg: TrainConfig,
                    positions: np.ndarray) -> T.Tensor:
     """Logits [len(dec_ids), vocab] for the next token at each decoder position."""
     t = len(dec_ids)
@@ -248,11 +235,9 @@ def decoder_logits(memory: T.Tensor, dec_ids: list[int], params, cfg: GeneratorC
 
 
 def generation_loss(inp: GeneratorInput, y_ids: list[int], params, vocab: Vocab,
-                    cfg: GeneratorConfig, positions: np.ndarray) -> T.Tensor:
+                    cfg: TrainConfig, positions: np.ndarray) -> T.Tensor:
     """Teacher-forced mean token NLL of y (which must end with EOS)."""
-    if not y_ids:
-        raise ValueError("empty target sequence")
-    if y_ids[-1] != EOS:
+    if not y_ids or y_ids[-1] != EOS:
         raise ValueError("target sequence must end with EOS")
     memory = encode_inputs(inp, params, vocab, cfg, positions)
     dec_in = [BOS] + list(y_ids[:-1])
@@ -261,7 +246,7 @@ def generation_loss(inp: GeneratorInput, y_ids: list[int], params, vocab: Vocab,
 
 
 def memory_next_dist(memory: T.Tensor, prefix_ids: list[int], params,
-                     cfg: GeneratorConfig, positions: np.ndarray) -> np.ndarray:
+                     cfg: TrainConfig, positions: np.ndarray) -> np.ndarray:
     """Next-token distribution given a precomputed encoder memory."""
     dec_in = [BOS] + list(prefix_ids)
     if len(dec_in) > cfg.max_len:

@@ -37,6 +37,15 @@ def _brevity_penalty(cand_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / cand_len)
 
 
+def _clipped_matches(cand: list[str], refs: list[list[str]], n: int) -> tuple[int, int]:
+    """(n-gram matches clipped by the largest reference count, candidate n-grams)."""
+    cand_ngrams = _ngrams(cand, n)
+    max_ref = Counter()
+    for ref in refs:
+        max_ref |= _ngrams(ref, n)
+    return sum((cand_ngrams & max_ref).values()), sum(cand_ngrams.values())
+
+
 def sentence_bleu(candidate: str, references: list[str], max_n: int = 4) -> float:
     """Smoothed sentence-level BLEU (add-1 on n-gram counts for n >= 2), 0-100."""
     if not references:
@@ -47,13 +56,7 @@ def sentence_bleu(candidate: str, references: list[str], max_n: int = 4) -> floa
         return 0.0
     log_prec = 0.0
     for n in range(1, max_n + 1):
-        cand_ngrams = _ngrams(cand, n)
-        max_ref = Counter()
-        for ref in refs:
-            for gram, cnt in _ngrams(ref, n).items():
-                max_ref[gram] = max(max_ref[gram], cnt)
-        matched = sum(min(cnt, max_ref[gram]) for gram, cnt in cand_ngrams.items())
-        total = sum(cand_ngrams.values())
+        matched, total = _clipped_matches(cand, refs, n)
         if n >= 2:
             matched, total = matched + 1, total + 1
         if total == 0 or matched == 0:
@@ -77,13 +80,9 @@ def corpus_bleu(candidates: list[str], references: list[list[str]], max_n: int =
         if refs_t:
             ref_len_sum += _closest_ref_len(len(cand), [len(r) for r in refs_t])
         for n in range(1, max_n + 1):
-            cand_ngrams = _ngrams(cand, n)
-            max_ref = Counter()
-            for ref in refs_t:
-                for gram, cnt in _ngrams(ref, n).items():
-                    max_ref[gram] = max(max_ref[gram], cnt)
-            matched[n - 1] += sum(min(c, max_ref[g]) for g, c in cand_ngrams.items())
-            total[n - 1] += sum(cand_ngrams.values())
+            m, t = _clipped_matches(cand, refs_t, n)
+            matched[n - 1] += m
+            total[n - 1] += t
     if any(t == 0 or m == 0 for m, t in zip(matched, total)):
         return 0.0
     log_prec = sum(math.log(m / t) for m, t in zip(matched, total)) / max_n
@@ -108,10 +107,6 @@ def rouge_l(candidate: str, reference: str) -> float:
     return 100.0 * 2 * precision * recall / (precision + recall)
 
 
-def best_rouge_l(candidate: str, references: list[str]) -> float:
-    return max(rouge_l(candidate, ref) for ref in references)
-
-
 def best_of_k_quality(hypothesis_sets: list[list[str]],
                       references: list[list[str]]) -> tuple[float, float]:
     """Best-of-K selection per input (independently for BLEU and ROUGE), then
@@ -119,7 +114,7 @@ def best_of_k_quality(hypothesis_sets: list[list[str]],
     bleu_picks, rouge_scores = [], []
     for hyps, refs in zip(hypothesis_sets, references):
         bleu_picks.append(max(hyps, key=lambda h: (sentence_bleu(h, refs), h)))
-        rouge_scores.append(max(best_rouge_l(h, refs) for h in hyps))
+        rouge_scores.append(max(rouge_l(h, ref) for h in hyps for ref in refs))
     b4 = corpus_bleu(bleu_picks, references)
     rl = sum(rouge_scores) / len(rouge_scores) if rouge_scores else 0.0
     return b4, rl
@@ -140,21 +135,23 @@ def corpus_self_bleu(hypothesis_sets: list[list[str]], n: int) -> float:
     return sum(scores) / len(scores) if scores else 0.0
 
 
-def distinct_k(hypotheses: list[str], k: int = 2) -> float:
-    """Unique k-grams over total k-grams, pooled across all hypotheses."""
+def _pooled_ngrams(hypotheses: list[str], k: int) -> tuple[Counter, int]:
+    """k-gram counts pooled across all hypotheses, and their total."""
     counts = Counter()
     for hyp in hypotheses:
         counts.update(_ngrams(_tokens(hyp), k))
-    total = sum(counts.values())
+    return counts, sum(counts.values())
+
+
+def distinct_k(hypotheses: list[str], k: int = 2) -> float:
+    """Unique k-grams over total k-grams, pooled across all hypotheses."""
+    counts, total = _pooled_ngrams(hypotheses, k)
     return len(counts) / total if total else 0.0
 
 
 def entropy_k(hypotheses: list[str], k: int = 4) -> float:
     """Shannon entropy (nats) of the pooled empirical k-gram distribution."""
-    counts = Counter()
-    for hyp in hypotheses:
-        counts.update(_ngrams(_tokens(hyp), k))
-    total = sum(counts.values())
+    counts, total = _pooled_ngrams(hypotheses, k)
     if not total:
         return 0.0
     return -sum((c / total) * math.log(c / total) for c in counts.values())

@@ -9,22 +9,70 @@ one Adam step on the mean joint loss of the chosen experts only.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
-from .generator import (EOS, UNK, GeneratorConfig, GeneratorInput, Vocab,
-                        generation_loss, init_generator_params, sinusoidal_positions)
+from .generator import (EOS, UNK, GeneratorInput, Vocab, generation_loss,
+                        init_generator_params, sinusoidal_positions)
 from .kg import KnowledgeGraph, Subgraph, extract_subgraph, ground_concepts
 from .rgcn import encode, init_rgcn_params
 from .selector import (build_labels, concept_loss, init_selector_params,
                        score_concepts, top_n)
 
 
+EXPERT_MODES = ("embed", "prompt")
+# Lower bound per numeric field (0 if unlisted; the seed has none).  The decode
+# length is max_len - 1, so max_len >= 2.
+_LOWER_BOUNDS = {"n_experts": 1, "batch_size": 1, "d_model": 1, "n_heads": 1,
+                 "d_ff": 1, "max_len": 2, "seed": None}
+_KINDS = {"int": "an int", "float": "a finite number", "bool": "a boolean", "str": "a string"}
+
+
+def field_kind(annotation: str) -> tuple[str, bool]:
+    """Base type and optionality of a config field's annotation string, the
+    one convention for config fields: "int | None" -> ("int", True)."""
+    base, _, none = annotation.partition("|")
+    return base.strip(), bool(none.strip())
+
+
+def _fits(kind: str, value) -> bool:
+    """Whether value has the annotated type; a bool is no int, a float is finite."""
+    if isinstance(value, bool) or kind == "bool":
+        return kind == "bool" and isinstance(value, bool)
+    if kind == "float":
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, {"int": int, "str": str}[kind])
+
+
+def check_fields(cfg, lower_bounds: dict[str, int | None], choices: dict[str, tuple]) -> None:
+    """Check every field of a config dataclass by its annotation (`field_kind`),
+    a numeric one by its lower bound (lower_bounds[name], 0 if unlisted, none
+    if None) and one listed in choices by membership.  A field of another type
+    (a nested config) checks itself.  A failure raises a ValueError whose
+    message starts with the field name."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        kind, optional = field_kind(f.type)
+        if kind not in _KINDS or optional and value is None:
+            continue
+        if not _fits(kind, value):
+            raise ValueError(f"{f.name} must be {_KINDS[kind]}"
+                             f"{' or None' if optional else ''}, got {value!r}")
+        low = lower_bounds.get(f.name, 0)
+        if kind in ("int", "float") and low is not None and value < low:
+            raise ValueError(f"{f.name} must be >= {low}, got {value!r}")
+        if f.name in choices and value not in choices[f.name]:
+            raise ValueError(f"{f.name} must be one of {', '.join(choices[f.name])}, "
+                             f"got {value!r}")
+
+
 @dataclass
 class TrainConfig:
-    """Training and model hyperparameters; one seed drives all randomness."""
+    """Training and model hyperparameters; one seed drives all randomness.
+    Every field is type- and range-checked whenever a config is built."""
 
     n_experts: int = 3
     concept_weight: float = 0.3          # weight of the selection loss in the joint
@@ -34,7 +82,7 @@ class TrainConfig:
     epochs: int = 30
     seed: int = 0
     warmup_steps: int | None = None      # default: min(1000, total // 10)
-    expert_mode: str = "prompt"          # "embed" | "prompt"
+    expert_mode: str = "prompt"          # one of EXPERT_MODES
     disjoint_rule: bool = False
     weight_decay: float = 0.0
     # model dimensions
@@ -49,18 +97,9 @@ class TrainConfig:
     max_subgraph_nodes: int = 300
 
     def __post_init__(self):
-        if self.n_experts < 1:
-            raise ValueError("n_experts must be >= 1")
-        if self.concept_weight < 0:
-            raise ValueError("concept_weight must be >= 0")
-        if self.subgraph_hops < 0:
-            raise ValueError(f"subgraph_hops must be >= 0, got {self.subgraph_hops}")
-        if self.max_subgraph_nodes < 0:
-            raise ValueError(f"max_subgraph_nodes must be >= 0, got {self.max_subgraph_nodes}")
-
-    def generator_config(self) -> GeneratorConfig:
-        return GeneratorConfig(self.d_model, self.n_heads, self.n_encoder_layers,
-                               self.n_decoder_layers, self.d_ff, self.max_len)
+        check_fields(self, _LOWER_BOUNDS, {"expert_mode": EXPERT_MODES})
+        if self.d_model % self.n_heads:
+            raise ValueError(f"n_heads ({self.n_heads}) must divide d_model ({self.d_model})")
 
 
 def sub_seed(base_seed: int, name: str) -> int:
@@ -86,8 +125,7 @@ def build_model(kg: KnowledgeGraph, vocab: Vocab, cfg: TrainConfig) -> Model:
     params.update(init_rgcn_params(rng, kg.num_concepts, kg.num_relations,
                                    cfg.d_model, cfg.rgcn_layers))
     params.update(init_selector_params(rng, cfg.d_model, cfg.n_experts))
-    params.update(init_generator_params(rng, len(vocab), cfg.n_experts,
-                                        cfg.generator_config()))
+    params.update(init_generator_params(rng, len(vocab), cfg))
     return Model(params, vocab, kg, cfg, sinusoidal_positions(cfg.max_len, cfg.d_model))
 
 
@@ -158,10 +196,9 @@ def joint_loss(ctx: ExampleContext, ref_idx: int, expert: int, model: Model,
     p = score_concepts(states, model.params, expert)
     l_concept = concept_loss(p, ctx.labels[ref_idx])
     chosen = _top_concepts(ctx, p, model, forbidden)
-    inp = GeneratorInput(ctx.x_ids, [ctx.concept_tokens[c] for c in chosen],
-                         expert, cfg.expert_mode)
+    inp = GeneratorInput(ctx.x_ids, [ctx.concept_tokens[c] for c in chosen], expert)
     l_gen = generation_loss(inp, ctx.y_ids[ref_idx], model.params, model.vocab,
-                            cfg.generator_config(), model.positions)
+                            cfg, model.positions)
     joint = T.add(l_gen, T.scale(l_concept, cfg.concept_weight))
     return joint, l_gen, l_concept
 

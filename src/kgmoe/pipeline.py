@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,11 +23,12 @@ import numpy as np
 
 from . import tensor as T
 from .decoding import (GenerationBundle, decode_beam, decode_moe, decode_nucleus,
-                       decode_truncated, nucleus_pick, truncated_pick)
+                       decode_truncated)
 from .generator import Vocab
-from .kg import KnowledgeGraph, ground_concepts, load_kg
+from .kg import KnowledgeGraph, extract_subgraph, ground_concepts, load_kg
 from .metrics import MetricReport, evaluate_hypothesis_sets
-from .moe import Model, TrainConfig, build_model, prepare_example, sub_seed, train
+from .moe import (Model, TrainConfig, build_model, check_fields, field_kind, prepare_example,
+                  sub_seed, train)
 
 
 @dataclass
@@ -38,8 +40,9 @@ class Example:
     references: list[str]
 
 
-def load_dataset(path) -> list[Example]:
-    examples = []
+def _jsonl_objects(path, keys):
+    """Each object of a JSONL file (blank lines skipped); a malformed line or
+    one missing a required key raises naming the file and the line."""
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -49,13 +52,19 @@ def load_dataset(path) -> list[Example]:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}: malformed JSON on line {lineno}: {err}") from None
-            for key in ("id", "input", "references"):
+            for key in keys:
                 if key not in obj:
                     raise ValueError(f"{path}: line {lineno} missing {key!r}")
-            if not obj["references"]:
-                raise ValueError(f"{path}: example {obj['id']!r} has no references")
-            examples.append(Example(str(obj["id"]), str(obj["input"]),
-                                    [str(r) for r in obj["references"]]))
+            yield obj
+
+
+def load_dataset(path) -> list[Example]:
+    examples = []
+    for obj in _jsonl_objects(path, ("id", "input", "references")):
+        if not obj["references"]:
+            raise ValueError(f"{path}: example {obj['id']!r} has no references")
+        examples.append(Example(str(obj["id"]), str(obj["input"]),
+                                [str(r) for r in obj["references"]]))
     return examples
 
 
@@ -165,13 +174,9 @@ class RunConfig:
     n_outputs: int | None = None         # defaults to n_experts
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {', '.join(STRATEGIES)}, "
-                             f"got {self.strategy!r}")
-        truncated_pick(self.sample_k)
-        nucleus_pick(self.sample_p)
-        if self.n_outputs is not None and self.n_outputs < 1:
-            raise ValueError(f"n_outputs must be >= 1, got {self.n_outputs}")
+        check_fields(self, {"sample_k": 1, "n_outputs": 1}, {"strategy": STRATEGIES})
+        if not 0 < self.sample_p <= 1:
+            raise ValueError(f"sample_p must be in (0, 1], got {self.sample_p!r}")
 
 
 _TRAIN_TYPES = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
@@ -182,10 +187,9 @@ _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 def _coerce(key: str, kind: str, raw: str):
     """Parse a config value from its string form by the field's annotation."""
     raw = raw.strip()
-    base, _, optional = kind.partition("|")
+    base, optional = field_kind(kind)
     if optional and raw.lower() == "none":
         return None
-    base = base.strip()
     try:
         if base == "int":
             return int(raw)
@@ -200,41 +204,48 @@ def _coerce(key: str, kind: str, raw: str):
     return raw
 
 
-def apply_override(cfg: RunConfig, key: str, raw: str) -> None:
-    """Set one key of a RunConfig or its TrainConfig from its string form.
+def apply_overrides(cfg: RunConfig, settings) -> RunConfig:
+    """Return cfg with ("key=value", source) settings applied in order.
 
-    The changed config is validated at once, so a bad value raises a
-    ValueError that names the key; an unknown key raises too.
+    Each value is coerced by its field's type as it is read, but the finished
+    config is validated once, so keys that are checked together may come in
+    any order (d_model=30 then n_heads=3, or the reverse).  A malformed item,
+    unknown key or bad value raises a ValueError that names the key and the
+    source (a file line, a --set item) that set it.
     """
-    if key not in _TRAIN_TYPES and key not in _RUN_TYPES:
-        raise ValueError(f"unknown config key {key!r}")
-    value = _coerce(key, _TRAIN_TYPES.get(key) or _RUN_TYPES[key], raw)
+    train, run, source_of = {}, {}, {}
+    for item, source in settings:
+        key, eq, raw = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise ValueError(f"{source}: expected key=value, got {item!r}")
+        if key not in _TRAIN_TYPES and key not in _RUN_TYPES:
+            raise ValueError(f"{source}: unknown config key {key!r}")
+        try:
+            value = _coerce(key, _TRAIN_TYPES.get(key) or _RUN_TYPES[key], raw)
+        except ValueError as err:
+            raise ValueError(f"{source}: {err}") from None
+        (train if key in _TRAIN_TYPES else run)[key] = value
+        source_of[key] = source
     try:
-        if key in _TRAIN_TYPES:
-            cfg.train = dataclasses.replace(cfg.train, **{key: value})
-        else:
-            dataclasses.replace(cfg, **{key: value})    # validates; cfg itself is kept
-            setattr(cfg, key, value)
+        return dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, **train), **run)
     except ValueError as err:
-        raise ValueError(f"config key {key!r}: {err}") from None
+        # each check's message names its field: blame the first one set here
+        key = next((w for w in re.findall(r"\w+", str(err)) if w in source_of), None)
+        raise ValueError(f"{source_of.get(key, 'config')}: {err}") from None
 
 
-def load_run_config(path) -> RunConfig:
-    """Flat key=value config file; unknown keys and invalid values raise."""
-    cfg = RunConfig()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno} is not key=value")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            try:
-                apply_override(cfg, key, raw)
-            except ValueError as err:
-                raise ValueError(f"{path}: line {lineno}: {err}") from None
-    return cfg
+def load_run_config(path=None, overrides=()) -> RunConfig:
+    """RunConfig from a flat key=value file, if given, then KEY=VALUE overrides
+    (the CLI's --set items), validated once as a whole by `apply_overrides`."""
+    settings = []
+    if path is not None:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    settings.append((line, f"{path}: line {lineno}"))
+    settings += [(item, f"--set {item}") for item in overrides]
+    return apply_overrides(RunConfig(), settings)
 
 
 def run_train(cfg: RunConfig) -> Model:
@@ -265,7 +276,8 @@ def load_model(cfg: RunConfig) -> Model:
         raise ValueError(f"{path}: bad train_config: {err}") from None
     vocab = Vocab.load(cfg.vocab_path, train_cfg.n_experts)
     if meta.get("vocab_hash") and meta["vocab_hash"] != vocab.content_hash():
-        raise ValueError("checkpoint/vocabulary mismatch (vocab hash differs)")
+        raise ValueError(f"{path}: vocab hash {meta['vocab_hash']} differs from "
+                         f"{vocab.content_hash()} of {cfg.vocab_path}")
     model = build_model(kg, vocab, train_cfg)
     extra = sorted(set(params) - set(model.params))
     if extra:
@@ -320,22 +332,11 @@ def run_generate(cfg: RunConfig) -> list[GenerationBundle]:
 def load_generations(path) -> dict[str, dict]:
     """Group a generations JSONL by example id, preserving file order."""
     grouped: dict[str, dict] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}: malformed JSON on line {lineno}: {err}") from None
-            for key in ("id", "strategy", "output", "concepts"):
-                if key not in obj:
-                    raise ValueError(f"{path}: line {lineno} missing {key!r}")
-            entry = grouped.setdefault(obj["id"], {"strategy": obj["strategy"],
-                                                   "outputs": [], "concepts": []})
-            entry["outputs"].append(obj["output"])
-            entry["concepts"].append(obj["concepts"])
+    for obj in _jsonl_objects(path, ("id", "strategy", "output", "concepts")):
+        entry = grouped.setdefault(obj["id"], {"strategy": obj["strategy"],
+                                               "outputs": [], "concepts": []})
+        entry["outputs"].append(obj["output"])
+        entry["concepts"].append(obj["concepts"])
     return grouped
 
 
@@ -373,7 +374,6 @@ def run_evaluate(cfg: RunConfig) -> MetricReport:
 def subgraph_json(kg: KnowledgeGraph, text: str, hops: int = 2,
                   max_nodes: int = 300) -> str:
     """Debug view of the grounded subgraph for a piece of text."""
-    from .kg import extract_subgraph
     seeds = ground_concepts(text, kg)
     sub = extract_subgraph(seeds, kg, hops=hops, max_nodes=max_nodes)
     return json.dumps({

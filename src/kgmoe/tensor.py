@@ -44,18 +44,11 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Reverse-mode sweep from a scalar tensor.
@@ -415,14 +408,24 @@ def save_checkpoint(path, params: dict, meta: dict | None = None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (name->Tensor dict with requires_grad, meta)."""
+    """Read a checkpoint; returns (name->Tensor dict with requires_grad, meta).
+    A bad file raises a ValueError naming it (and the parameter at fault)."""
     with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+        try:
+            payload = json.load(f)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: malformed checkpoint JSON: {err}") from None
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     params = {}
-    for name, entry in payload["params"].items():
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+    for name, entry in payload.get("params", {}).items():
+        if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
+            raise ValueError(f"{path}: parameter {name!r} needs 'shape' and 'data'")
+        try:
+            arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{path}: parameter {name!r}: {err}") from None
         params[name] = Tensor(arr, requires_grad=True)
     return params, payload.get("meta", {})
 

@@ -197,17 +197,16 @@ def test_criterion_5_specialization_beats_beam(specialization_runs):
 def test_criterion_6_concept_permutation_invariance():
     _, _, cfg, model, contexts = tiny_training_setup()
     ctx = contexts[0]
-    gen_cfg = cfg.generator_config()
     concepts = [ctx.concept_tokens[c] for c in ctx.node_ids[:4]]
     y = ctx.y_ids[0]
     base = generation_loss(GeneratorInput(ctx.x_ids, concepts, 0), y, model.params,
-                           model.vocab, gen_cfg, model.positions).item()
+                           model.vocab, cfg, model.positions).item()
     rng = np.random.default_rng(61)
     worst = 0.0
     for _ in range(50):
         perm = rng.permutation(len(concepts)).tolist()
         got = generation_loss(GeneratorInput(ctx.x_ids, [concepts[i] for i in perm], 0),
-                              y, model.params, model.vocab, gen_cfg,
+                              y, model.params, model.vocab, cfg,
                               model.positions).item()
         worst = max(worst, abs(got - base))
     report(6, "concept permutation invariance", worst < 1e-9)

@@ -1,28 +1,31 @@
 """Transformer generator: memory layout, concept permutation invariance,
 causal masking, loss semantics, trainability and vocabulary determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from kgmoe import tensor as T
-from kgmoe.generator import (BOS, EOS, PAD, UNK, GeneratorConfig, GeneratorInput,
-                             Vocab, decoder_logits, encode_inputs,
-                             generation_loss, init_generator_params,
-                             memory_next_dist, sinusoidal_positions)
+from kgmoe.generator import (BOS, EOS, PAD, UNK, GeneratorInput, Vocab,
+                             decoder_logits, encode_inputs, generation_loss,
+                             init_generator_params, memory_next_dist,
+                             sinusoidal_positions)
+from kgmoe.moe import TrainConfig
 
 from util import check_gradients
 
 
-def small_setup(n_experts=2, seed=0, d_model=8, n_heads=2, layers=1, texts=None):
+def small_setup(n_experts=2, seed=0, d_model=8, n_heads=2, layers=1, texts=None,
+                expert_mode="prompt"):
     texts = texts or ["the cat sat on the mat", "a dog ran fast"]
     vocab = Vocab.build(texts, n_experts)
-    cfg = GeneratorConfig(d_model=d_model, n_heads=n_heads,
-                          n_encoder_layers=layers, n_decoder_layers=layers,
-                          d_ff=16, max_len=16)
+    cfg = TrainConfig(n_experts=n_experts, d_model=d_model, n_heads=n_heads,
+                      n_encoder_layers=layers, n_decoder_layers=layers,
+                      d_ff=16, max_len=16, expert_mode=expert_mode)
     rng = np.random.default_rng(seed)
-    params = init_generator_params(rng, len(vocab), n_experts, cfg)
+    params = init_generator_params(rng, len(vocab), cfg)
     positions = sinusoidal_positions(cfg.max_len, cfg.d_model)
     return vocab, cfg, params, positions
 
@@ -75,9 +78,16 @@ def test_vocab_save_load_round_trip(tmp_path):
     assert loaded.content_hash() == vocab.content_hash()
 
 
+def test_vocab_load_without_specials_names_file(tmp_path):
+    p = tmp_path / "vocab.txt"
+    p.write_text("alpha\nbeta\n")
+    with pytest.raises(ValueError, match=r"vocab\.txt: vocabulary must start with the special"):
+        Vocab.load(p, 1)
+
+
 def test_config_rejects_bad_head_split():
-    with pytest.raises(ValueError):
-        GeneratorConfig(d_model=10, n_heads=4)
+    with pytest.raises(ValueError, match="n_heads"):
+        TrainConfig(d_model=10, n_heads=4)
 
 
 # --- encoder memory ---------------------------------------------------------
@@ -86,15 +96,15 @@ def test_prompt_memory_length_is_prefix_plus_inputs_plus_concepts():
     vocab, cfg, params, pos = small_setup()
     x = vocab.encode("the cat sat")
     concepts = [[vocab.ids["dog"]], [vocab.ids["mat"], vocab.ids["cat"]]]
-    inp = GeneratorInput(x, concepts, expert=1, mode="prompt")
+    inp = GeneratorInput(x, concepts, expert=1)
     memory = encode_inputs(inp, params, vocab, cfg, pos)
     assert memory.shape == (1 + len(x) + len(concepts), cfg.d_model)
 
 
 def test_embed_memory_length_has_no_prefix():
-    vocab, cfg, params, pos = small_setup()
+    vocab, cfg, params, pos = small_setup(expert_mode="embed")
     x = vocab.encode("a dog ran")
-    inp = GeneratorInput(x, [[vocab.ids["cat"]]], expert=0, mode="embed")
+    inp = GeneratorInput(x, [[vocab.ids["cat"]]], expert=0)
     memory = encode_inputs(inp, params, vocab, cfg, pos)
     assert memory.shape == (len(x) + 1, cfg.d_model)
 
@@ -102,7 +112,7 @@ def test_embed_memory_length_has_no_prefix():
 def test_zero_concepts_reduces_to_plain_seq2seq_memory():
     vocab, cfg, params, pos = small_setup()
     x = vocab.encode("the mat")
-    inp = GeneratorInput(x, [], expert=0, mode="prompt")
+    inp = GeneratorInput(x, [], expert=0)
     memory = encode_inputs(inp, params, vocab, cfg, pos)
     assert memory.shape == (1 + len(x), cfg.d_model)
 
@@ -124,8 +134,9 @@ def test_expert_conditioning_changes_distribution_both_modes():
     x = vocab.encode("the cat sat")
 
     def first_dist(expert, mode):
-        memory = encode_inputs(GeneratorInput(x, [], expert, mode), params, vocab, cfg, pos)
-        return memory_next_dist(memory, [], params, cfg, pos)
+        mode_cfg = dataclasses.replace(cfg, expert_mode=mode)
+        memory = encode_inputs(GeneratorInput(x, [], expert), params, vocab, mode_cfg, pos)
+        return memory_next_dist(memory, [], params, mode_cfg, pos)
     for mode in ("prompt", "embed"):
         assert np.abs(first_dist(0, mode) - first_dist(1, mode)).max() > 1e-9
 
@@ -152,9 +163,16 @@ def test_input_too_long_raises():
 
 
 def test_unknown_mode_raises():
-    vocab, cfg, params, pos = small_setup()
-    with pytest.raises(ValueError, match="mode"):
-        encode_inputs(GeneratorInput([UNK], [], 0, mode="magic"), params, vocab, cfg, pos)
+    with pytest.raises(ValueError, match="expert_mode"):
+        TrainConfig(expert_mode="magic")
+
+
+@pytest.mark.parametrize("expert_mode", ["prompt", "embed"])
+@pytest.mark.parametrize("expert", [-1, 2])
+def test_expert_out_of_range_raises(expert_mode, expert):
+    vocab, cfg, params, pos = small_setup(expert_mode=expert_mode)
+    with pytest.raises(ValueError, match=f"invalid expert id {expert} for 2 experts"):
+        encode_inputs(GeneratorInput([UNK], [], expert), params, vocab, cfg, pos)
 
 
 def test_empty_concept_token_list_raises():
@@ -213,10 +231,10 @@ def test_next_token_dist_is_normalized():
 # --- gradients and trainability ---------------------------------------------
 
 def test_generation_loss_gradients_match_finite_differences():
-    vocab, cfg, params, pos = small_setup(layers=1)
+    vocab, cfg, params, pos = small_setup(layers=1, expert_mode="embed")
     x = vocab.encode("the cat")
     y = vocab.encode("a dog ran") + [EOS]
-    inp = GeneratorInput(x, [[vocab.ids["mat"]]], 1, mode="embed")
+    inp = GeneratorInput(x, [[vocab.ids["mat"]]], 1)
 
     def forward():
         return generation_loss(inp, y, params, vocab, cfg, pos)

@@ -2,6 +2,7 @@
 update locality, determinism, and K=1 equivalence with a plain loop."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -219,6 +220,16 @@ def test_config_rejects_negative_subgraph_parameters():
         tiny_config(subgraph_hops=-1)
     with pytest.raises(ValueError, match="max_subgraph_nodes"):
         tiny_config(max_subgraph_nodes=-2)
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(TrainConfig), ids=lambda f: f.name)
+def test_every_config_field_rejects_wrong_type_naming_it(field):
+    wrong = [1] if field.type == "str" else ["3"]
+    if field.type.startswith("int"):
+        wrong.append(True)
+    for value in wrong:
+        with pytest.raises(ValueError, match=rf"\b{field.name} must be"):
+            TrainConfig(**{field.name: value})
 
 
 def test_train_empty_dataset_raises():

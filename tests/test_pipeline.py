@@ -10,7 +10,7 @@ import pytest
 from kgmoe.cli import main as cli_main
 from kgmoe.kg import extract_subgraph, ground_concepts
 from kgmoe.moe import TrainConfig
-from kgmoe.pipeline import (Example, RunConfig, apply_override, load_dataset,
+from kgmoe.pipeline import (Example, RunConfig, apply_overrides, load_dataset,
                             load_generations, load_model, load_run_config,
                             make_synthetic_task, run_evaluate, run_generate, run_train,
                             save_dataset, save_kg_tsv, subgraph_json, synthetic_kg)
@@ -165,7 +165,17 @@ def test_load_run_config_validates_values(tmp_path):
                                        ("sample_k=0", "sample_k"),
                                        ("sample_p=1.5", "sample_p"),
                                        ("n_outputs=0", "n_outputs"),
-                                       ("n_outputs=-2", "n_outputs")])
+                                       ("n_outputs=-2", "n_outputs"),
+                                       ("n_heads=0", "n_heads"),
+                                       ("n_heads=5", "n_heads"),
+                                       ("batch_size=0", "batch_size"),
+                                       ("expert_mode=magic", "expert_mode"),
+                                       ("epochs=-1", "epochs"),
+                                       ("concept_weight=nan", "concept_weight"),
+                                       ("learning_rate=inf", "learning_rate"),
+                                       ("weight_decay=-0.5", "weight_decay"),
+                                       ("d_ff=0", "d_ff"),
+                                       ("max_len=1", "max_len")])
 def test_cli_set_rejects_bad_value_naming_key(item, key):
     with pytest.raises(SystemExit, match=key):
         cli_main(["train", "--set", item])
@@ -186,17 +196,43 @@ def test_load_run_config_bad_run_key_names_line_and_key(tmp_path):
 
 
 def test_apply_override_coerces_by_field_type():
-    cfg = RunConfig()
-    apply_override(cfg, "n_outputs", "4")
-    apply_override(cfg, "warmup_steps", "none")
-    apply_override(cfg, "disjoint_rule", "off")
-    apply_override(cfg, "n_experts", "5")
+    cfg = apply_overrides(RunConfig(), [("n_outputs=4", "a"), ("warmup_steps = none", "b"),
+                                        ("disjoint_rule=off", "c"), ("n_experts=5", "d")])
     assert cfg.n_outputs == 4
     assert cfg.train.warmup_steps is None
     assert cfg.train.disjoint_rule is False
     assert cfg.train.n_experts == 5
-    with pytest.raises(ValueError, match="unknown config key 'mystery'"):
-        apply_override(cfg, "mystery", "1")
+    with pytest.raises(ValueError, match="src: unknown config key 'mystery'"):
+        apply_overrides(cfg, [("mystery=1", "src")])
+    with pytest.raises(ValueError, match="src: expected key=value, got 'n_experts'"):
+        apply_overrides(cfg, [("n_experts", "src")])
+
+
+@pytest.mark.parametrize("items", [["d_model=30", "n_heads=3"], ["n_heads=3", "d_model=30"]])
+def test_overrides_are_checked_together_in_any_order(items, tmp_path):
+    cfg = load_run_config(None, items)
+    assert (cfg.train.d_model, cfg.train.n_heads) == (30, 3)
+    p = tmp_path / "run.cfg"
+    p.write_text(items[0] + "\n")
+    cfg = load_run_config(p, items[1:])
+    assert (cfg.train.d_model, cfg.train.n_heads) == (30, 3)
+
+
+def test_override_error_names_source_of_a_key_it_names(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_text("strategy = beam\nd_model = 30\n")
+    with pytest.raises(ValueError, match=r"line 2: n_heads \(4\) must divide d_model \(30\)"):
+        load_run_config(p)
+    with pytest.raises(ValueError, match=r"^--set n_heads=0: n_heads must be >= 1, got 0$"):
+        load_run_config(p, ["n_heads=0"])
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)
+                                  if f.name != "train"])
+def test_run_config_rejects_wrong_type_naming_it(name):
+    for wrong in [1] if isinstance(getattr(RunConfig(), name), str) else ["3", True, 2.5]:
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            RunConfig(**{name: wrong})
 
 
 # --- end-to-end round trip ---------------------------------------------------
@@ -281,8 +317,10 @@ def test_evaluate_rejects_unmatched_generations(trained_run, tmp_path):
 
 def test_vocab_hash_mismatch_detected(trained_run, tmp_path):
     (tmp_path / "vocab.txt").write_text("<pad>\n<bos>\n<eos>\n<unk>\n<expert0>\n<expert1>\nzzz\n")
-    with pytest.raises(ValueError, match="vocab"):
+    with pytest.raises(ValueError, match="vocab hash") as err:
         run_generate(trained_run)
+    assert str(tmp_path / "checkpoint.json") in str(err.value)
+    assert str(tmp_path / "vocab.txt") in str(err.value)
 
 
 
@@ -316,7 +354,9 @@ def test_load_model_rejects_unexpected_parameter(trained_run, tmp_path):
         load_model(trained_run)
 
 
-@pytest.mark.parametrize("edit, key", [({"bogus": 1}, "bogus"), ({"n_experts": 0}, "n_experts")])
+@pytest.mark.parametrize("edit, key", [({"bogus": 1}, "bogus"), ({"n_experts": 0}, "n_experts"),
+                                       ({"epochs": 2.5}, "epochs"),
+                                       ({"n_experts": "3"}, "n_experts")])
 def test_load_model_rejects_bad_saved_train_config(trained_run, tmp_path, edit, key):
     path = tmp_path / "checkpoint.json"
     payload = json.loads(path.read_text())

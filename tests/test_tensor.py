@@ -280,7 +280,21 @@ def test_checkpoint_round_trip_exact(tmp_path):
 def test_checkpoint_version_check(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"version": 99, "params": {}}')
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(ValueError, match=r"bad\.json: unsupported checkpoint version 99"):
+        T.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ('{"version": 1, "params": {', r"malformed checkpoint JSON"),
+    ('{"version": 1, "params": {"w": {"data": [1.0]}}}', r"parameter 'w' needs 'shape' and 'data'"),
+    ('{"version": 1, "params": {"w": {"shape": [1]}}}', r"parameter 'w' needs 'shape' and 'data'"),
+    ('{"version": 1, "params": {"w": {"shape": [2, 2], "data": [1.0, 2.0, 3.0]}}}',
+     r"parameter 'w': cannot reshape")],
+    ids=["malformed-json", "no-shape", "no-data", "data-misfits-shape"])
+def test_checkpoint_bad_entry_names_file_and_parameter(tmp_path, body, message):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=r"bad\.json: " + message):
         T.load_checkpoint(path)
 
 
