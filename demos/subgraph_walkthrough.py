@@ -9,8 +9,7 @@ from kgmoe.pipeline import subgraph_json
 
 
 def main():
-    kg = KnowledgeGraph()
-    triples = [
+    kg = KnowledgeGraph.from_triples([
         ("piano", "relatedto", "music"),
         ("piano", "usedfor", "play"),
         ("music", "relatedto", "song"),
@@ -18,9 +17,7 @@ def main():
         ("sport", "relatedto", "run"),
         ("kind", "relatedto", "type"),
         ("run", "hasproperty", "fast"),
-    ]
-    for h, r, t in triples:
-        kg.add_triple(h, r, t)
+    ])
 
     text = "piano is a kind of sport"
     print(f"input text: {text!r}\n")

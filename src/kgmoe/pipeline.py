@@ -144,10 +144,7 @@ def make_synthetic_task(seed: int, n_inputs: int, k_modes: int,
 
 
 def synthetic_kg(triples: list[tuple[str, str, str]]) -> KnowledgeGraph:
-    kg = KnowledgeGraph()
-    for h, r, t in triples:
-        kg.add_triple(h, r, t)
-    return kg
+    return KnowledgeGraph.from_triples(triples)
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,9 @@ def test_criterion_3_subgraph_correctness():
         sub = extract_subgraph(seeds, kg, hops=2, max_nodes=None)
         nodes, edges = brute_force_subgraph(seeds, kg, hops=2)
         ok &= sub.nodes == nodes and set(sub.edges) == set(edges)
-    kg = KnowledgeGraph()
-    for h, r, t in [("piano", "relatedto", "music"), ("sport", "relatedto", "run"),
-                    ("kind", "relatedto", "type")]:
-        kg.add_triple(h, r, t)
+    kg = KnowledgeGraph.from_triples([("piano", "relatedto", "music"),
+                                      ("sport", "relatedto", "run"),
+                                      ("kind", "relatedto", "type")])
     grounded = {kg.concepts[c] for c in ground_concepts("piano is a kind of sport", kg)}
     ok &= grounded == {"piano", "sport", "kind"}
     report(3, "subgraph correctness", ok)

@@ -15,9 +15,8 @@ from kgmoe.pipeline import Example
 
 
 def tiny_setup(**cfg_kw):
-    kg = KnowledgeGraph()
-    for h, r, t in [("piano", "relatedto", "music"), ("music", "relatedto", "song")]:
-        kg.add_triple(h, r, t)
+    kg = KnowledgeGraph.from_triples([("piano", "relatedto", "music"),
+                                      ("music", "relatedto", "song")])
     base = dict(n_experts=2, d_model=8, n_heads=2, n_encoder_layers=1,
                 n_decoder_layers=1, d_ff=16, max_len=16, rgcn_layers=1,
                 top_concepts=2, seed=0)

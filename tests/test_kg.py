@@ -1,18 +1,25 @@
 """Triple store, grounding and subgraph extraction against brute-force oracles."""
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kgmoe import kg as kgmod
 from kgmoe.kg import (KnowledgeGraph, Subgraph, extract_subgraph, ground_concepts,
                       load_kg, norm_tokens, stem)
+from kgmoe.pipeline import make_synthetic_task, save_kg_tsv
 
 
 def build_kg(triples):
-    kg = KnowledgeGraph()
-    for h, r, t in triples:
-        kg.add_triple(h, r, t)
-    return kg
+    return KnowledgeGraph.from_triples(triples)
+
+
+def triple_tuples(kg):
+    """The KG's (head, relation, tail) id rows as Python tuples, in KG order."""
+    return [tuple(tr) for tr in kg.triples.tolist()]
 
 
 def brute_force_subgraph(seed_ids, kg, hops=2, max_nodes=None):
@@ -22,12 +29,13 @@ def brute_force_subgraph(seed_ids, kg, hops=2, max_nodes=None):
     neighbours are met in KG order; the cap keeps the first `max_nodes`
     discovered nodes plus every seed.  Edges come from a full scan of the KG.
     """
+    triples = triple_tuples(kg)
     discovery = sorted(seed_ids)
     frontier = list(discovery)
     for _ in range(hops):
         level = []
         for v in sorted(frontier):
-            for h, _r, t in kg.triples:
+            for h, _r, t in triples:
                 u = t if h == v else h if t == v else None
                 if u is not None and u not in discovery:
                     discovery.append(u)
@@ -35,7 +43,7 @@ def brute_force_subgraph(seed_ids, kg, hops=2, max_nodes=None):
         frontier = level
     kept = discovery if max_nodes is None else discovery[:max_nodes]
     nodes = set(kept) | set(seed_ids)
-    edges = [tr for tr in kg.triples if tr[0] in nodes and tr[2] in nodes]
+    edges = [tr for tr in triples if tr[0] in nodes and tr[2] in nodes]
     return nodes, edges
 
 
@@ -44,7 +52,7 @@ def expanded_nodes(seed_ids, kg, hops):
     nodes = set(seed_ids)
     for _ in range(hops):
         grown = set(nodes)
-        for h, _r, t in kg.triples:
+        for h, _r, t in triple_tuples(kg):
             if h in nodes:
                 grown.add(t)
             if t in nodes:
@@ -79,7 +87,15 @@ def test_load_empty_file_is_valid_empty_graph(tmp_path):
     p = tmp_path / "kg.tsv"
     p.write_text("")
     kg = load_kg(p)
-    assert kg.num_concepts == 0 and not kg.triples
+    assert kg.num_concepts == 0 and len(kg.triples) == 0
+
+
+def test_pickled_copy_extracts_the_same_subgraphs():
+    rng = np.random.default_rng(3)
+    kg, seeds = random_case(rng)
+    copy = pickle.loads(pickle.dumps(kg))
+    assert copy.concepts == kg.concepts and triple_tuples(copy) == triple_tuples(kg)
+    assert extract_subgraph(seeds, copy) == extract_subgraph(seeds, kg)
 
 
 def test_ids_assigned_first_seen_order(tmp_path):
@@ -87,6 +103,99 @@ def test_ids_assigned_first_seen_order(tmp_path):
     p.write_text("b\tr\ta\nc\tr\tb\n")
     kg = load_kg(p)
     assert kg.concepts == ["b", "a", "c"]
+
+
+def naive_load(path):
+    """Reference loader: text-mode lines, one dict per id table, a set of seen triples."""
+    concepts, relations, triples, seen = {}, {}, [], set()
+    adjacency = {}
+    with open(path, encoding="utf-8-sig") as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            h, r, t = (part.strip() for part in line.split("\t"))
+            for c in (h, t):
+                if c not in concepts:
+                    concepts[c] = len(concepts)
+                    adjacency[concepts[c]] = []
+            relations.setdefault(r, len(relations))
+            triple = (concepts[h], relations[r], concepts[t])
+            if triple not in seen:
+                seen.add(triple)
+                adjacency[triple[0]].append((triple[2], len(triples)))
+                if triple[2] != triple[0]:
+                    adjacency[triple[2]].append((triple[0], len(triples)))
+                triples.append(triple)
+    return list(concepts), list(relations), triples, adjacency
+
+
+def random_tsv(rng):
+    """Bytes of a TSV with duplicates, self-loops, CRLF and lone-CR line ends,
+    blank lines and padded fields."""
+    names = [f"n{i}" for i in range(int(rng.integers(1, 12)))] + ["ice cream", "Ünï"]
+    lines = []
+    for _ in range(int(rng.integers(0, 40))):
+        if rng.random() < 0.1:
+            lines.append("")
+            continue
+        h, t = rng.choice(names, size=2)
+        if rng.random() < 0.15:
+            t = h
+        fields = [h, f"r{rng.integers(0, 3)}", t]
+        lines.append("\t".join(" " * int(rng.integers(0, 2)) + f + " " * int(rng.integers(0, 2))
+                               for f in fields))
+    ends = rng.choice(["\n", "\r\n", "\r"], size=len(lines))
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+def test_load_matches_naive_reference_on_random_tsvs(tmp_path):
+    rng = np.random.default_rng(5)
+    p = tmp_path / "kg.tsv"
+    seen_dup = seen_loop = 0
+    for _ in range(200):
+        p.write_bytes(random_tsv(rng))
+        concepts, relations, triples, adjacency = naive_load(p)
+        kg = load_kg(p)
+        assert kg.concepts == concepts and kg.relations == relations
+        assert triple_tuples(kg) == triples
+        assert kg.triples.dtype == np.int32 and kg.triples.shape == (len(triples), 3)
+        for v, row in adjacency.items():
+            a, b = kg.indptr[v], kg.indptr[v + 1]
+            assert list(zip(kg.neighbours[a:b].tolist(), kg.triple_index[a:b].tolist())) == row
+        assert kg.indptr[-1] == len(kg.neighbours) == len(kg.triple_index)
+        seen_dup += len(triples) < sum(1 for line in p.read_text().splitlines() if line.strip())
+        seen_loop += any(h == t for h, _r, t in triples)
+    assert seen_dup and seen_loop
+
+
+def test_load_undecodable_byte_names_file_and_line(tmp_path):
+    p = tmp_path / "kg.tsv"
+    p.write_bytes(b"a\tr\tb\r\nc\tr\td\xff\n")
+    with pytest.raises(ValueError, match=r"kg\.tsv: undecodable KG line 2"):
+        load_kg(p)
+
+
+def test_load_drops_leading_bom(tmp_path):
+    p = tmp_path / "kg.tsv"
+    p.write_bytes("\ufeffa\tr\tb\n".encode("utf-8"))
+    kg = load_kg(p)
+    assert kg.concepts == ["a", "b"]
+    assert ground_concepts("a", kg) == {0}
+
+
+def test_loaded_kg_holds_at_most_400_bytes_per_triple(tmp_path):
+    _, triples = make_synthetic_task(seed=0, n_inputs=30, k_modes=3, kg_size=20_000)
+    p = tmp_path / "kg.tsv"
+    save_kg_tsv(p, triples)
+    tracemalloc.start()
+    try:
+        kg = load_kg(p)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kg.triples) >= 20_000
+    assert held / len(kg.triples) <= 400
 
 
 # --- stemming and grounding ------------------------------------------------
@@ -98,6 +207,27 @@ def test_stemmer_rules():
     assert stem("walked") == "walk"
     assert stem("is") == "is"        # stem would drop below 3 chars
     assert stem("kind") == "kind"
+
+
+def loop_stem(token):
+    """The stemming rule token by token: lowercase, then the first suffix that keeps 3 chars."""
+    token = token.lower()
+    for suf in ("ing", "es", "ed", "s"):
+        if token.endswith(suf) and len(token) - len(suf) >= 3:
+            return token[: -len(suf)]
+    return token
+
+
+TEXT_CHARS = "abeginsdSGÉΣσİ_ \t  \x1c\n"
+
+
+@given(st.lists(st.text(alphabet=TEXT_CHARS, max_size=12), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_whole_text_stemming_matches_the_token_rule(surfaces):
+    for text in surfaces:
+        assert norm_tokens(text) == [loop_stem(t) for t in text.split()]
+    expected = [" ".join(loop_stem(t) for t in s.replace("_", " ").split()) for s in surfaces]
+    assert kgmod._surface_keys(surfaces) == expected
 
 
 def test_ground_multiconcept_sentence():
@@ -176,12 +306,12 @@ def test_max_nodes_cap_keeps_seeds():
 
 
 def random_kg(rng, n_nodes, n_edges):
-    kg = KnowledgeGraph()
+    triples = []
     for _ in range(n_edges):
         h = f"n{rng.integers(0, n_nodes)}"
         t = f"n{rng.integers(0, n_nodes)}"
-        kg.add_triple(h, f"r{rng.integers(0, 3)}", t)
-    return kg
+        triples.append((h, f"r{rng.integers(0, 3)}", t))
+    return KnowledgeGraph.from_triples(triples)
 
 
 def random_case(rng):
@@ -197,7 +327,7 @@ def test_matches_brute_force_on_100_random_graphs():
     self_loops = seeds_over_cap = truncated = 0
     for _ in range(100):
         kg, seeds = random_case(rng)
-        self_loops += any(h == t for h, _r, t in kg.triples)
+        self_loops += any(h == t for h, _r, t in triple_tuples(kg))
         for hops in range(4):
             reachable = expanded_nodes(seeds, kg, hops)
             for cap in (None, 0, 1, 3, 8):
@@ -214,19 +344,23 @@ def test_matches_brute_force_on_100_random_graphs():
     assert self_loops and seeds_over_cap and truncated
 
 
-class ScanGuard(list):
-    """Triple list that allows indexing but refuses a full iteration."""
+class ScanGuard:
+    """Stand-in for `kg.triples` that serves rows by `take` and refuses any other read."""
 
     def __init__(self, triples):
-        super().__init__(triples)
+        self._triples = triples
         self.reads = 0
 
-    def __getitem__(self, i):
-        self.reads += 1
-        return super().__getitem__(i)
+    def take(self, rows, axis):
+        assert axis == 0
+        out = self._triples.take(rows, axis=0)
+        self.reads += len(out)
+        return out
 
-    def __iter__(self):
-        raise AssertionError("full scan of kg.triples")
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("read of kg.triples other than a row gather")
+
+    __iter__ = __len__ = __getitem__ = __array__ = _refuse
 
 
 def test_extraction_reads_only_the_triples_it_returns():
@@ -243,6 +377,61 @@ def test_extraction_reads_only_the_triples_it_returns():
                 kg.triples = triples
             assert sub.nodes == nodes and sub.edges == edges
             assert guard.reads == len(edges)
+
+
+@pytest.mark.parametrize("gather_min", [0, 10**9])
+def test_both_edge_readers_match_brute_force(monkeypatch, gather_min):
+    """The loop for small node sets and the numpy gather for large ones, each on every case."""
+    monkeypatch.setattr(kgmod, "_GATHER_MIN_NODES", gather_min)
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        kg, seeds = random_case(rng)
+        for hops in range(4):
+            for cap in (None, 0, 1, 3, 8):
+                nodes, edges = brute_force_subgraph(seeds, kg, hops=hops, max_nodes=cap)
+                triples = kg.triples
+                kg.triples = guard = ScanGuard(triples)
+                try:
+                    sub = extract_subgraph(seeds, kg, hops=hops, max_nodes=cap)
+                finally:
+                    kg.triples = triples
+                assert sub.nodes == nodes and sub.edges == edges
+                assert guard.reads == len(edges)
+                # Python ints: the benchmark digest and JSON output encode them.
+                assert {type(x) for x in sub.nodes.union(*sub.edges)} <= {int}
+
+
+class RowGuard:
+    """Stand-in for an adjacency column that counts the entries extraction reads."""
+
+    def __init__(self, column):
+        self._column = column
+        self.reads = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._counted(self._column[key])
+        self.reads += len(key) if isinstance(key, np.ndarray) else 1
+        return self._column[key]
+
+    def _counted(self, entries):
+        for u in entries:
+            self.reads += 1
+            yield u
+
+
+@pytest.mark.parametrize("leaves", [200, 5000])
+@pytest.mark.parametrize("cap", [10, 100])   # below and above _GATHER_MIN_NODES
+def test_hub_row_is_read_only_up_to_the_cap(leaves, cap):
+    kg = build_kg([("hub", "r", f"n{i}") for i in range(leaves)])
+    hub = kg.concept_ids["hub"]
+    kg._nbr = loop = RowGuard(kg._nbr)
+    kg.neighbours = gather = RowGuard(kg.neighbours)
+    sub = extract_subgraph({hub}, kg, hops=2, max_nodes=cap)
+    assert len(sub.nodes) == cap and len(sub.edges) == cap - 1
+    # The BFS reads the hub's row up to the entry that hits the cap; the edges
+    # take one entry from each kept leaf and none from the hub.
+    assert loop.reads + gather.reads == cap + (cap - 1)
 
 
 def test_negative_subgraph_parameters_raise():

@@ -17,11 +17,9 @@ from kgmoe.pipeline import Example
 
 
 def tiny_kg():
-    kg = KnowledgeGraph()
-    for h, r, t in [("piano", "relatedto", "music"), ("music", "relatedto", "song"),
-                    ("piano", "relatedto", "keys"), ("song", "relatedto", "sing")]:
-        kg.add_triple(h, r, t)
-    return kg
+    return KnowledgeGraph.from_triples([
+        ("piano", "relatedto", "music"), ("music", "relatedto", "song"),
+        ("piano", "relatedto", "keys"), ("song", "relatedto", "sing")])
 
 
 def tiny_dataset():

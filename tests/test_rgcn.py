@@ -11,10 +11,11 @@ from util import check_gradients
 
 
 def build_kg(triples):
-    kg = KnowledgeGraph()
-    for h, r, t in triples:
-        kg.add_triple(h, r, t)
-    return kg
+    return KnowledgeGraph.from_triples(triples)
+
+
+def triple_tuples(kg):
+    return [tuple(tr) for tr in kg.triples.tolist()]
 
 
 def full_subgraph(kg):
@@ -54,8 +55,7 @@ def test_compose_dim_mismatch():
 
 
 def test_isolated_node_identity_self():
-    kg = build_kg([("x", "r", "y")])
-    kg.concept_id("lone")
+    kg = build_kg([("x", "r", "y"), ("lone", "r", "lone")])
     sub = Subgraph(nodes={kg.concept_ids["lone"]}, edges=[], seeds=set())
     d = 2
     states = make_states(kg, {kg.concept_ids["lone"]: [-1.0, 2.5]},
@@ -68,7 +68,7 @@ def test_isolated_node_identity_self():
 def test_single_neighbor_identity_weights_zero_relation():
     kg = build_kg([("u", "r", "v")])
     u, v = kg.concept_ids["u"], kg.concept_ids["v"]
-    sub = Subgraph(nodes={u, v}, edges=list(kg.triples), seeds=set())
+    sub = Subgraph(nodes={u, v}, edges=triple_tuples(kg), seeds=set())
     d = 2
     states = make_states(kg, {u: [1.0, -2.0], v: [0.5, 0.25]},
                          np.zeros((2, d)))
@@ -82,7 +82,7 @@ def test_single_neighbor_identity_weights_zero_relation():
 def test_mean_of_equal_neighbors():
     kg = build_kg([("a", "r", "v"), ("b", "r", "v")])
     a, b, v = (kg.concept_ids[k] for k in ("a", "b", "v"))
-    sub = Subgraph(nodes={a, b, v}, edges=list(kg.triples), seeds=set())
+    sub = Subgraph(nodes={a, b, v}, edges=triple_tuples(kg), seeds=set())
     d = 2
     h = [2.0, 3.0]
     states = make_states(kg, {a: h, b: h, v: [0.5, 0.5]}, np.zeros((2, d)))
@@ -105,7 +105,7 @@ def test_message_arrays_interleave_forward_and_reverse_in_edge_order():
 def test_layer_rejects_states_out_of_subgraph_order():
     kg = build_kg([("u", "r", "v")])
     u, v = kg.concept_ids["u"], kg.concept_ids["v"]
-    sub = Subgraph(nodes={u, v}, edges=list(kg.triples), seeds=set())
+    sub = Subgraph(nodes={u, v}, edges=triple_tuples(kg), seeds=set())
     states = NodeStates([v, u], T.Tensor(np.eye(2)), T.Tensor(np.zeros((2, 2))))
     with pytest.raises(ValueError, match="sorted node order"):
         rgcn_layer(states, sub, *identity_layer_params(2), kg.num_relations)

@@ -63,9 +63,7 @@ def test_expert_none_matches_zero_expert_vector():
 
 
 def test_build_labels_marks_grounded_reference_concepts():
-    kg = KnowledgeGraph()
-    for h, r, t in [("piano", "r", "music"), ("music", "r", "song")]:
-        kg.add_triple(h, r, t)
+    kg = KnowledgeGraph.from_triples([("piano", "r", "music"), ("music", "r", "song")])
     sub = extract_subgraph({kg.concept_ids["piano"]}, kg, hops=2)
     labels = build_labels(sub, "a song about music", kg)
     by_name = dict(zip([kg.concepts[c] for c in sub.sorted_nodes()], labels))
@@ -73,9 +71,7 @@ def test_build_labels_marks_grounded_reference_concepts():
 
 
 def test_build_labels_ignores_concepts_outside_subgraph():
-    kg = KnowledgeGraph()
-    kg.add_triple("piano", "r", "music")
-    kg.add_triple("sport", "r", "run")
+    kg = KnowledgeGraph.from_triples([("piano", "r", "music"), ("sport", "r", "run")])
     sub = Subgraph(nodes={kg.concept_ids["piano"]}, edges=[], seeds=set())
     labels = build_labels(sub, "piano and sport", kg)
     assert labels.tolist() == [1.0]
