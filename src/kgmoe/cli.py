@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from .kg import load_kg
+from .moe import TrainConfig
 from .pipeline import (RunConfig, load_run_config, make_synthetic_task, run_evaluate,
                        run_generate, run_train, save_dataset, save_kg_tsv, subgraph_json)
 
@@ -38,8 +39,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("subgraph", help="emit the grounded subgraph of a text as JSON")
     p.add_argument("--kg", required=True)
     p.add_argument("--text", required=True)
-    p.add_argument("--hops", type=int, default=2)
-    p.add_argument("--max-nodes", type=int, default=300)
+    p.add_argument("--hops", type=int, default=TrainConfig.subgraph_hops)
+    p.add_argument("--max-nodes", type=int, default=TrainConfig.max_subgraph_nodes)
 
     p = sub.add_parser("synth", help="write a synthetic one-to-many dataset and KG")
     p.add_argument("--seed", type=int, default=0)

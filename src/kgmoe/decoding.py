@@ -15,8 +15,8 @@ import numpy as np
 
 from . import generator
 from . import tensor as T
-from .generator import EOS, GeneratorInput, memory_next_dist
-from .moe import ExampleContext, Model, select_concepts, sub_seed
+from .generator import EOS, memory_next_dist
+from .moe import ExampleContext, Model, generator_input, select_concepts, sub_seed
 
 MAX_DECODE_LEN = 64
 
@@ -41,9 +41,9 @@ def _expert_memory(ctx: ExampleContext, model: Model, expert: int,
                    forbidden: set[int] | None):
     """The expert's selected concept ids and the encoder memory they give."""
     concepts = select_concepts(ctx, model, expert, forbidden)
-    inp = GeneratorInput(ctx.x_ids, [ctx.concept_tokens[c] for c in concepts], expert)
     with T.no_grad():
-        memory = generator.encode_inputs(inp, model.params, model.vocab, model.cfg,
+        memory = generator.encode_inputs(generator_input(ctx, model, concepts, expert),
+                                         model.params, model.vocab, model.cfg,
                                          model.positions)
     return concepts, memory
 

@@ -136,8 +136,7 @@ class ExampleContext:
     example_id: str
     x_ids: list[int]
     subgraph: Subgraph
-    node_ids: list[int]
-    concept_tokens: dict[int, list[int]]     # concept id -> surface token ids
+    node_ids: list[int]                      # subgraph.sorted_nodes()
     y_ids: list[list[int]]                   # per reference, EOS-terminated
     labels: list[np.ndarray]                 # per reference, over sorted nodes
 
@@ -146,18 +145,13 @@ def prepare_example(example, kg: KnowledgeGraph, vocab: Vocab, cfg: TrainConfig)
     seeds = ground_concepts(example.input, kg)
     subgraph = extract_subgraph(seeds, kg, hops=cfg.subgraph_hops,
                                 max_nodes=cfg.max_subgraph_nodes)
-    node_ids = subgraph.sorted_nodes()
-    concept_tokens = {}
-    for cid in node_ids:
-        toks = vocab.encode(kg.concepts[cid].replace("_", " "))
-        concept_tokens[cid] = toks or [UNK]
     x_ids = vocab.encode(example.input)[: cfg.max_len]
     y_ids, labels = [], []
     for ref in example.references:
         ids = vocab.encode(ref)[: cfg.max_len - 1] + [EOS]
         y_ids.append(ids)
         labels.append(build_labels(subgraph, ref, kg))
-    return ExampleContext(example.id, x_ids, subgraph, node_ids, concept_tokens,
+    return ExampleContext(example.id, x_ids, subgraph, subgraph.sorted_nodes(),
                           y_ids, labels)
 
 
@@ -170,6 +164,15 @@ class Responsibility:
 
     def one_hot(self) -> list[int]:
         return [1 if z == self.expert else 0 for z in range(len(self.losses))]
+
+
+def generator_input(ctx: ExampleContext, model: Model, concepts: list[int],
+                    expert: int) -> GeneratorInput:
+    """The generator's request for the chosen concept ids: each surface is
+    tokenised with `_` read as a space, and one with no tokens becomes [UNK]."""
+    tokens = [model.vocab.encode(model.kg.concepts[c].replace("_", " ")) or [UNK]
+              for c in concepts]
+    return GeneratorInput(ctx.x_ids, tokens, expert)
 
 
 def select_concepts(ctx: ExampleContext, model: Model, expert: int,
@@ -196,9 +199,8 @@ def joint_loss(ctx: ExampleContext, ref_idx: int, expert: int, model: Model,
     p = score_concepts(states, model.params, expert)
     l_concept = concept_loss(p, ctx.labels[ref_idx])
     chosen = _top_concepts(ctx, p, model, forbidden)
-    inp = GeneratorInput(ctx.x_ids, [ctx.concept_tokens[c] for c in chosen], expert)
-    l_gen = generation_loss(inp, ctx.y_ids[ref_idx], model.params, model.vocab,
-                            cfg, model.positions)
+    l_gen = generation_loss(generator_input(ctx, model, chosen, expert), ctx.y_ids[ref_idx],
+                            model.params, model.vocab, cfg, model.positions)
     joint = T.add(l_gen, T.scale(l_concept, cfg.concept_weight))
     return joint, l_gen, l_concept
 

@@ -17,7 +17,6 @@ import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -40,9 +39,13 @@ class Example:
     references: list[str]
 
 
-def _jsonl_objects(path, keys):
-    """Each object of a JSONL file (blank lines skipped); a malformed line or
-    one missing a required key raises naming the file and the line."""
+def _jsonl_objects(path, fields):
+    """(line number, object) for each line of a JSONL file, blank lines skipped.
+
+    `fields` maps each required key to its type: str, list (of strings) or None
+    (any).  A line that is not a JSON object, lacks a key or holds a value of
+    another type raises a ValueError naming the file, the line and the key.
+    """
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -52,19 +55,26 @@ def _jsonl_objects(path, keys):
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ValueError(f"{path}: malformed JSON on line {lineno}: {err}") from None
-            for key in keys:
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {lineno} is not a JSON object")
+            for key, kind in fields.items():
                 if key not in obj:
                     raise ValueError(f"{path}: line {lineno} missing {key!r}")
-            yield obj
+                value = obj[key]
+                if kind and not (isinstance(value, kind) and
+                                 (kind is str or all(isinstance(v, str) for v in value))):
+                    raise ValueError(f"{path}: line {lineno}: {key!r} must be "
+                                     f"{'a string' if kind is str else 'a list of strings'}, "
+                                     f"got {value!r}")
+            yield lineno, obj
 
 
 def load_dataset(path) -> list[Example]:
     examples = []
-    for obj in _jsonl_objects(path, ("id", "input", "references")):
+    for lineno, obj in _jsonl_objects(path, {"id": None, "input": str, "references": list}):
         if not obj["references"]:
-            raise ValueError(f"{path}: example {obj['id']!r} has no references")
-        examples.append(Example(str(obj["id"]), str(obj["input"]),
-                                [str(r) for r in obj["references"]]))
+            raise ValueError(f"{path}: line {lineno}: example {obj['id']!r} has no references")
+        examples.append(Example(str(obj["id"]), obj["input"], obj["references"]))
     return examples
 
 
@@ -329,7 +339,8 @@ def run_generate(cfg: RunConfig) -> list[GenerationBundle]:
 def load_generations(path) -> dict[str, dict]:
     """Group a generations JSONL by example id, preserving file order."""
     grouped: dict[str, dict] = {}
-    for obj in _jsonl_objects(path, ("id", "strategy", "output", "concepts")):
+    fields = {"id": None, "strategy": str, "output": str, "concepts": list}
+    for _, obj in _jsonl_objects(path, fields):
         entry = grouped.setdefault(obj["id"], {"strategy": obj["strategy"],
                                                "outputs": [], "concepts": []})
         entry["outputs"].append(obj["output"])
@@ -368,8 +379,8 @@ def run_evaluate(cfg: RunConfig) -> MetricReport:
     return report
 
 
-def subgraph_json(kg: KnowledgeGraph, text: str, hops: int = 2,
-                  max_nodes: int = 300) -> str:
+def subgraph_json(kg: KnowledgeGraph, text: str, hops: int = TrainConfig.subgraph_hops,
+                  max_nodes: int = TrainConfig.max_subgraph_nodes) -> str:
     """Debug view of the grounded subgraph for a piece of text."""
     seeds = ground_concepts(text, kg)
     sub = extract_subgraph(seeds, kg, hops=hops, max_nodes=max_nodes)

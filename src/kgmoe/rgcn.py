@@ -7,21 +7,10 @@ h_v' = ReLU(mean of incoming messages + W_S h_v); relations: h_r' = W_R h_r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .kg import KnowledgeGraph, Subgraph
-
-
-@dataclass
-class NodeStates:
-    """Hidden states for one subgraph at one layer."""
-
-    node_ids: list[int]              # subgraph concept ids, sorted
-    states: T.Tensor                 # [n_nodes, d]
-    rel_states: T.Tensor             # [2 * n_relations, d]; second half = inverses
 
 
 def init_rgcn_params(rng: np.random.Generator, n_concepts: int, n_relations: int,
@@ -44,40 +33,41 @@ def compose(h_u: T.Tensor, h_r: T.Tensor) -> T.Tensor:
     return T.sub(h_u, h_r)
 
 
-def rgcn_layer(states: NodeStates, subgraph: Subgraph, w_neighbor: T.Tensor,
-               w_self: T.Tensor, w_rel: T.Tensor, n_relations: int) -> NodeStates:
-    """One relational convolution layer; nodes without incoming edges aggregate zero."""
-    n = len(states.node_ids)
-    if states.node_ids != subgraph.sorted_nodes():
-        raise ValueError("node states must follow the subgraph's sorted node order")
+def rgcn_layer(h: T.Tensor, h_rel: T.Tensor, subgraph: Subgraph, w_neighbor: T.Tensor,
+               w_self: T.Tensor, w_rel: T.Tensor, n_relations: int) -> tuple[T.Tensor, T.Tensor]:
+    """One relational convolution layer; nodes without incoming edges aggregate zero.
+
+    h holds one row per node in `subgraph.sorted_nodes()` order and h_rel one
+    row per relation, inverses in the second half; returns the next (h, h_rel).
+    """
+    n = len(subgraph.nodes)
+    if h.shape[0] != n:
+        raise ValueError(f"node states have {h.shape[0]} rows for a subgraph of {n} nodes")
     src, dst, rel = subgraph.message_arrays(n_relations)
-    self_term = T.matmul(states.states, w_self)
+    self_term = T.matmul(h, w_self)
     if len(src):
-        h_u = T.embedding(states.states, src)
-        h_r = T.embedding(states.rel_states, rel)
+        h_u = T.embedding(h, src)
+        h_r = T.embedding(h_rel, rel)
         messages = T.matmul(compose(h_u, h_r), w_neighbor)
         agg = T.segment_mean(messages, dst, n)
         updated = T.relu(T.add(agg, self_term))
     else:
         updated = T.relu(self_term)
-    return NodeStates(states.node_ids, updated, T.matmul(states.rel_states, w_rel))
+    return updated, T.matmul(h_rel, w_rel)
 
 
 def encode(subgraph: Subgraph, params: dict[str, T.Tensor], kg: KnowledgeGraph,
-           layers: int) -> NodeStates:
-    """Run `layers` convolutions starting from the embedding tables."""
-    node_ids = subgraph.sorted_nodes()
-    states = NodeStates(
-        node_ids,
-        T.embedding(params["rgcn.node_embed"], node_ids),
-        params["rgcn.rel_embed"],
-    )
+           layers: int) -> T.Tensor:
+    """Node states [n_nodes, d] after `layers` convolutions from the embedding
+    tables, one row per node in `subgraph.sorted_nodes()` order."""
+    h = T.embedding(params["rgcn.node_embed"], subgraph.sorted_nodes())
+    h_rel = params["rgcn.rel_embed"]
     for layer in range(layers):
-        states = rgcn_layer(
-            states, subgraph,
+        h, h_rel = rgcn_layer(
+            h, h_rel, subgraph,
             params[f"rgcn.l{layer}.w_neighbor"],
             params[f"rgcn.l{layer}.w_self"],
             params[f"rgcn.l{layer}.w_rel"],
             kg.num_relations,
         )
-    return states
+    return h

@@ -11,7 +11,6 @@ import numpy as np
 
 from . import tensor as T
 from .kg import KnowledgeGraph, Subgraph, ground_concepts
-from .rgcn import NodeStates
 
 PROB_CLIP = 1e-7
 
@@ -26,15 +25,15 @@ def init_selector_params(rng: np.random.Generator, d: int, n_experts: int) -> di
     }
 
 
-def score_concepts(states: NodeStates, params: dict[str, T.Tensor],
+def score_concepts(h: T.Tensor, params: dict[str, T.Tensor],
                    expert: int | None = None) -> T.Tensor:
-    """Selection probability per subgraph node, as a [n_nodes] tensor in (0,1)."""
-    h = states.states
+    """Selection probability per subgraph node, as a [n_nodes] tensor in (0,1),
+    from node states h [n_nodes, d] (rows in the subgraph's sorted-node order)."""
     if expert is not None:
         h = T.add(h, T.embedding(params["sel.expert_embed"], [expert]))
     hidden = T.relu(T.add(T.matmul(h, params["sel.w1"]), params["sel.b1"]))
     logits = T.add(T.matmul(hidden, params["sel.w2"]), params["sel.b2"])
-    return T.reshape(T.sigmoid(logits), (len(states.node_ids),))
+    return T.reshape(T.sigmoid(logits), (h.shape[0],))
 
 
 def build_labels(subgraph: Subgraph, reference: str, kg: KnowledgeGraph) -> np.ndarray:

@@ -4,7 +4,6 @@ Criteria 5 and 9 share one trained expert-mixture model and one identically
 trained single-expert model on the synthetic one-to-many task.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +12,11 @@ import pytest
 from kgmoe import metrics as M
 from kgmoe import tensor as T
 from kgmoe.decoding import decode_beam, decode_moe
-from kgmoe.generator import EOS, GeneratorInput, Vocab, generation_loss
+from kgmoe.generator import GeneratorInput, Vocab, generation_loss
 from kgmoe.kg import KnowledgeGraph, extract_subgraph, ground_concepts
 from kgmoe.moe import (TrainConfig, build_model, e_step, epoch_unit_order,
-                       joint_loss, learning_rate_at, m_step, prepare_example,
-                       train)
+                       generator_input, joint_loss, learning_rate_at, m_step,
+                       prepare_example, train)
 from kgmoe.pipeline import (Example, RunConfig, make_synthetic_task, run_evaluate,
                             run_generate, run_train, save_dataset, save_kg_tsv,
                             synthetic_kg)
@@ -196,7 +195,7 @@ def test_criterion_5_specialization_beats_beam(specialization_runs):
 def test_criterion_6_concept_permutation_invariance():
     _, _, cfg, model, contexts = tiny_training_setup()
     ctx = contexts[0]
-    concepts = [ctx.concept_tokens[c] for c in ctx.node_ids[:4]]
+    concepts = generator_input(ctx, model, ctx.node_ids[:4], 0).concept_token_ids
     y = ctx.y_ids[0]
     base = generation_loss(GeneratorInput(ctx.x_ids, concepts, 0), y, model.params,
                            model.vocab, cfg, model.positions).item()

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgmoe import kg as kgmod
-from kgmoe.kg import (KnowledgeGraph, Subgraph, extract_subgraph, ground_concepts,
-                      load_kg, norm_tokens, stem)
+from kgmoe.kg import (KnowledgeGraph, extract_subgraph, ground_concepts, load_kg,
+                      norm_tokens, stem)
 from kgmoe.pipeline import make_synthetic_task, save_kg_tsv
 
 

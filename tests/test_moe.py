@@ -1,7 +1,6 @@
 """Hard-EM mixture training: joint loss contract, assignment rules,
 update locality, determinism, and K=1 equivalence with a plain loop."""
 
-import copy
 import dataclasses
 
 import numpy as np
@@ -9,10 +8,10 @@ import pytest
 
 from kgmoe import tensor as T
 from kgmoe.kg import KnowledgeGraph
-from kgmoe.generator import Vocab
+from kgmoe.generator import UNK, Vocab
 from kgmoe.moe import (Model, Responsibility, TrainConfig, build_model, e_step,
-                       epoch_unit_order, joint_loss, learning_rate_at, m_step,
-                       prepare_example, select_concepts, sub_seed, train)
+                       epoch_unit_order, generator_input, joint_loss, learning_rate_at,
+                       m_step, prepare_example, select_concepts, sub_seed, train)
 from kgmoe.pipeline import Example
 
 
@@ -291,3 +290,28 @@ def test_select_concepts_disjoint_accumulation():
         picks.append(set(chosen))
         taken |= set(chosen)
     assert not picks[0] & picks[1]
+
+
+# --- example preparation and generator input ---------------------------------
+
+def test_prepare_example_encodes_only_input_and_references(monkeypatch):
+    model, _ = tiny_model()
+    example = tiny_dataset()[0]
+    texts = []
+    encode = Vocab.encode
+    monkeypatch.setattr(Vocab, "encode", lambda self, text: texts.append(text) or encode(self, text))
+    ctx = prepare_example(example, model.kg, model.vocab, model.cfg)
+    assert len(ctx.node_ids) > 1
+    assert texts == [example.input] + example.references
+
+
+def test_generator_input_reads_underscore_as_space_and_empty_surface_as_unk():
+    kg = KnowledgeGraph.from_triples([("ice_cream", "r", "_")])
+    vocab = Vocab.build(["ice cream"], 2)
+    model = build_model(kg, vocab, tiny_config())
+    ctx = prepare_example(Example("e", "ice cream", ["cream"]), kg, vocab, model.cfg)
+    inp = generator_input(ctx, model, [kg.concept_ids["ice_cream"], kg.concept_ids["_"]], 1)
+    ice_cream = vocab.encode("ice cream")
+    assert UNK not in ice_cream and len(ice_cream) == 2
+    assert inp.concept_token_ids == [ice_cream, [UNK]]
+    assert inp.x_ids == ctx.x_ids and inp.expert == 1

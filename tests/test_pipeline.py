@@ -4,7 +4,6 @@ train -> generate -> evaluate round trip, and CLI subcommands."""
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from kgmoe.cli import main as cli_main
@@ -56,6 +55,29 @@ def test_load_dataset_empty_references(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_text('{"id": "a", "input": "x", "references": []}\n')
     with pytest.raises(ValueError, match="no references"):
+        load_dataset(p)
+
+
+@pytest.mark.parametrize("edit, key", [
+    ({"references": "a sentence here"}, "'references' must be a list of strings"),
+    ({"references": [1, None]}, "'references' must be a list of strings"),
+    ({"input": ["x"]}, "'input' must be a string"),
+    ({"input": None}, "'input' must be a string"),
+], ids=["references-string", "references-non-strings", "input-list", "input-null"])
+def test_load_dataset_rejects_mistyped_field_naming_file_line_and_key(tmp_path, edit, key):
+    p = tmp_path / "d.jsonl"
+    rows = [{"id": i, "input": "x", "references": ["y"]} for i in ("a", "b")]
+    rows[1].update(edit)
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=rf"d\.jsonl: line 2: {key}"):
+        load_dataset(p)
+
+
+@pytest.mark.parametrize("line", ['["a", "x", ["y"]]', "5"], ids=["list", "number"])
+def test_load_dataset_rejects_line_that_is_not_an_object(tmp_path, line):
+    p = tmp_path / "d.jsonl"
+    p.write_text(line + "\n")
+    with pytest.raises(ValueError, match=r"d\.jsonl: line 1 is not a JSON object"):
         load_dataset(p)
 
 
@@ -378,6 +400,22 @@ def test_load_generations_missing_field_names_line_and_key(tmp_path, missing):
         load_generations(p)
 
 
+@pytest.mark.parametrize("edit, key", [
+    ({"output": 5}, "'output' must be a string"),
+    ({"strategy": None}, "'strategy' must be a string"),
+    ({"concepts": "ice_cream"}, "'concepts' must be a list of strings"),
+    ({"concepts": [3]}, "'concepts' must be a list of strings"),
+], ids=["output-int", "strategy-null", "concepts-string", "concepts-non-strings"])
+def test_load_generations_rejects_mistyped_field_naming_file_line_and_key(tmp_path, edit, key):
+    p = tmp_path / "g.jsonl"
+    rows = [{"id": "a", "strategy": "moe", "expert": z, "output": f"o{z}", "concepts": []}
+            for z in range(2)]
+    rows[1].update(edit)
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=rf"g\.jsonl: line 2: {key}"):
+        load_generations(p)
+
+
 def test_evaluate_rejects_uneven_output_counts(tmp_path):
     examples, triples = make_synthetic_task(seed=0, n_inputs=3, k_modes=2)
     save_dataset(tmp_path / "dataset.jsonl", examples)
@@ -467,3 +505,18 @@ def test_subgraph_json_caps_nodes(tmp_path):
     kg = synthetic_kg([("hub", "r", f"n{i}") for i in range(10)])
     obj = json.loads(subgraph_json(kg, "the hub", hops=1, max_nodes=3))
     assert "hub" in obj["nodes"] and len(obj["nodes"]) == 3
+
+
+def test_subgraph_defaults_are_the_train_config_defaults(tmp_path, capsys):
+    # a chain three hops long and more leaves than the node cap, so both defaults matter
+    triples = [("hub", "r", f"n{i}") for i in range(320)] + [("a", "r", "b"), ("b", "r", "c"),
+                                                            ("c", "r", "d")]
+    save_kg_tsv(tmp_path / "k.tsv", triples)
+    kg = synthetic_kg(triples)
+    cfg = TrainConfig()
+    expected = subgraph_json(kg, "the hub and a", hops=cfg.subgraph_hops,
+                             max_nodes=cfg.max_subgraph_nodes)
+    assert subgraph_json(kg, "the hub and a") == expected
+    assert cli_main(["subgraph", "--kg", str(tmp_path / "k.tsv"),
+                     "--text", "the hub and a"]) == 0
+    assert capsys.readouterr().out == expected + "\n"

@@ -5,7 +5,7 @@ import pytest
 
 from kgmoe import tensor as T
 from kgmoe.kg import KnowledgeGraph, Subgraph, extract_subgraph
-from kgmoe.rgcn import NodeStates, compose, encode, init_rgcn_params, rgcn_layer
+from kgmoe.rgcn import compose, encode, init_rgcn_params, rgcn_layer
 
 from util import check_gradients
 
@@ -27,11 +27,10 @@ def identity_layer_params(d):
     return eye(), eye(), eye()
 
 
-def make_states(kg, node_vectors, rel_vectors):
-    node_ids = sorted(node_vectors)
-    return NodeStates(node_ids,
-                      T.Tensor(np.array([node_vectors[i] for i in node_ids])),
-                      T.Tensor(np.array(rel_vectors)))
+def make_states(node_vectors, rel_vectors):
+    """(h, h_rel) with node rows in ascending id order."""
+    return (T.Tensor(np.array([node_vectors[i] for i in sorted(node_vectors)])),
+            T.Tensor(np.array(rel_vectors)))
 
 
 def test_compose_zero_relation():
@@ -58,11 +57,11 @@ def test_isolated_node_identity_self():
     kg = build_kg([("x", "r", "y"), ("lone", "r", "lone")])
     sub = Subgraph(nodes={kg.concept_ids["lone"]}, edges=[], seeds=set())
     d = 2
-    states = make_states(kg, {kg.concept_ids["lone"]: [-1.0, 2.5]},
+    states = make_states({kg.concept_ids["lone"]: [-1.0, 2.5]},
                          np.zeros((2 * kg.num_relations, d)))
     wn, ws, wr = identity_layer_params(d)
-    out = rgcn_layer(states, sub, wn, ws, wr, kg.num_relations)
-    assert out.states.data.tolist() == [[0.0, 2.5]]   # ReLU of the self term
+    h, _ = rgcn_layer(*states, sub, wn, ws, wr, kg.num_relations)
+    assert h.data.tolist() == [[0.0, 2.5]]   # ReLU of the self term
 
 
 def test_single_neighbor_identity_weights_zero_relation():
@@ -70,12 +69,11 @@ def test_single_neighbor_identity_weights_zero_relation():
     u, v = kg.concept_ids["u"], kg.concept_ids["v"]
     sub = Subgraph(nodes={u, v}, edges=triple_tuples(kg), seeds=set())
     d = 2
-    states = make_states(kg, {u: [1.0, -2.0], v: [0.5, 0.25]},
-                         np.zeros((2, d)))
+    states = make_states({u: [1.0, -2.0], v: [0.5, 0.25]}, np.zeros((2, d)))
     wn, ws, wr = identity_layer_params(d)
-    out = rgcn_layer(states, sub, wn, ws, wr, kg.num_relations)
+    h, _ = rgcn_layer(*states, sub, wn, ws, wr, kg.num_relations)
     # v aggregates exactly h_u (one incoming message), then ReLU(h_u + h_v)
-    got_v = out.states.data[out.node_ids.index(v)]
+    got_v = h.data[sub.sorted_nodes().index(v)]
     assert np.allclose(got_v, np.maximum(np.array([1.0, -2.0]) + np.array([0.5, 0.25]), 0))
 
 
@@ -85,10 +83,10 @@ def test_mean_of_equal_neighbors():
     sub = Subgraph(nodes={a, b, v}, edges=triple_tuples(kg), seeds=set())
     d = 2
     h = [2.0, 3.0]
-    states = make_states(kg, {a: h, b: h, v: [0.5, 0.5]}, np.zeros((2, d)))
+    states = make_states({a: h, b: h, v: [0.5, 0.5]}, np.zeros((2, d)))
     wn, ws, wr = identity_layer_params(d)
-    out = rgcn_layer(states, sub, wn, ws, wr, kg.num_relations)
-    got_v = out.states.data[out.node_ids.index(v)]
+    out, _ = rgcn_layer(*states, sub, wn, ws, wr, kg.num_relations)
+    got_v = out.data[sub.sorted_nodes().index(v)]
     assert np.allclose(got_v, np.array(h) + np.array([0.5, 0.5]))
 
 
@@ -106,9 +104,10 @@ def test_layer_rejects_states_out_of_subgraph_order():
     kg = build_kg([("u", "r", "v")])
     u, v = kg.concept_ids["u"], kg.concept_ids["v"]
     sub = Subgraph(nodes={u, v}, edges=triple_tuples(kg), seeds=set())
-    states = NodeStates([v, u], T.Tensor(np.eye(2)), T.Tensor(np.zeros((2, 2))))
-    with pytest.raises(ValueError, match="sorted node order"):
-        rgcn_layer(states, sub, *identity_layer_params(2), kg.num_relations)
+    # no ids travel with the states, so the layer can only check the row count
+    h, h_rel = T.Tensor(np.eye(3)), T.Tensor(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="3 rows for a subgraph of 2 nodes"):
+        rgcn_layer(h, h_rel, sub, *identity_layer_params(3), kg.num_relations)
 
 
 def test_encode_zero_layers_returns_embedding_rows():
@@ -117,7 +116,7 @@ def test_encode_zero_layers_returns_embedding_rows():
     rng = np.random.default_rng(0)
     params = init_rgcn_params(rng, kg.num_concepts, kg.num_relations, 4, 0)
     out = encode(sub, params, kg, 0)
-    assert np.array_equal(out.states.data, params["rgcn.node_embed"].data[out.node_ids])
+    assert np.array_equal(out.data, params["rgcn.node_embed"].data[sub.sorted_nodes()])
 
 
 def test_encode_zero_embeddings_zero_output():
@@ -128,7 +127,7 @@ def test_encode_zero_embeddings_zero_output():
     params["rgcn.node_embed"].data[:] = 0.0
     params["rgcn.rel_embed"].data[:] = 0.0
     out = encode(sub, params, kg, 2)
-    assert not out.states.data.any()
+    assert not out.data.any()
 
 
 def test_encode_composes_single_layers():
@@ -138,15 +137,14 @@ def test_encode_composes_single_layers():
     params = init_rgcn_params(rng, kg.num_concepts, kg.num_relations, 4, 2)
     full = encode(sub, params, kg, 2)
 
-    states = NodeStates(sub.sorted_nodes(),
-                        T.embedding(params["rgcn.node_embed"], sub.sorted_nodes()),
-                        params["rgcn.rel_embed"])
+    h = T.embedding(params["rgcn.node_embed"], sub.sorted_nodes())
+    h_rel = params["rgcn.rel_embed"]
     for layer in range(2):
-        states = rgcn_layer(states, sub,
-                            params[f"rgcn.l{layer}.w_neighbor"],
-                            params[f"rgcn.l{layer}.w_self"],
-                            params[f"rgcn.l{layer}.w_rel"], kg.num_relations)
-    assert np.allclose(full.states.data, states.states.data, atol=1e-12)
+        h, h_rel = rgcn_layer(h, h_rel, sub,
+                              params[f"rgcn.l{layer}.w_neighbor"],
+                              params[f"rgcn.l{layer}.w_self"],
+                              params[f"rgcn.l{layer}.w_rel"], kg.num_relations)
+    assert np.allclose(full.data, h.data, atol=1e-12)
 
 
 def test_locality_edge_not_incident_does_not_change_node():
@@ -159,8 +157,8 @@ def test_locality_edge_not_incident_does_not_change_node():
     out_small = encode(sub_small, params, kg, 1)
     out_big = encode(sub_big, params, kg, 1)
     for cid in (a, b):
-        assert np.allclose(out_small.states.data[out_small.node_ids.index(cid)],
-                           out_big.states.data[out_big.node_ids.index(cid)])
+        assert np.allclose(out_small.data[sub_small.sorted_nodes().index(cid)],
+                           out_big.data[sub_big.sorted_nodes().index(cid)])
 
 
 def test_relabeling_equivariance():
@@ -180,7 +178,7 @@ def test_relabeling_equivariance():
     out1 = encode(sub1, params1, kg1, 1)
     out2 = encode(sub2, params2, kg2, 1)
     for cid in range(3):
-        assert np.allclose(out1.states.data[cid], out2.states.data[pi[cid]], atol=1e-12)
+        assert np.allclose(out1.data[cid], out2.data[pi[cid]], atol=1e-12)
 
 
 def test_gradients_match_finite_differences():
@@ -192,7 +190,7 @@ def test_gradients_match_finite_differences():
 
     def forward():
         out = encode(sub, params, kg, 2)
-        diff = T.sub(out.states, target)
+        diff = T.sub(out, target)
         return T.sum_all(T.mul(diff, diff))
 
     loss = forward()

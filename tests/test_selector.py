@@ -7,7 +7,6 @@ import pytest
 
 from kgmoe import tensor as T
 from kgmoe.kg import KnowledgeGraph, Subgraph, extract_subgraph
-from kgmoe.rgcn import NodeStates
 from kgmoe.selector import (PROB_CLIP, build_labels, concept_loss,
                             init_selector_params, score_concepts, top_n)
 
@@ -21,10 +20,8 @@ def zeroed_selector(d, n_experts=1):
     return params
 
 
-def states_of(matrix, node_ids=None):
-    arr = np.asarray(matrix, dtype=float)
-    ids = list(range(arr.shape[0])) if node_ids is None else node_ids
-    return NodeStates(ids, T.Tensor(arr), T.Tensor(np.zeros((2, arr.shape[1]))))
+def states_of(matrix):
+    return T.Tensor(np.asarray(matrix, dtype=float))
 
 
 def test_zero_weights_give_half_probability():
