@@ -10,8 +10,8 @@ expert mode are read from the model's `TrainConfig`, passed as `cfg`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -138,22 +138,10 @@ def init_generator_params(rng: np.random.Generator, vocab_size: int,
 
 def _attention(q_in: T.Tensor, kv_in: T.Tensor, params, prefix: str, cfg: TrainConfig,
                mask: np.ndarray | None = None) -> T.Tensor:
-    d, h = cfg.d_model, cfg.n_heads
-    dh = d // h
-    tq, tk = q_in.shape[0], kv_in.shape[0]
-
-    def split_heads(x, t):
-        return T.transpose(T.reshape(x, (t, h, dh)), (1, 0, 2))
-
-    q = split_heads(T.matmul(q_in, params[f"{prefix}.wq"]), tq)
-    k = split_heads(T.matmul(kv_in, params[f"{prefix}.wk"]), tk)
-    v = split_heads(T.matmul(kv_in, params[f"{prefix}.wv"]), tk)
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    if mask is not None:
-        scores = T.add(scores, T.constant(mask[None, :, :]))
-    attn = T.softmax(scores, axis=-1)
-    ctx = T.reshape(T.transpose(T.matmul(attn, v), (1, 0, 2)), (tq, d))
-    return T.matmul(ctx, params[f"{prefix}.wo"])
+    q = T.matmul(q_in, params[f"{prefix}.wq"])
+    k = T.matmul(kv_in, params[f"{prefix}.wk"])
+    v = T.matmul(kv_in, params[f"{prefix}.wv"])
+    return T.matmul(T.attention(q, k, v, cfg.n_heads, mask), params[f"{prefix}.wo"])
 
 
 def _sublayer(x: T.Tensor, params, prefix: str, fn) -> T.Tensor:
@@ -210,8 +198,12 @@ def encode_inputs(inp: GeneratorInput, params: dict[str, T.Tensor], vocab: Vocab
     return T.layer_norm(stream, params["gen.enc_ln_g"], params["gen.enc_ln_b"])
 
 
-def _causal_mask(t: int) -> np.ndarray:
-    return np.triu(np.full((t, t), -1e9), k=1)
+@functools.lru_cache(maxsize=None)
+def _causal_mask(max_len: int) -> np.ndarray:
+    """Shared read-only additive mask hiding future positions; length t uses [:t, :t]."""
+    mask = np.triu(np.full((max_len, max_len), -1e9), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 def decoder_logits(memory: T.Tensor, dec_ids: list[int], params, cfg: TrainConfig,
@@ -221,7 +213,7 @@ def decoder_logits(memory: T.Tensor, dec_ids: list[int], params, cfg: TrainConfi
     if t > cfg.max_len:
         raise ValueError(f"decoder length {t} exceeds max_len {cfg.max_len}")
     stream = T.add(T.embedding(params["gen.tok_embed"], dec_ids), T.constant(positions[:t]))
-    mask = _causal_mask(t)
+    mask = _causal_mask(cfg.max_len)[:t, :t]
     for layer in range(cfg.n_decoder_layers):
         p = f"gen.dec{layer}"
         stream = _sublayer(stream, params, f"{p}.self",

@@ -8,6 +8,7 @@ one Adam step on the mean joint loss of the chosen experts only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, fields
@@ -162,9 +163,6 @@ class Responsibility:
     expert: int
     losses: list[float]
 
-    def one_hot(self) -> list[int]:
-        return [1 if z == self.expert else 0 for z in range(len(self.losses))]
-
 
 def generator_input(ctx: ExampleContext, model: Model, concepts: list[int],
                     expert: int) -> GeneratorInput:
@@ -223,7 +221,7 @@ def m_step(batch: list[tuple[ExampleContext, int, int]], model: Model,
     for ctx, ref_idx, expert in batch:
         loss, _, _ = joint_loss(ctx, ref_idx, expert, model)
         losses.append(loss)
-    mean = T.scale(_sum_tensors(losses), 1.0 / len(losses))
+    mean = T.scale(functools.reduce(T.add, losses), 1.0 / len(losses))
     value = mean.item()
     if not np.isfinite(value):
         raise RuntimeError(f"non-finite training loss {value}; aborting")
@@ -231,13 +229,6 @@ def m_step(batch: list[tuple[ExampleContext, int, int]], model: Model,
     mean.backward()
     optimizer.step(lr=lr)
     return value
-
-
-def _sum_tensors(tensors):
-    acc = tensors[0]
-    for t in tensors[1:]:
-        acc = T.add(acc, t)
-    return acc
 
 
 def epoch_unit_order(n_units: int, epoch: int, seed: int) -> list[int]:

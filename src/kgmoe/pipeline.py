@@ -39,12 +39,16 @@ class Example:
     references: list[str]
 
 
+_KINDS = {str: "a string", list: "a list of strings", "id": "a string or an integer"}
+
+
 def _jsonl_objects(path, fields):
     """(line number, object) for each line of a JSONL file, blank lines skipped.
 
-    `fields` maps each required key to its type: str, list (of strings) or None
-    (any).  A line that is not a JSON object, lacks a key or holds a value of
-    another type raises a ValueError naming the file, the line and the key.
+    `fields` maps each required key to its kind: str, list (of strings) or "id"
+    (a string, or an int read as its string form).  A line that is not a JSON
+    object, lacks a key or holds a value of another kind raises a ValueError
+    naming the file, the line and the key.
     """
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -61,20 +65,25 @@ def _jsonl_objects(path, fields):
                 if key not in obj:
                     raise ValueError(f"{path}: line {lineno} missing {key!r}")
                 value = obj[key]
-                if kind and not (isinstance(value, kind) and
-                                 (kind is str or all(isinstance(v, str) for v in value))):
-                    raise ValueError(f"{path}: line {lineno}: {key!r} must be "
-                                     f"{'a string' if kind is str else 'a list of strings'}, "
+                if kind == "id" and type(value) is int:     # a bool is no id
+                    value = obj[key] = str(value)
+                if not (isinstance(value, list if kind is list else str) and
+                        (kind is not list or all(isinstance(v, str) for v in value))):
+                    raise ValueError(f"{path}: line {lineno}: {key!r} must be {_KINDS[kind]}, "
                                      f"got {value!r}")
             yield lineno, obj
 
 
 def load_dataset(path) -> list[Example]:
-    examples = []
-    for lineno, obj in _jsonl_objects(path, {"id": None, "input": str, "references": list}):
+    examples, first_line = [], {}
+    for lineno, obj in _jsonl_objects(path, {"id": "id", "input": str, "references": list}):
         if not obj["references"]:
             raise ValueError(f"{path}: line {lineno}: example {obj['id']!r} has no references")
-        examples.append(Example(str(obj["id"]), obj["input"], obj["references"]))
+        first = first_line.setdefault(obj["id"], lineno)
+        if first != lineno:
+            raise ValueError(f"{path}: line {lineno}: duplicate id {obj['id']!r}, "
+                             f"first on line {first}")
+        examples.append(Example(obj["id"], obj["input"], obj["references"]))
     return examples
 
 
@@ -339,7 +348,7 @@ def run_generate(cfg: RunConfig) -> list[GenerationBundle]:
 def load_generations(path) -> dict[str, dict]:
     """Group a generations JSONL by example id, preserving file order."""
     grouped: dict[str, dict] = {}
-    fields = {"id": None, "strategy": str, "output": str, "concepts": list}
+    fields = {"id": "id", "strategy": str, "output": str, "concepts": list}
     for _, obj in _jsonl_objects(path, fields):
         entry = grouped.setdefault(obj["id"], {"strategy": obj["strategy"],
                                                "outputs": [], "concepts": []})

@@ -33,7 +33,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = (data if type(data) is np.ndarray and data.dtype == np.float64
+                     else np.asarray(data, dtype=np.float64))
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -202,14 +203,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), backward)
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    inv = np.argsort(axes)
-
-    def backward(g):
-        _accum(a, g.transpose(inv))
-    return _make(a.data.transpose(axes), (a,), backward)
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -257,30 +250,48 @@ def mean_all(a: Tensor) -> Tensor:
     return _make(a.data.mean(), (a,), backward)
 
 
-def sum_all(a: Tensor) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tensor:
+    """Multi-head scaled dot-product attention of q [tq, d] over k, v [tk, d].
+
+    Splits n_heads heads, adds the optional additive mask [tq, tk] to the
+    scaled scores, takes the row softmax and merges the heads into [tq, d].
+    Each ndarray expression and view is the one a chain of reshape, transpose,
+    matmul, scale and softmax ops would run, so BLAS sees the same layouts and
+    the results match that chain bit for bit.
+    """
+    (tq, d), tk = q.data.shape, k.data.shape[0]
+    dh = d // n_heads
+    s = 1.0 / math.sqrt(dh)
+    qh = q.data.reshape(tq, n_heads, dh).transpose(1, 0, 2)
+    kh = k.data.reshape(tk, n_heads, dh).transpose(1, 0, 2)
+    vh = v.data.reshape(tk, n_heads, dh).transpose(1, 0, 2)
+    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * s
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+
     def backward(g):
-        _accum(a, np.full_like(a.data, float(g)))
-    return _make(a.data.sum(), (a,), backward)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, (g - dot) * y)
-    return _make(y, (a,), backward)
+        go = g.reshape(tq, n_heads, dh).transpose(1, 0, 2)
+        gy = np.matmul(go, np.swapaxes(vh, -1, -2))
+        gv = np.matmul(np.swapaxes(y, -1, -2), go)
+        gs = (gy - (gy * y).sum(axis=-1, keepdims=True)) * y * s
+        gq = np.matmul(gs, kh)
+        gkt = np.matmul(np.swapaxes(qh, -1, -2), gs)
+        _accum(q, gq.transpose(1, 0, 2).reshape(tq, d))
+        _accum(k, gkt.transpose(2, 0, 1).reshape(tk, d))
+        _accum(v, gv.transpose(1, 0, 2).reshape(tk, d))
+    return _make(np.matmul(y, vh).transpose(1, 0, 2).reshape(tq, d), (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # np.mean and np.var run these reductions, minus their Python wrappers
     d = x.data.shape[-1]
+    centred = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centred * inv
 
     def backward(g):
         _accum(gain, _unbroadcast(g * xhat, gain.data.shape))

@@ -9,7 +9,7 @@ import pytest
 from kgmoe import tensor as T
 from kgmoe.kg import KnowledgeGraph
 from kgmoe.generator import UNK, Vocab
-from kgmoe.moe import (Model, Responsibility, TrainConfig, build_model, e_step,
+from kgmoe.moe import (Model, TrainConfig, build_model, e_step,
                        epoch_unit_order, generator_input, joint_loss, learning_rate_at,
                        m_step, prepare_example, select_concepts, sub_seed, train)
 from kgmoe.pipeline import Example
@@ -86,10 +86,10 @@ def test_invalid_expert_raises():
 # --- E-step ------------------------------------------------------------------
 
 def test_e_step_picks_argmin():
-    r = Responsibility(expert=1, losses=[2.0, 1.5, 3.0])
-    assert r.one_hot() == [0, 1, 0]
-    best = min(range(3), key=lambda z: ([2.0, 1.5, 3.0][z], z))
-    assert best == 1
+    model, contexts = tiny_model(tiny_config(n_experts=3))
+    r = e_step(contexts[0], 1, model)
+    assert r.losses == [joint_loss(contexts[0], 1, z, model)[0].item() for z in range(3)]
+    assert r.expert == min(range(3), key=lambda z: (r.losses[z], z))
 
 
 def test_e_step_tie_goes_to_lowest_id():

@@ -81,6 +81,37 @@ def test_load_dataset_rejects_line_that_is_not_an_object(tmp_path, line):
         load_dataset(p)
 
 
+def test_load_dataset_rejects_duplicate_id_naming_both_lines(tmp_path):
+    p = tmp_path / "d.jsonl"
+    rows = [{"id": i, "input": "x", "references": ["y"]} for i in ("a", "b", "a")]
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=r"d\.jsonl: line 3: duplicate id 'a', first on line 1"):
+        load_dataset(p)
+
+
+def test_load_dataset_reads_int_id_as_its_string_form(tmp_path):
+    p = tmp_path / "d.jsonl"
+    rows = [{"id": i, "input": "x", "references": ["y"]} for i in (7, "7")]
+    p.write_text(json.dumps(rows[0]) + "\n")
+    assert load_dataset(p) == [Example("7", "x", ["y"])]
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match="line 2: duplicate id '7', first on line 1"):
+        load_dataset(p)
+
+
+ID_KINDS = [True, None, [7], 7.0]
+ID_KIND_NAMES = ["bool", "null", "list", "float"]
+
+
+@pytest.mark.parametrize("bad_id", ID_KINDS, ids=ID_KIND_NAMES)
+def test_load_dataset_rejects_id_that_is_not_string_or_int(tmp_path, bad_id):
+    p = tmp_path / "d.jsonl"
+    rows = [{"id": i, "input": "x", "references": ["y"]} for i in ("a", bad_id)]
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=r"d\.jsonl: line 2: 'id' must be a string or an integer"):
+        load_dataset(p)
+
+
 # --- synthetic one-to-many task ---------------------------------------------
 
 def test_synthetic_reference_concept_sets_are_pairwise_disjoint():
@@ -426,6 +457,30 @@ def test_evaluate_rejects_uneven_output_counts(tmp_path):
     (tmp_path / "generations.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
     with pytest.raises(ValueError, match=rf"example '{examples[2].id}' has 1 outputs, expected 2"):
         run_evaluate(run_config_in(tmp_path))
+
+
+@pytest.mark.parametrize("bad_id", ID_KINDS, ids=ID_KIND_NAMES)
+def test_load_generations_rejects_id_that_is_not_string_or_int(tmp_path, bad_id):
+    p = tmp_path / "g.jsonl"
+    rows = [{"id": i, "strategy": "moe", "expert": 0, "output": "o", "concepts": []}
+            for i in ("a", bad_id)]
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=r"g\.jsonl: line 2: 'id' must be a string or an integer"):
+        load_generations(p)
+
+
+def test_evaluate_matches_int_generation_ids_to_dataset_ids(tmp_path):
+    examples, triples = make_synthetic_task(seed=0, n_inputs=2, k_modes=2)
+    for i, ex in enumerate(examples):
+        ex.id = str(i + 7)
+    save_dataset(tmp_path / "dataset.jsonl", examples)
+    save_kg_tsv(tmp_path / "kg.tsv", triples)
+    rows = [{"id": i + 7, "strategy": "moe", "expert": z, "output": ex.references[z],
+             "concepts": []} for i, ex in enumerate(examples) for z in range(2)]
+    (tmp_path / "generations.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    report = run_evaluate(run_config_in(tmp_path))
+    assert report.config == {"K": 2, "strategy": "moe"}
+    assert set(load_generations(tmp_path / "generations.jsonl")) == {"7", "8"}
 
 
 def test_load_generations_groups_by_id(tmp_path):

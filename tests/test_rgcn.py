@@ -191,7 +191,7 @@ def test_gradients_match_finite_differences():
     def forward():
         out = encode(sub, params, kg, 2)
         diff = T.sub(out, target)
-        return T.sum_all(T.mul(diff, diff))
+        return T.mean_all(T.mul(diff, diff))
 
     loss = forward()
     loss.backward()

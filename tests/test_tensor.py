@@ -54,14 +54,14 @@ def test_cross_entropy_target_out_of_range():
 def test_backward_linear():
     w = T.Tensor([[0.5, -1.0]], requires_grad=True)
     x = T.Tensor([[1.], [2.]])
-    T.sum_all(T.matmul(w, x)).backward()
+    T.mean_all(T.matmul(w, x)).backward()
     assert w.grad.tolist() == [[1., 2.]]
 
 
 def test_backward_unreachable_param_has_no_grad():
     w = T.Tensor([[1.0]], requires_grad=True)
     unused = T.Tensor([[2.0]], requires_grad=True)
-    T.sum_all(T.matmul(w, w)).backward()
+    T.mean_all(T.matmul(w, w)).backward()
     assert unused.grad is None
 
 
@@ -73,15 +73,23 @@ def test_backward_requires_scalar():
 
 def test_backward_twice_is_error():
     v = T.Tensor([2.0], requires_grad=True)
-    loss = T.sum_all(T.mul(v, v))
+    loss = T.mean_all(T.mul(v, v))
     loss.backward()
     with pytest.raises(RuntimeError):
         loss.backward()
 
 
+def attention_weights(scores: np.ndarray) -> T.Tensor:
+    """Row softmax of `scores` [tq, tk] through one-head attention: with keys
+    and values the identity, each output row is the attention weights."""
+    tk = scores.shape[1]
+    eye = T.Tensor(np.eye(tk))
+    return T.attention(T.Tensor(scores * math.sqrt(tk)), eye, eye, 1)
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    y = T.softmax(T.Tensor(rng.normal(size=(5, 7)) * 10))
+    y = attention_weights(rng.normal(size=(5, 7)) * 10)
     assert np.allclose(y.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -119,12 +127,85 @@ def test_segment_mean_and_embedding_gradients():
     def forward():
         rows = T.embedding(table, idx)
         pooled = T.segment_mean(rows, seg, 4)   # segment 3 stays empty
-        return T.sum_all(T.mul(pooled, pooled))
+        return T.mean_all(T.mul(pooled, pooled))
 
     loss = forward()
     loss.backward()
     check_gradients(lambda: forward().item(), {"table": table},
                     np.random.default_rng(4), n_checks=20, rel_tol=1e-6)
+
+
+def naive_attention(q, k, v, n_heads, mask=None):
+    """Per-head reference: softmax(q_h k_h^T / sqrt(dh) + mask) v_h, heads side by side."""
+    dh = q.shape[1] // n_heads
+    heads = []
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = q[:, cols] @ k[:, cols].T / math.sqrt(dh)
+        if mask is not None:
+            scores = scores + mask
+        w = np.exp(scores - scores.max(axis=1, keepdims=True))
+        heads.append((w / w.sum(axis=1, keepdims=True)) @ v[:, cols])
+    return np.concatenate(heads, axis=1)
+
+
+def causal_mask(t):
+    return np.triu(np.full((t, t), -1e9), k=1)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("masked", [False, True], ids=["no-mask", "mask"])
+def test_attention_matches_naive_per_head_reference(n_heads, masked):
+    rng = np.random.default_rng(7 + n_heads)
+    tq, tk, d = 3, 5, 8
+    q, k, v = (rng.normal(size=(t, d)) for t in (tq, tk, tk))
+    mask = rng.choice([0.0, -1e9], size=(tq, tk)) if masked else None
+    if masked:
+        mask[:, 0] = 0.0                 # every query keeps one key
+    out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), n_heads, mask)
+    assert out.shape == (tq, d)
+    assert np.allclose(out.data, naive_attention(q, k, v, n_heads, mask), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_attention_gradients_match_finite_differences(n_heads):
+    rng = np.random.default_rng(20 + n_heads)
+    params = {name: T.Tensor(rng.normal(size=(t, 8)), requires_grad=True)
+              for name, t in (("q", 4), ("k", 6), ("v", 6))}
+    mask = np.zeros((4, 6))
+    mask[:2, 4:] = -1e9
+    target = rng.normal(size=(4, 8))
+
+    def forward():
+        out = T.attention(params["q"], params["k"], params["v"], n_heads, mask)
+        diff = T.sub(out, T.constant(target))
+        return T.mean_all(T.mul(diff, diff))
+
+    forward().backward()
+    for name in params:
+        check_gradients(lambda: forward().item(), params, np.random.default_rng(30 + n_heads),
+                        n_checks=15, rel_tol=1e-6, names=[name])
+
+
+def test_attention_causal_mask_hides_future_positions():
+    rng = np.random.default_rng(8)
+    t, d = 5, 8
+    q, k, v = (rng.normal(size=(t, d)) for _ in range(3))
+    base = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 2, causal_mask(t)).data
+    k2, v2 = k.copy(), v.copy()
+    k2[3:] = rng.normal(size=(2, d))
+    v2[3:] = rng.normal(size=(2, d))
+    moved = T.attention(T.Tensor(q), T.Tensor(k2), T.Tensor(v2), 2, causal_mask(t)).data
+    # rows 0-2 see keys 0-2 only: bit-identical, since masked weights are exactly 0
+    assert np.array_equal(base[:3], moved[:3])
+    assert not np.allclose(base[3:], moved[3:])
+
+    # and no gradient flows from earlier rows into future keys or values
+    kt, vt = T.Tensor(k, requires_grad=True), T.Tensor(v, requires_grad=True)
+    out = T.attention(T.Tensor(q), kt, vt, 2, causal_mask(t))
+    T.mean_all(T.mul(out, T.constant(np.arange(t)[:, None] < 3))).backward()
+    assert not kt.grad[3:].any() and not vt.grad[3:].any()
+    assert kt.grad[:3].any() and vt.grad[:3].any()
 
 
 def test_segment_mean_empty_segment_is_zero():
@@ -138,15 +219,15 @@ def test_segment_mean_empty_segment_is_zero():
 def test_forward_determinism():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 4))
-    a = T.softmax(T.Tensor(x)).data
-    b = T.softmax(T.Tensor(x)).data
+    a = attention_weights(x).data
+    b = attention_weights(x).data
     assert np.array_equal(a, b)
 
 
 def test_adam_zero_lr_keeps_params():
     p = T.Tensor([1.0, 2.0], requires_grad=True)
     opt = T.Adam({"p": p}, lr=0.0)
-    T.sum_all(T.mul(p, p)).backward()
+    T.mean_all(T.mul(p, p)).backward()
     opt.step()
     assert p.data.tolist() == [1.0, 2.0]
 
@@ -157,7 +238,7 @@ def test_adam_descends():
     values = []
     for _ in range(60):
         opt.zero_grad()
-        loss = T.sum_all(T.mul(p, p))
+        loss = T.mean_all(T.mul(p, p))
         values.append(loss.item())
         loss.backward()
         opt.step()
