@@ -39,13 +39,13 @@ class GenerationBundle:
 
 def _expert_memory(ctx: ExampleContext, model: Model, expert: int,
                    forbidden: set[int] | None):
-    """The expert's selected concept ids and the encoder memory they give."""
+    """The expert's selected concept ids and the encoder memory [s, d] they give."""
     concepts = select_concepts(ctx, model, expert, forbidden)
     with T.no_grad():
-        memory = generator.encode_inputs(generator_input(ctx, model, concepts, expert),
+        memory = generator.encode_inputs([generator_input(ctx, model, concepts, expert)],
                                          model.params, model.vocab, model.cfg,
                                          model.positions)
-    return concepts, memory
+    return concepts, T.constant(memory.data[0])
 
 
 def _search(memory, model: Model, width: int, expand,

@@ -6,6 +6,10 @@ block is order-free and cross-attention over it is permutation invariant.
 Expert conditioning is either an added per-expert embedding ("embed" mode) or a
 reserved prefix token ("prompt" mode).  The shape, the expert count and the
 expert mode are read from the model's `TrainConfig`, passed as `cfg`.
+
+`encode_inputs` stacks K requests that share an input on a leading batch axis
+that `decoder_logits` and `generation_loss` carry through; slice z equals a
+one-request call bit for bit.
 """
 
 from __future__ import annotations
@@ -155,39 +159,47 @@ def _feed_forward(x: T.Tensor, params, prefix: str) -> T.Tensor:
     return T.add(T.matmul(hidden, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
 
 
-def _concept_embeddings(concept_token_ids: list[list[int]], params) -> T.Tensor | None:
-    """Mean-pooled token embeddings per concept; no positional encoding."""
-    if not concept_token_ids:
-        return None
+def _concept_embeddings(inps: list[GeneratorInput], n_concepts: int, params) -> T.Tensor:
+    """Mean-pooled token embeddings [K, n_concepts, d] of every request's
+    concepts, from one gather; no positional encoding."""
     flat, seg = [], []
-    for i, toks in enumerate(concept_token_ids):
+    for i, toks in enumerate(c for inp in inps for c in inp.concept_token_ids):
         if not toks:
             raise ValueError("concept with no surface tokens")
         flat.extend(toks)
         seg.extend([i] * len(toks))
     rows = T.embedding(params["gen.tok_embed"], flat)
-    return T.segment_mean(rows, seg, len(concept_token_ids))
+    pooled = T.segment_mean(rows, seg, len(inps) * n_concepts)
+    return T.reshape(pooled, (len(inps), n_concepts, pooled.shape[-1]))
 
 
-def encode_inputs(inp: GeneratorInput, params: dict[str, T.Tensor], vocab: Vocab,
+def encode_inputs(inps: list[GeneratorInput], params: dict[str, T.Tensor], vocab: Vocab,
                   cfg: TrainConfig, positions: np.ndarray) -> T.Tensor:
-    """Encoder memory over [prefix?] + x + concepts; positions only on x."""
-    if len(inp.x_ids) > cfg.max_len:
-        raise ValueError(f"input length {len(inp.x_ids)} exceeds max_len {cfg.max_len}")
-    if not 0 <= inp.expert < cfg.n_experts:
-        raise ValueError(f"invalid expert id {inp.expert} for {cfg.n_experts} experts")
+    """Encoder memory [K, s, d] of K requests, each over [prefix?] + x + concepts
+    with positions only on x.  The requests share x_ids and the concept count;
+    the input embedding is computed once and every concept surface goes
+    through one gather."""
+    x_ids, n_concepts = inps[0].x_ids, len(inps[0].concept_token_ids)
+    if any(inp.x_ids != x_ids or len(inp.concept_token_ids) != n_concepts for inp in inps):
+        raise ValueError("batched requests must share x_ids and the concept count")
+    if len(x_ids) > cfg.max_len:
+        raise ValueError(f"input length {len(x_ids)} exceeds max_len {cfg.max_len}")
+    experts = [inp.expert for inp in inps]
+    for z in experts:
+        if not 0 <= z < cfg.n_experts:
+            raise ValueError(f"invalid expert id {z} for {cfg.n_experts} experts")
 
-    x_emb = T.add(T.embedding(params["gen.tok_embed"], inp.x_ids),
-                  T.constant(positions[: len(inp.x_ids)]))
-    parts = [x_emb]
-    concept_emb = _concept_embeddings(inp.concept_token_ids, params)
-    if concept_emb is not None:
-        parts.append(concept_emb)
+    x_emb = T.add(T.embedding(params["gen.tok_embed"], x_ids),
+                  T.constant(positions[: len(x_ids)]))
+    parts = [T.broadcast_to(x_emb, (len(inps),) + x_emb.shape)]
+    if n_concepts:
+        parts.append(_concept_embeddings(inps, n_concepts, params))
     if cfg.expert_mode == "prompt":
-        parts.insert(0, T.embedding(params["gen.tok_embed"], [vocab.expert_token(inp.expert)]))
-    stream = T.concat(parts, axis=0)
+        parts.insert(0, T.embedding(params["gen.tok_embed"],
+                                    [[vocab.expert_token(z)] for z in experts]))
+    stream = T.concat(parts, axis=1)
     if cfg.expert_mode == "embed":
-        stream = T.add(stream, T.embedding(params["gen.expert_embed"], [inp.expert]))
+        stream = T.add(stream, T.embedding(params["gen.expert_embed"], [[z] for z in experts]))
 
     for layer in range(cfg.n_encoder_layers):
         prefix_name = f"gen.enc{layer}"
@@ -208,7 +220,10 @@ def _causal_mask(max_len: int) -> np.ndarray:
 
 def decoder_logits(memory: T.Tensor, dec_ids: list[int], params, cfg: TrainConfig,
                    positions: np.ndarray) -> T.Tensor:
-    """Logits [len(dec_ids), vocab] for the next token at each decoder position."""
+    """Logits [..., len(dec_ids), vocab] for the next token at each decoder
+    position, over a memory [..., s, d].  The stream stays [t, d] until the
+    first cross-attention, so layer 0's self-attention runs once however many
+    memories share dec_ids."""
     t = len(dec_ids)
     if t > cfg.max_len:
         raise ValueError(f"decoder length {t} exceeds max_len {cfg.max_len}")
@@ -226,12 +241,14 @@ def decoder_logits(memory: T.Tensor, dec_ids: list[int], params, cfg: TrainConfi
     return T.add(T.matmul(stream, params["gen.out_w"]), params["gen.out_b"])
 
 
-def generation_loss(inp: GeneratorInput, y_ids: list[int], params, vocab: Vocab,
+def generation_loss(inps: list[GeneratorInput], y_ids: list[int], params, vocab: Vocab,
                     cfg: TrainConfig, positions: np.ndarray) -> T.Tensor:
-    """Teacher-forced mean token NLL of y (which must end with EOS)."""
+    """Teacher-forced mean token NLL of y (which must end with EOS) under each
+    of K requests that share x_ids and the concept count: a [K] tensor from one
+    encoder pass and one decoder pass."""
     if not y_ids or y_ids[-1] != EOS:
         raise ValueError("target sequence must end with EOS")
-    memory = encode_inputs(inp, params, vocab, cfg, positions)
+    memory = encode_inputs(inps, params, vocab, cfg, positions)
     dec_in = [BOS] + list(y_ids[:-1])
     logits = decoder_logits(memory, dec_in, params, cfg, positions)
     return T.softmax_cross_entropy(logits, y_ids)
@@ -239,7 +256,7 @@ def generation_loss(inp: GeneratorInput, y_ids: list[int], params, vocab: Vocab,
 
 def memory_next_dist(memory: T.Tensor, prefix_ids: list[int], params,
                      cfg: TrainConfig, positions: np.ndarray) -> np.ndarray:
-    """Next-token distribution given a precomputed encoder memory."""
+    """Next-token distribution given one precomputed encoder memory [s, d]."""
     dec_in = [BOS] + list(prefix_ids)
     if len(dec_in) > cfg.max_len:
         raise ValueError(f"prefix length {len(prefix_ids)} exceeds max_len {cfg.max_len}")

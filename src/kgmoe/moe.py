@@ -187,40 +187,59 @@ def _top_concepts(ctx: ExampleContext, p: T.Tensor, model: Model,
     return top_n(dict(zip(ctx.node_ids, p.data.tolist())), model.cfg.top_concepts, forbidden)
 
 
-def joint_loss(ctx: ExampleContext, ref_idx: int, expert: int, model: Model,
-               forbidden: set[int] | None = None) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
+def _concept_half(ctx: ExampleContext, ref_idx: int, expert: int,
+                  model: Model) -> tuple[T.Tensor, GeneratorInput]:
+    """The unit's concept loss under the expert, and the generator request for
+    the expert's top-N concepts."""
+    states = encode(ctx.subgraph, model.params, model.kg, model.cfg.rgcn_layers)
+    p = score_concepts(states, model.params, expert)
+    l_concept = concept_loss(p, ctx.labels[ref_idx])
+    chosen = _top_concepts(ctx, p, model, None)
+    return l_concept, generator_input(ctx, model, chosen, expert)
+
+
+def joint_loss(ctx: ExampleContext, ref_idx: int, expert: int,
+               model: Model) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
     """Returns (joint, generation, concept) losses for one unit and expert."""
     cfg = model.cfg
     if not 0 <= expert < cfg.n_experts:
         raise ValueError(f"invalid expert id {expert}")
-    states = encode(ctx.subgraph, model.params, model.kg, cfg.rgcn_layers)
-    p = score_concepts(states, model.params, expert)
-    l_concept = concept_loss(p, ctx.labels[ref_idx])
-    chosen = _top_concepts(ctx, p, model, forbidden)
-    l_gen = generation_loss(generator_input(ctx, model, chosen, expert), ctx.y_ids[ref_idx],
-                            model.params, model.vocab, cfg, model.positions)
+    l_concept, request = _concept_half(ctx, ref_idx, expert, model)
+    l_gen = T.reshape(generation_loss([request], ctx.y_ids[ref_idx], model.params,
+                                      model.vocab, cfg, model.positions), ())
     joint = T.add(l_gen, T.scale(l_concept, cfg.concept_weight))
     return joint, l_gen, l_concept
 
 
 def e_step(ctx: ExampleContext, ref_idx: int, model: Model) -> Responsibility:
-    """Assign the unit to the expert with the smallest joint loss."""
-    losses = []
+    """Assign the unit to the expert with the smallest joint loss.
+
+    Each expert selects its concepts on its own; the K generation losses then
+    come from one batched generator pass.  Each joint loss is the float
+    arithmetic of `joint_loss`, so the two agree bit for bit."""
+    cfg = model.cfg
     with T.no_grad():
-        for z in range(model.cfg.n_experts):
-            loss, _, _ = joint_loss(ctx, ref_idx, z, model)
-            losses.append(loss.item())
+        halves = [_concept_half(ctx, ref_idx, z, model) for z in range(cfg.n_experts)]
+        l_gen = generation_loss([request for _, request in halves], ctx.y_ids[ref_idx],
+                                model.params, model.vocab, cfg, model.positions)
+    losses = [float(l_gen.data[z] + l_concept.data * cfg.concept_weight)
+              for z, (l_concept, _) in enumerate(halves)]
     best = min(range(len(losses)), key=lambda z: (losses[z], z))
     return Responsibility(best, losses)
 
 
 def m_step(batch: list[tuple[ExampleContext, int, int]], model: Model,
-           optimizer: T.Adam, lr: float) -> float:
-    """One optimizer step on the mean joint loss of the chosen experts."""
-    losses = []
+           optimizer: T.Adam, lr: float) -> dict[str, float]:
+    """One optimizer step on the mean joint loss of the chosen experts.
+
+    Returns the step's log fields: `mean_loss` (the optimised mean) and the
+    batch means of its two parts, `gen_loss` and `concept_loss`."""
+    losses, gen, concept = [], [], []
     for ctx, ref_idx, expert in batch:
-        loss, _, _ = joint_loss(ctx, ref_idx, expert, model)
+        loss, l_gen, l_concept = joint_loss(ctx, ref_idx, expert, model)
         losses.append(loss)
+        gen.append(l_gen.item())
+        concept.append(l_concept.item())
     mean = T.scale(functools.reduce(T.add, losses), 1.0 / len(losses))
     value = mean.item()
     if not np.isfinite(value):
@@ -228,7 +247,8 @@ def m_step(batch: list[tuple[ExampleContext, int, int]], model: Model,
     optimizer.zero_grad()
     mean.backward()
     optimizer.step(lr=lr)
-    return value
+    return {"mean_loss": value, "gen_loss": sum(gen) / len(gen),
+            "concept_loss": sum(concept) / len(concept)}
 
 
 def epoch_unit_order(n_units: int, epoch: int, seed: int) -> list[int]:
@@ -251,7 +271,8 @@ def learning_rate_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 def train(dataset, kg: KnowledgeGraph, cfg: TrainConfig,
           vocab: Vocab | None = None) -> tuple[Model, list[dict]]:
-    """Seeded hard-EM epoch loop; returns the model and a per-step log."""
+    """Seeded hard-EM epoch loop; returns the model and a per-step log whose
+    entries hold epoch, step, expert_histogram and `m_step`'s loss fields."""
     if not dataset:
         raise ValueError("empty dataset")
     if vocab is None:
@@ -281,8 +302,7 @@ def train(dataset, kg: KnowledgeGraph, cfg: TrainConfig,
                 histogram[resp.expert] += 1
                 chosen_batch.append((contexts[ei], ri, resp.expert))
             lr = learning_rate_at(step, total_steps, cfg)
-            mean_loss = m_step(chosen_batch, model, optimizer, lr)
-            log.append({"epoch": epoch, "step": step,
-                        "expert_histogram": histogram, "mean_loss": mean_loss})
+            log.append({"epoch": epoch, "step": step, "expert_histogram": histogram,
+                        **m_step(chosen_batch, model, optimizer, lr)})
             step += 1
     return model, log

@@ -8,7 +8,8 @@ File formats:
   checkpoint versioned JSON parameter map (tensor_core format)
   generations JSONL, one {"id", "strategy", "expert", "output", "concepts"} per output
   metrics   JSON MetricReport
-  training log JSONL, one {"epoch", "step", "expert_histogram", "mean_loss"} per step
+  training log JSONL, one {"epoch", "step", "expert_histogram", "mean_loss",
+            "gen_loss", "concept_loss"} per step
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ def _jsonl_objects(path, fields):
 def load_dataset(path) -> list[Example]:
     examples, first_line = [], {}
     for lineno, obj in _jsonl_objects(path, {"id": "id", "input": str, "references": list}):
+        if not obj["input"].split():
+            # an empty memory would fail deep inside attention in embed mode
+            raise ValueError(f"{path}: line {lineno}: 'input' has no tokens")
         if not obj["references"]:
             raise ValueError(f"{path}: line {lineno}: example {obj['id']!r} has no references")
         first = first_line.setdefault(obj["id"], lineno)

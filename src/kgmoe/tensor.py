@@ -49,7 +49,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor of any shape."""
+        return self.data.item()
 
     def backward(self):
         """Reverse-mode sweep from a scalar tensor.
@@ -109,8 +110,12 @@ def _accum(t: Tensor, g: np.ndarray):
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum gradient over axes that were broadcast in the forward pass."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        # a size-1 axis is dropped as a view: summing it would only turn -0.0
+        # into +0.0, which every +0.0-initialised gradient buffer does anyway
+        g = g[0] if g.shape[0] == 1 else g.sum(axis=0)
     for ax, dim in enumerate(shape):
         if dim == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
@@ -190,8 +195,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul dimension mismatch: {a.data.shape} x {b.data.shape}")
 
     def backward(g):
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
+        _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
+        _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
     return _make(np.matmul(a.data, b.data), (a, b), backward)
 
 
@@ -211,6 +216,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             _accum(t, piece)
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
+
+
+def broadcast_to(a: Tensor, shape) -> Tensor:
+    """a repeated over new or size-1 leading axes; gradient sums back."""
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+    out = np.empty(shape)
+    out[...] = a.data                # an exact copy, cheaper than np.broadcast_to's wrapper
+    return _make(out, (a,), backward)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -251,37 +265,48 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tensor:
-    """Multi-head scaled dot-product attention of q [tq, d] over k, v [tk, d].
+    """Multi-head scaled dot-product attention of q [..., tq, d] over k, v [..., tk, d].
 
+    Leading axes broadcast: a q [tq, d] against k, v [K, tk, d] gives [K, tq, d].
     Splits n_heads heads, adds the optional additive mask [tq, tk] to the
-    scaled scores, takes the row softmax and merges the heads into [tq, d].
-    Each ndarray expression and view is the one a chain of reshape, transpose,
+    scaled scores, takes the row softmax and merges the heads into [..., tq, d].
+    Each view and float operation is the one a chain of reshape, transpose,
     matmul, scale and softmax ops would run, so BLAS sees the same layouts and
-    the results match that chain bit for bit.
+    the results match that chain bit for bit; the stacked products run one
+    gemm per slice, so a batched call matches per-slice calls bit for bit.
     """
-    (tq, d), tk = q.data.shape, k.data.shape[0]
-    dh = d // n_heads
-    s = 1.0 / math.sqrt(dh)
-    qh = q.data.reshape(tq, n_heads, dh).transpose(1, 0, 2)
-    kh = k.data.reshape(tk, n_heads, dh).transpose(1, 0, 2)
-    vh = v.data.reshape(tk, n_heads, dh).transpose(1, 0, 2)
-    scores = np.matmul(qh, kh.transpose(0, 2, 1)) * s
+    qshape, kshape = q.data.shape, k.data.shape
+    tq, d = qshape[-2:]
+    heads = (n_heads, d // n_heads)
+    s = 1.0 / math.sqrt(heads[1])
+    # [..., t, d] -> [..., h, t, dh]; k and v share a shape
+    qh = q.data.reshape(qshape[:-1] + heads).swapaxes(-3, -2)
+    kh = k.data.reshape(kshape[:-1] + heads).swapaxes(-3, -2)
+    vh = v.data.reshape(kshape[:-1] + heads).swapaxes(-3, -2)
+    # the scores become the softmax weights in place, sparing the temporaries
+    y = np.matmul(qh, kh.swapaxes(-1, -2))
+    y *= s
     if mask is not None:
-        scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
+        y += mask
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = np.matmul(y, vh)
 
     def backward(g):
-        go = g.reshape(tq, n_heads, dh).transpose(1, 0, 2)
-        gy = np.matmul(go, np.swapaxes(vh, -1, -2))
-        gv = np.matmul(np.swapaxes(y, -1, -2), go)
+        go = g.reshape(g.shape[:-1] + heads).swapaxes(-3, -2)
+        gy = np.matmul(go, vh.swapaxes(-1, -2))
+        gv = np.matmul(y.swapaxes(-1, -2), go)
         gs = (gy - (gy * y).sum(axis=-1, keepdims=True)) * y * s
         gq = np.matmul(gs, kh)
-        gkt = np.matmul(np.swapaxes(qh, -1, -2), gs)
-        _accum(q, gq.transpose(1, 0, 2).reshape(tq, d))
-        _accum(k, gkt.transpose(2, 0, 1).reshape(tk, d))
-        _accum(v, gv.transpose(1, 0, 2).reshape(tk, d))
-    return _make(np.matmul(y, vh).transpose(1, 0, 2).reshape(tq, d), (q, k, v), backward)
+        gkt = np.matmul(qh.swapaxes(-1, -2), gs)
+        lead = tuple(range(gkt.ndim - 3))
+        _accum(q, _unbroadcast(gq.swapaxes(-3, -2).reshape(gq.shape[:-3] + (tq, d)), qshape))
+        _accum(k, _unbroadcast(gkt.transpose(lead + (-1, -3, -2))
+                               .reshape(gkt.shape[:-3] + (kshape[-2], d)), kshape))
+        _accum(v, _unbroadcast(gv.swapaxes(-3, -2).reshape(gv.shape[:-3] + (kshape[-2], d)),
+                               kshape))
+    return _make(out.swapaxes(-3, -2).reshape(out.shape[:-3] + (tq, d)), (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -306,24 +331,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of integer targets under row softmax.
 
-    Uses a log-sum-exp stable formulation; gradient is softmax minus one-hot.
+    logits [..., n, V] and targets [n] give one mean per leading index, a
+    tensor of shape [...] (a scalar for 2-D logits).  Uses a log-sum-exp
+    stable formulation; gradient is softmax minus one-hot.
     """
     t = np.asarray(targets, dtype=np.int64)
-    n, v = logits.data.shape
+    x = logits.data
+    n, v = x.shape[-2:]
     if t.shape != (n,):
         raise ValueError(f"targets shape {t.shape} does not match logits rows {n}")
     if t.size and (t.min() < 0 or t.max() >= v):
         raise IndexError(f"target id out of range for vocabulary of size {v}")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.data.max(axis=-1)
-    nll = lse - logits.data[np.arange(n), t]
+    rows = np.arange(n)
+    shifted = x - x.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1)) + x.max(axis=-1)
+    nll = lse - x[..., rows, t]
 
     def backward(g):
         p = np.exp(shifted)
         p /= p.sum(axis=-1, keepdims=True)
-        p[np.arange(n), t] -= 1.0
-        _accum(logits, float(g) * p / n)
-    return _make(nll.mean(), (logits,), backward)
+        p[..., rows, t] -= 1.0
+        _accum(logits, g[..., None, None] * p / n)
+    return _make(nll.mean(axis=-1), (logits,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -197,13 +197,13 @@ def test_criterion_6_concept_permutation_invariance():
     ctx = contexts[0]
     concepts = generator_input(ctx, model, ctx.node_ids[:4], 0).concept_token_ids
     y = ctx.y_ids[0]
-    base = generation_loss(GeneratorInput(ctx.x_ids, concepts, 0), y, model.params,
+    base = generation_loss([GeneratorInput(ctx.x_ids, concepts, 0)], y, model.params,
                            model.vocab, cfg, model.positions).item()
     rng = np.random.default_rng(61)
     worst = 0.0
     for _ in range(50):
         perm = rng.permutation(len(concepts)).tolist()
-        got = generation_loss(GeneratorInput(ctx.x_ids, [concepts[i] for i in perm], 0),
+        got = generation_loss([GeneratorInput(ctx.x_ids, [concepts[i] for i in perm], 0)],
                               y, model.params, model.vocab, cfg,
                               model.positions).item()
         worst = max(worst, abs(got - base))
@@ -272,7 +272,7 @@ def test_criterion_8_hard_em_contract(specialization_runs):
             batch = [(plain_ctxs[units[i][0]], units[i][1], 0)
                      for i in order[start : start + cfg.batch_size]]
             plain_losses.append(m_step(batch, plain, opt,
-                                       lr=learning_rate_at(step, total, cfg)))
+                                       lr=learning_rate_at(step, total, cfg))["mean_loss"])
             step += 1
     ok &= [e["mean_loss"] for e in k1_small_log] == plain_losses
     report(8, "hard-EM contract", ok)

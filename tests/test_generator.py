@@ -30,6 +30,11 @@ def small_setup(n_experts=2, seed=0, d_model=8, n_heads=2, layers=1, texts=None,
     return vocab, cfg, params, positions
 
 
+def single_memory(inp, params, vocab, cfg, pos):
+    """The encoder memory [s, d] of one request, as decoding holds it."""
+    return T.constant(encode_inputs([inp], params, vocab, cfg, pos).data[0])
+
+
 # --- vocabulary -------------------------------------------------------------
 
 def test_vocab_layout_specials_then_experts():
@@ -97,24 +102,24 @@ def test_prompt_memory_length_is_prefix_plus_inputs_plus_concepts():
     x = vocab.encode("the cat sat")
     concepts = [[vocab.ids["dog"]], [vocab.ids["mat"], vocab.ids["cat"]]]
     inp = GeneratorInput(x, concepts, expert=1)
-    memory = encode_inputs(inp, params, vocab, cfg, pos)
-    assert memory.shape == (1 + len(x) + len(concepts), cfg.d_model)
+    memory = encode_inputs([inp], params, vocab, cfg, pos)
+    assert memory.shape == (1, 1 + len(x) + len(concepts), cfg.d_model)
 
 
 def test_embed_memory_length_has_no_prefix():
     vocab, cfg, params, pos = small_setup(expert_mode="embed")
     x = vocab.encode("a dog ran")
     inp = GeneratorInput(x, [[vocab.ids["cat"]]], expert=0)
-    memory = encode_inputs(inp, params, vocab, cfg, pos)
-    assert memory.shape == (len(x) + 1, cfg.d_model)
+    memory = encode_inputs([inp], params, vocab, cfg, pos)
+    assert memory.shape == (1, len(x) + 1, cfg.d_model)
 
 
 def test_zero_concepts_reduces_to_plain_seq2seq_memory():
     vocab, cfg, params, pos = small_setup()
     x = vocab.encode("the mat")
     inp = GeneratorInput(x, [], expert=0)
-    memory = encode_inputs(inp, params, vocab, cfg, pos)
-    assert memory.shape == (1 + len(x), cfg.d_model)
+    memory = encode_inputs([inp], params, vocab, cfg, pos)
+    assert memory.shape == (1, 1 + len(x), cfg.d_model)
 
 
 def test_concept_permutation_invariance_of_loss():
@@ -122,10 +127,10 @@ def test_concept_permutation_invariance_of_loss():
     x = vocab.encode("the cat")
     y = vocab.encode("a dog ran fast") + [EOS]
     concepts = [[vocab.ids["dog"]], [vocab.ids["mat"]], [vocab.ids["sat"], vocab.ids["on"]]]
-    base = generation_loss(GeneratorInput(x, concepts, 0), y, params, vocab, cfg, pos).item()
+    base = generation_loss([GeneratorInput(x, concepts, 0)], y, params, vocab, cfg, pos).item()
     for perm in ([1, 0, 2], [2, 1, 0], [2, 0, 1]):
         permuted = [concepts[i] for i in perm]
-        got = generation_loss(GeneratorInput(x, permuted, 0), y, params, vocab, cfg, pos).item()
+        got = generation_loss([GeneratorInput(x, permuted, 0)], y, params, vocab, cfg, pos).item()
         assert got == pytest.approx(base, abs=1e-9)
 
 
@@ -135,7 +140,7 @@ def test_expert_conditioning_changes_distribution_both_modes():
 
     def first_dist(expert, mode):
         mode_cfg = dataclasses.replace(cfg, expert_mode=mode)
-        memory = encode_inputs(GeneratorInput(x, [], expert), params, vocab, mode_cfg, pos)
+        memory = single_memory(GeneratorInput(x, [], expert), params, vocab, mode_cfg, pos)
         return memory_next_dist(memory, [], params, mode_cfg, pos)
     for mode in ("prompt", "embed"):
         assert np.abs(first_dist(0, mode) - first_dist(1, mode)).max() > 1e-9
@@ -150,15 +155,15 @@ def test_multiword_concept_uses_mean_of_token_rows():
     mean_row = (params["gen.tok_embed"].data[a] + params["gen.tok_embed"].data[b]) / 2
     params["gen.tok_embed"].data[UNK] = mean_row
     single = GeneratorInput(x, [[UNK]], 0)
-    m_pair = encode_inputs(pair, params, vocab, cfg, pos)
-    m_single = encode_inputs(single, params, vocab, cfg, pos)
+    m_pair = encode_inputs([pair], params, vocab, cfg, pos)
+    m_single = encode_inputs([single], params, vocab, cfg, pos)
     assert np.allclose(m_pair.data, m_single.data, atol=1e-12)
 
 
 def test_input_too_long_raises():
     vocab, cfg, params, pos = small_setup()
     with pytest.raises(ValueError, match="max_len"):
-        encode_inputs(GeneratorInput([UNK] * (cfg.max_len + 1), [], 0),
+        encode_inputs([GeneratorInput([UNK] * (cfg.max_len + 1), [], 0)],
                       params, vocab, cfg, pos)
 
 
@@ -172,13 +177,51 @@ def test_unknown_mode_raises():
 def test_expert_out_of_range_raises(expert_mode, expert):
     vocab, cfg, params, pos = small_setup(expert_mode=expert_mode)
     with pytest.raises(ValueError, match=f"invalid expert id {expert} for 2 experts"):
-        encode_inputs(GeneratorInput([UNK], [], expert), params, vocab, cfg, pos)
+        encode_inputs([GeneratorInput([UNK], [], expert)], params, vocab, cfg, pos)
 
 
 def test_empty_concept_token_list_raises():
     vocab, cfg, params, pos = small_setup()
     with pytest.raises(ValueError):
-        encode_inputs(GeneratorInput([UNK], [[]], 0), params, vocab, cfg, pos)
+        encode_inputs([GeneratorInput([UNK], [[]], 0)], params, vocab, cfg, pos)
+
+
+@pytest.mark.parametrize("expert_mode", ["prompt", "embed"])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("n_concepts", [0, 3])
+def test_batched_generation_loss_equals_single_calls_bit_for_bit(expert_mode, layers,
+                                                                 n_concepts):
+    vocab, cfg, params, pos = small_setup(n_experts=3, expert_mode=expert_mode, layers=layers)
+    x = vocab.encode("the cat sat")
+    y = vocab.encode("a dog ran fast") + [EOS]
+    words = ["dog", "mat", "cat", "ran", "on", "fast", "the", "sat", "a"]
+    inps = []
+    for z in range(3):
+        # multi-token surfaces of different lengths per expert
+        surfaces = [[vocab.ids[w] for w in words[z + i : z + i + 1 + (i + z) % 3]]
+                    for i in range(n_concepts)]
+        inps.append(GeneratorInput(x, surfaces, z))
+    with T.no_grad():
+        batched = generation_loss(inps, y, params, vocab, cfg, pos)
+        memory = encode_inputs(inps, params, vocab, cfg, pos)
+        assert batched.shape == (3,)
+        assert memory.shape == (3, len(x) + n_concepts + (expert_mode == "prompt"), cfg.d_model)
+        for z, inp in enumerate(inps):
+            single = generation_loss([inp], y, params, vocab, cfg, pos)
+            assert batched.data[z] == single.item()
+            assert np.array_equal(memory.data[z], encode_inputs([inp], params, vocab, cfg,
+                                                                pos).data[0])
+
+
+def test_batched_requests_must_share_input_and_concept_count():
+    vocab, cfg, params, pos = small_setup()
+    x = vocab.encode("the cat")
+    with pytest.raises(ValueError, match="share x_ids and the concept count"):
+        encode_inputs([GeneratorInput(x, [], 0), GeneratorInput(x, [[UNK]], 1)],
+                      params, vocab, cfg, pos)
+    with pytest.raises(ValueError, match="share x_ids and the concept count"):
+        encode_inputs([GeneratorInput(x, [], 0), GeneratorInput(x[:1], [], 1)],
+                      params, vocab, cfg, pos)
 
 
 # --- decoder ----------------------------------------------------------------
@@ -186,7 +229,7 @@ def test_empty_concept_token_list_raises():
 def test_causal_mask_blocks_future_tokens():
     vocab, cfg, params, pos = small_setup(layers=2)
     x = vocab.encode("the cat")
-    memory = encode_inputs(GeneratorInput(x, [], 0), params, vocab, cfg, pos)
+    memory = single_memory(GeneratorInput(x, [], 0), params, vocab, cfg, pos)
     with T.no_grad():
         short = decoder_logits(memory, [BOS, 5, 6], params, cfg, pos).data
         long = decoder_logits(memory, [BOS, 5, 6, 7, 8], params, cfg, pos).data
@@ -199,8 +242,8 @@ def test_loss_matches_stepwise_next_token_dists():
     x = vocab.encode("a dog")
     y = vocab.encode("the cat sat") + [EOS]
     inp = GeneratorInput(x, [[vocab.ids["mat"]]], 1)
-    loss = generation_loss(inp, y, params, vocab, cfg, pos).item()
-    memory = encode_inputs(inp, params, vocab, cfg, pos)
+    loss = generation_loss([inp], y, params, vocab, cfg, pos).item()
+    memory = single_memory(inp, params, vocab, cfg, pos)
     nll = 0.0
     prefix = []
     for tok in y:
@@ -214,14 +257,14 @@ def test_loss_requires_eos_and_nonempty_target():
     vocab, cfg, params, pos = small_setup()
     inp = GeneratorInput(vocab.encode("the cat"), [], 0)
     with pytest.raises(ValueError):
-        generation_loss(inp, [], params, vocab, cfg, pos)
+        generation_loss([inp], [], params, vocab, cfg, pos)
     with pytest.raises(ValueError):
-        generation_loss(inp, vocab.encode("a dog"), params, vocab, cfg, pos)
+        generation_loss([inp], vocab.encode("a dog"), params, vocab, cfg, pos)
 
 
 def test_next_token_dist_is_normalized():
     vocab, cfg, params, pos = small_setup()
-    memory = encode_inputs(GeneratorInput(vocab.encode("the"), [], 0), params, vocab, cfg, pos)
+    memory = single_memory(GeneratorInput(vocab.encode("the"), [], 0), params, vocab, cfg, pos)
     d = memory_next_dist(memory, [5], params, cfg, pos)
     assert d.shape == (len(vocab),)
     assert d.sum() == pytest.approx(1.0, abs=1e-12)
@@ -237,7 +280,7 @@ def test_generation_loss_gradients_match_finite_differences():
     inp = GeneratorInput(x, [[vocab.ids["mat"]]], 1)
 
     def forward():
-        return generation_loss(inp, y, params, vocab, cfg, pos)
+        return generation_loss([inp], y, params, vocab, cfg, pos)
 
     loss = forward()
     loss.backward()
@@ -254,7 +297,7 @@ def test_overfits_single_pair():
     loss_val = None
     for _ in range(300):
         opt.zero_grad()
-        loss = generation_loss(inp, y, params, vocab, cfg, pos)
+        loss = generation_loss([inp], y, params, vocab, cfg, pos)
         loss_val = loss.item()
         if loss_val < 0.01:
             break
@@ -263,7 +306,7 @@ def test_overfits_single_pair():
     assert loss_val < 0.01
 
     # greedy decoding reproduces the memorized target
-    memory = encode_inputs(inp, params, vocab, cfg, pos)
+    memory = single_memory(inp, params, vocab, cfg, pos)
     out, prefix = [], []
     for _ in range(cfg.max_len - 1):
         tok = int(memory_next_dist(memory, prefix, params, cfg, pos).argmax())

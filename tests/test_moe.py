@@ -132,6 +132,16 @@ def test_e_step_invariant_under_loss_scaling():
     assert min(range(3), key=lambda z: (scaled[z], z)) == pick
 
 
+def test_e_step_on_empty_subgraph_matches_joint_loss():
+    model, _ = tiny_model()
+    ctx = prepare_example(Example("z", "nothing grounds here", ["none at all"]),
+                          model.kg, model.vocab, model.cfg)
+    assert ctx.node_ids == []
+    resp = e_step(ctx, 0, model)
+    with T.no_grad():
+        assert resp.losses == [joint_loss(ctx, 0, z, model)[0].item() for z in range(2)]
+
+
 # --- M-step ------------------------------------------------------------------
 
 def test_m_step_zero_lr_is_noop():
@@ -147,10 +157,10 @@ def test_m_step_reduces_loss_over_steps():
     model, contexts = tiny_model()
     opt = T.Adam(model.params, lr=3e-3)
     batch = [(contexts[0], 0, 0), (contexts[1], 0, 1)]
-    first = m_step(batch, model, opt, lr=3e-3)
+    first = m_step(batch, model, opt, lr=3e-3)["mean_loss"]
     last = first
     for _ in range(10):
-        last = m_step(batch, model, opt, lr=3e-3)
+        last = m_step(batch, model, opt, lr=3e-3)["mean_loss"]
     assert last < first
 
 
@@ -181,8 +191,31 @@ def test_m_step_mean_matches_hand_average():
         a, _, _ = joint_loss(contexts[0], 0, 0, model)
         b, _, _ = joint_loss(contexts[1], 0, 1, model)
     opt = T.Adam(model.params, lr=0.0)
-    value = m_step([(contexts[0], 0, 0), (contexts[1], 0, 1)], model, opt, lr=0.0)
+    value = m_step([(contexts[0], 0, 0), (contexts[1], 0, 1)], model, opt, lr=0.0)["mean_loss"]
     assert value == pytest.approx((a.item() + b.item()) / 2, abs=1e-12)
+
+
+def test_m_step_logs_batch_means_of_generation_and_concept_losses():
+    model, contexts = tiny_model()
+    batch = [(contexts[0], 0, 0), (contexts[0], 1, 1), (contexts[1], 0, 1)]
+    with T.no_grad():
+        parts = [joint_loss(ctx, ri, z, model) for ctx, ri, z in batch]
+    entry = m_step(batch, model, T.Adam(model.params, lr=0.0), lr=0.0)
+    assert entry["gen_loss"] == sum(p[1].item() for p in parts) / 3
+    assert entry["concept_loss"] == sum(p[2].item() for p in parts) / 3
+    assert entry["mean_loss"] == pytest.approx(
+        entry["gen_loss"] + model.cfg.concept_weight * entry["concept_loss"], abs=1e-12)
+
+
+def test_train_log_entries_carry_the_loss_split():
+    cfg = tiny_config(epochs=1)
+    _, log = train(tiny_dataset(), tiny_kg(), cfg)
+    for entry in log:
+        assert list(entry) == ["epoch", "step", "expert_histogram", "mean_loss", "gen_loss",
+                               "concept_loss"]
+        assert entry["gen_loss"] > 0 and entry["concept_loss"] > 0
+        assert entry["mean_loss"] == pytest.approx(
+            entry["gen_loss"] + cfg.concept_weight * entry["concept_loss"], abs=1e-12)
 
 
 # --- schedule and ordering ---------------------------------------------------

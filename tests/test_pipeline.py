@@ -58,6 +58,16 @@ def test_load_dataset_empty_references(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("text", ["", "   ", "\t\n"], ids=["empty", "spaces", "whitespace"])
+def test_load_dataset_rejects_input_without_tokens(tmp_path, text):
+    p = tmp_path / "d.jsonl"
+    rows = [{"id": "a", "input": "x", "references": ["y"]},
+            {"id": "b", "input": text, "references": ["y"]}]
+    p.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=r"d\.jsonl: line 2: 'input' has no tokens"):
+        load_dataset(p)
+
+
 @pytest.mark.parametrize("edit, key", [
     ({"references": "a sentence here"}, "'references' must be a list of strings"),
     ({"references": [1, None]}, "'references' must be a list of strings"),

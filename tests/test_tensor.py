@@ -187,6 +187,75 @@ def test_attention_gradients_match_finite_differences(n_heads):
                         n_checks=15, rel_tol=1e-6, names=[name])
 
 
+@pytest.mark.parametrize("k_batch", [1, 2, 3])
+@pytest.mark.parametrize("broadcast_q", [False, True], ids=["batched-q", "shared-q"])
+@pytest.mark.parametrize("masked", [False, True], ids=["no-mask", "mask"])
+def test_batched_attention_equals_per_slice_calls_bit_for_bit(k_batch, broadcast_q, masked):
+    rng = np.random.default_rng(40 + k_batch)
+    tq, tk, d, n_heads = 5, 7, 8, 2
+    q = rng.normal(size=(tq, d) if broadcast_q else (k_batch, tq, d))
+    k, v = rng.normal(size=(2, k_batch, tk, d))
+    mask = rng.choice([0.0, -1e9], size=(tq, tk)) if masked else None
+    if masked:
+        mask[:, 0] = 0.0
+    out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), n_heads, mask)
+    assert out.shape == (k_batch, tq, d)
+    for z in range(k_batch):
+        qz = q if broadcast_q else q[z]
+        single = T.attention(T.Tensor(qz), T.Tensor(k[z]), T.Tensor(v[z]), n_heads, mask)
+        assert np.array_equal(out.data[z], single.data)
+
+
+@pytest.mark.parametrize("broadcast_q", [False, True], ids=["batched-q", "shared-q"])
+def test_batched_attention_gradients_match_finite_differences(broadcast_q):
+    rng = np.random.default_rng(50)
+    k_batch, tq, tk, d = 3, 4, 6, 8
+    params = {"q": T.Tensor(rng.normal(size=(tq, d) if broadcast_q else (k_batch, tq, d)),
+                            requires_grad=True),
+              "k": T.Tensor(rng.normal(size=(k_batch, tk, d)), requires_grad=True),
+              "v": T.Tensor(rng.normal(size=(k_batch, tk, d)), requires_grad=True)}
+    mask = np.zeros((tq, tk))
+    mask[:2, 4:] = -1e9
+    target = rng.normal(size=(k_batch, tq, d))
+
+    def forward():
+        out = T.attention(params["q"], params["k"], params["v"], 2, mask)
+        diff = T.sub(out, T.constant(target))
+        return T.mean_all(T.mul(diff, diff))
+
+    forward().backward()
+    assert params["q"].grad.shape == params["q"].shape
+    for name in params:
+        check_gradients(lambda: forward().item(), params, np.random.default_rng(60),
+                        n_checks=15, rel_tol=1e-6, names=[name])
+
+
+def test_batched_cross_entropy_is_one_mean_per_leading_index():
+    rng = np.random.default_rng(70)
+    logits = rng.normal(size=(3, 4, 6))
+    targets = [1, 0, 5, 2]
+    batched = T.softmax_cross_entropy(T.Tensor(logits), targets)
+    assert batched.shape == (3,)
+    for z in range(3):
+        assert batched.data[z] == T.softmax_cross_entropy(T.Tensor(logits[z]), targets).item()
+    params = {"logits": T.Tensor(logits, requires_grad=True)}
+    weights = T.constant([0.5, -1.0, 2.0])
+
+    def forward():
+        return T.mean_all(T.mul(T.softmax_cross_entropy(params["logits"], targets), weights))
+
+    forward().backward()
+    check_gradients(lambda: forward().item(), params, np.random.default_rng(71), n_checks=15)
+
+
+def test_broadcast_to_sums_gradient_back():
+    a = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    out = T.broadcast_to(a, (4, 2, 3))
+    assert np.array_equal(out.data, np.broadcast_to(a.data, (4, 2, 3)))
+    T.mean_all(T.mul(out, T.constant(np.arange(24.0).reshape(4, 2, 3)))).backward()
+    assert np.allclose(a.grad, np.arange(24.0).reshape(4, 2, 3).sum(axis=0) / 24, atol=1e-15)
+
+
 def test_attention_causal_mask_hides_future_positions():
     rng = np.random.default_rng(8)
     t, d = 5, 8
