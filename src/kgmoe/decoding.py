@@ -1,10 +1,12 @@
 """Inference-time decoders: per-expert greedy enumeration plus beam search,
 truncated (top-k) sampling and nucleus (top-p) sampling baselines.
 
-All four run one token loop, `_search`, and differ only in its width and in
-the rule that expands a next-token distribution into continuations.  Every
-decoder stops at EOS or at the maximum decode length, and breaks argmax ties
-by the lowest token id (numpy argmax already does).
+All four run one token loop, `_search`, and differ only in the encoder
+memories they hand it, its width and the rules that expand a next-token
+distribution into continuations.  `_search` advances several searches in
+lockstep, so every live hypothesis of a bundle goes through one decoder call
+per step.  Every decoder stops at EOS or at the maximum decode length, and
+breaks argmax ties by the lowest token id (numpy argmax already does).
 """
 
 from __future__ import annotations
@@ -37,49 +39,80 @@ class GenerationBundle:
     entries: list[GenerationEntry]
 
 
-def _expert_memory(ctx: ExampleContext, model: Model, expert: int,
-                   forbidden: set[int] | None):
-    """The expert's selected concept ids and the encoder memory [s, d] they give."""
-    concepts = select_concepts(ctx, model, expert, forbidden)
-    with T.no_grad():
-        memory = generator.encode_inputs([generator_input(ctx, model, concepts, expert)],
-                                         model.params, model.vocab, model.cfg,
-                                         model.positions)
-    return concepts, T.constant(memory.data[0])
+def _memories(ctx: ExampleContext, model: Model,
+              selections: list[tuple[int, list[int]]]) -> list[T.Tensor]:
+    """The encoder memory [s, d] of each (expert, concept ids) selection, from
+    one `encode_inputs` call per distinct concept count."""
+    by_count: dict[int, list[int]] = {}
+    for i, (_, concepts) in enumerate(selections):
+        by_count.setdefault(len(concepts), []).append(i)
+    memories: list[T.Tensor] = [None] * len(selections)
+    for rows in by_count.values():
+        inps = [generator_input(ctx, model, selections[i][1], selections[i][0]) for i in rows]
+        with T.no_grad():
+            stack = generator.encode_inputs(inps, model.params, model.vocab, model.cfg,
+                                            model.positions).data
+        for row, i in enumerate(rows):
+            memories[i] = T.constant(stack[row])
+    return memories
 
 
-def _search(memory, model: Model, width: int, expand,
-            length_normalize: bool = False) -> list[list[int]]:
-    """Token ids of the best `width` hypotheses, best first.
+def _search(searches, model: Model, width: int,
+            length_normalize: bool = False) -> list[list[list[int]]]:
+    """For each (memory [s, d], expand) search, the token ids of its best
+    `width` hypotheses, best first.
 
-    Each step asks for the next-token distribution of every live hypothesis
-    and extends it by the (token, log-probability) pairs of `expand(dist)`;
-    a rule with one continuation may score it 0.  Candidates are ranked by
-    score (summed log-probability, per token if `length_normalize`), then by
-    token ids; one that ends in EOS is finished.
-    The search stops once `width` hypotheses are finished, none is live, or
-    the maximum decode length is reached.
+    The searches advance in lockstep: each step asks for the next-token
+    distributions of every live hypothesis of every search in one
+    `memory_next_dist` call per distinct memory length, and extends each
+    hypothesis by the (token, log-probability) pairs of its search's
+    `expand(dist)`; a rule with one continuation may score it 0.  Candidates
+    are ranked by score (summed log-probability, per token if
+    `length_normalize`), then by token ids; one that ends in EOS is finished.
+    A search stops once `width` of its hypotheses are finished or none is
+    live; all stop at the maximum decode length.  At step i every live
+    hypothesis holds i tokens, so no prefix needs padding.
     """
     def rank(hyp):
         ids, logp = hyp
         return -(logp / len(ids) if length_normalize else logp), ids
 
-    live: list[tuple[list[int], float]] = [([], 0.0)]
-    finished: list[tuple[list[int], float]] = []
+    by_length: dict[int, list[int]] = {}
+    for j, (memory, _) in enumerate(searches):
+        by_length.setdefault(memory.shape[0], []).append(j)
+    # a lone search's hypotheses share its memory; several searches' are stacked once
+    groups = [(js, None if len(js) == 1 else np.stack([searches[j][0].data for j in js]))
+              for js in by_length.values()]
+    live = [[([], 0.0)] for _ in searches]
+    finished: list[list[tuple[list[int], float]]] = [[] for _ in searches]
+    active = list(range(len(searches)))
     for _ in range(min(MAX_DECODE_LEN, model.cfg.max_len - 1)):
-        candidates = []
-        for ids, logp in live:
-            dist = memory_next_dist(memory, ids, model.params, model.cfg, model.positions)
-            candidates += [(ids + [tok], logp + step) for tok, step in expand(dist)]
-        candidates.sort(key=rank)
-        live = []
-        for hyp in candidates:
-            (finished if hyp[0][-1] == EOS else live).append(hyp)
-            if len(live) >= width:
-                break
-        if len(finished) >= width or not live:
+        dists = {}
+        for js, stack in groups:
+            stepping = [(row, j) for row, j in enumerate(js) if j in active]
+            if not stepping:
+                continue
+            memory = (searches[js[0]][0] if stack is None else
+                      T.constant(stack[[row for row, j in stepping for _ in live[j]]]))
+            rows = iter(memory_next_dist(memory, [ids for _, j in stepping for ids, _ in live[j]],
+                                         model.params, model.cfg, model.positions))
+            for _, j in stepping:
+                dists[j] = [next(rows) for _ in live[j]]
+        for j in active:
+            candidates = [(ids + [tok], logp + step)
+                          for (ids, logp), dist in zip(live[j], dists[j])
+                          for tok, step in searches[j][1](dist)]
+            candidates.sort(key=rank)
+            live[j] = []
+            for hyp in candidates:
+                (finished[j] if hyp[0][-1] == EOS else live[j]).append(hyp)
+                if len(live[j]) >= width:
+                    break
+        active = [j for j in active if len(finished[j]) < width and live[j]]
+        if not active:
             break
-    return [ids for ids, _ in sorted(finished + live, key=rank)[:width]]
+    return [[ids for ids, _ in sorted(f + l, key=rank)[:width]]
+            for f, l in zip(finished, live)]
 
 
 def _argmax(dist: np.ndarray) -> list[tuple[int, float]]:
@@ -89,19 +122,22 @@ def _argmax(dist: np.ndarray) -> list[tuple[int, float]]:
 def decode_moe(ctx: ExampleContext, model: Model) -> GenerationBundle:
     """Enumerate experts; each selects its own concepts and decodes greedily.
 
-    With the disjoint rule on, experts are processed in id order and may not
-    reuse concepts selected by earlier experts.
+    With the disjoint rule on, experts select in id order and may not reuse
+    concepts selected by earlier experts.
     """
-    entries = []
+    selections = []
     forbidden: set[int] = set()
     for z in range(model.cfg.n_experts):
-        concepts, memory = _expert_memory(ctx, model, z,
-                                          forbidden if model.cfg.disjoint_rule else None)
+        concepts = select_concepts(ctx, model, z,
+                                   forbidden if model.cfg.disjoint_rule else None)
         if model.cfg.disjoint_rule:
             forbidden.update(concepts)
-        [ids] = _search(memory, model, 1, _argmax)
-        entries.append(GenerationEntry(z, model.vocab.decode(ids),
-                                       [model.kg.concepts[c] for c in concepts]))
+        selections.append((z, concepts))
+    memories = _memories(ctx, model, selections)
+    outputs = _search([(memory, _argmax) for memory in memories], model, 1)
+    entries = [GenerationEntry(z, model.vocab.decode(ids),
+                               [model.kg.concepts[c] for c in concepts])
+               for (z, concepts), [ids] in zip(selections, outputs)]
     return GenerationBundle(ctx.example_id, "moe", entries)
 
 
@@ -111,15 +147,17 @@ def decode_beam(ctx: ExampleContext, model: Model, beam: int,
     hypotheses (used as the no-MoE ablation decoder)."""
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    concepts, memory = _expert_memory(ctx, model, 0, None)
+    concepts = select_concepts(ctx, model, 0)
+    [memory] = _memories(ctx, model, [(0, concepts)])
 
     def top(dist: np.ndarray) -> list[tuple[int, float]]:
         logs = np.log(np.maximum(dist, 1e-300))
         return [(int(tok), float(logs[tok])) for tok in np.argsort(-logs, kind="stable")[:beam]]
 
     surfaces = [model.kg.concepts[c] for c in concepts]
+    [hyps] = _search([(memory, top)], model, beam, length_normalize)
     entries = [GenerationEntry(i, model.vocab.decode(ids), surfaces)
-               for i, ids in enumerate(_search(memory, model, beam, top, length_normalize))]
+               for i, ids in enumerate(hyps)]
     return GenerationBundle(ctx.example_id, "beam", entries)
 
 
@@ -154,12 +192,13 @@ def _decode_samples(ctx: ExampleContext, model: Model, strategy: str, pick,
                     seed: int, n_samples: int) -> GenerationBundle:
     """n independent draws on expert 0, each from its own seeded generator."""
     concepts = [model.kg.concepts[c] for c in select_concepts(ctx, model, 0)]
-    entries = []
+    searches = []
     for i in range(n_samples):
         rng = np.random.default_rng(sub_seed(seed, f"{strategy}:{ctx.example_id}:{i}"))
-        _, memory = _expert_memory(ctx, model, 0, None)
-        [ids] = _search(memory, model, 1, lambda dist: [(pick(dist, rng), 0.0)])
-        entries.append(GenerationEntry(i, model.vocab.decode(ids), concepts))
+        [memory] = _memories(ctx, model, [(0, select_concepts(ctx, model, 0))])
+        searches.append((memory, lambda dist, rng=rng: [(pick(dist, rng), 0.0)]))
+    entries = [GenerationEntry(i, model.vocab.decode(ids), concepts)
+               for i, [ids] in enumerate(_search(searches, model, 1))]
     return GenerationBundle(ctx.example_id, strategy, entries)
 
 

@@ -9,7 +9,8 @@ expert mode are read from the model's `TrainConfig`, passed as `cfg`.
 
 `encode_inputs` stacks K requests that share an input on a leading batch axis
 that `decoder_logits` and `generation_loss` carry through; slice z equals a
-one-request call bit for bit.
+one-request call bit for bit.  `memory_next_dist` likewise runs H decoder
+prefixes of one length in one `decoder_logits` call.
 """
 
 from __future__ import annotations
@@ -218,13 +219,14 @@ def _causal_mask(max_len: int) -> np.ndarray:
     return mask
 
 
-def decoder_logits(memory: T.Tensor, dec_ids: list[int], params, cfg: TrainConfig,
+def decoder_logits(memory: T.Tensor, dec_ids, params, cfg: TrainConfig,
                    positions: np.ndarray) -> T.Tensor:
-    """Logits [..., len(dec_ids), vocab] for the next token at each decoder
-    position, over a memory [..., s, d].  The stream stays [t, d] until the
-    first cross-attention, so layer 0's self-attention runs once however many
-    memories share dec_ids."""
-    t = len(dec_ids)
+    """Logits [..., t, vocab] for the next token at each position of dec_ids
+    [t] or [H, t], over a memory [..., s, d].  A 1-D dec_ids keeps the stream
+    [t, d] until the first cross-attention, so layer 0's self-attention runs
+    once however many memories share it."""
+    dec_ids = np.asarray(dec_ids, dtype=np.int64)
+    t = dec_ids.shape[-1]
     if t > cfg.max_len:
         raise ValueError(f"decoder length {t} exceeds max_len {cfg.max_len}")
     stream = T.add(T.embedding(params["gen.tok_embed"], dec_ids), T.constant(positions[:t]))
@@ -254,14 +256,22 @@ def generation_loss(inps: list[GeneratorInput], y_ids: list[int], params, vocab:
     return T.softmax_cross_entropy(logits, y_ids)
 
 
-def memory_next_dist(memory: T.Tensor, prefix_ids: list[int], params,
+def memory_next_dist(memory: T.Tensor, prefixes: list[list[int]], params,
                      cfg: TrainConfig, positions: np.ndarray) -> np.ndarray:
-    """Next-token distribution given one precomputed encoder memory [s, d]."""
-    dec_in = [BOS] + list(prefix_ids)
-    if len(dec_in) > cfg.max_len:
-        raise ValueError(f"prefix length {len(prefix_ids)} exceeds max_len {cfg.max_len}")
+    """Next-token distributions [H, vocab] of H prefixes of one length, from one
+    decoder call over an encoder memory [s, d] shared by every prefix or
+    [H, s, d], one per prefix.  Row h equals a one-prefix call bit for bit."""
+    lengths = sorted({len(p) for p in prefixes})
+    if len(lengths) != 1:
+        raise ValueError(f"prefixes must share one length, got lengths {lengths}")
+    if memory.data.ndim == 3 and memory.shape[0] != len(prefixes):
+        raise ValueError(f"stacked memory holds {memory.shape[0]} rows "
+                         f"for {len(prefixes)} prefixes")
+    if lengths[0] + 1 > cfg.max_len:
+        raise ValueError(f"prefix length {lengths[0]} exceeds max_len {cfg.max_len}")
     with T.no_grad():
-        logits = decoder_logits(memory, dec_in, params, cfg, positions).data[-1]
-    shifted = logits - logits.max()
+        logits = decoder_logits(memory, [[BOS, *p] for p in prefixes], params, cfg,
+                                positions).data[:, -1]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)

@@ -39,7 +39,11 @@ class FixedLM:
         self.step_dists = step_dists          # list of {token_id: prob}
         self.forced_eos_at = forced_eos_at
 
-    def __call__(self, memory, prefix_ids, params, cfg, positions):
+    def __call__(self, memory, prefixes, params, cfg, positions):
+        return np.stack([self.row(prefix) for prefix in prefixes])
+
+    def row(self, prefix_ids):
+        """The next-token distribution of one prefix."""
         dist = np.zeros(self.vocab_size)
         if len(prefix_ids) >= self.forced_eos_at:
             dist[EOS] = 1.0
@@ -53,7 +57,7 @@ class FixedLM:
         results = []
 
         def walk(prefix, logp):
-            dist = self(None, prefix, None, None, None)
+            dist = self.row(prefix)
             for tok in np.nonzero(dist)[0]:
                 step = logp + math.log(dist[tok])
                 seq = prefix + [int(tok)]
@@ -148,6 +152,117 @@ def test_greedy_on_hand_lm_takes_argmax_path(monkeypatch):
                forced_eos_at=2)
     out = D.decode_moe(ctx, model).entries[0].output
     assert out == model.vocab.decode([a, EOS])
+
+
+# --- lockstep search ----------------------------------------------------------
+
+class MemoryLM:
+    """Hand-built next-token model whose distribution depends on the memory row
+    (its first entry, v), the prefix length and the last token; EOS is forced
+    once the prefix holds 2v tokens, so searches finish at different steps."""
+
+    def __init__(self, vocab_size, tokens):
+        self.vocab_size = vocab_size
+        self.tokens = tokens
+        self.calls = 0
+
+    def __call__(self, memory, prefixes, params, cfg, positions):
+        assert len({len(p) for p in prefixes}) == 1
+        keys = memory.data[..., 0, 0]
+        if memory.data.ndim == 3:
+            assert len(keys) == len(prefixes)
+        self.calls += 1
+        return np.stack([self.row(int(v), prefix)
+                         for v, prefix in zip(np.broadcast_to(keys, len(prefixes)), prefixes)])
+
+    def row(self, v, prefix):
+        dist = np.zeros(self.vocab_size)
+        if len(prefix) >= 2 * v:
+            dist[EOS] = 1.0
+        else:
+            last = prefix[-1] if prefix else 0
+            dist[[EOS] + self.tokens] = np.random.default_rng([v, len(prefix), last]).dirichlet(
+                np.ones(1 + len(self.tokens)))
+        return dist
+
+
+def top3(dist):
+    logs = np.log(np.maximum(dist, 1e-300))
+    return [(int(tok), float(logs[tok])) for tok in np.argsort(-logs, kind="stable")[:3]]
+
+
+@pytest.mark.parametrize("width, rule", [(1, "argmax"), (1, "sample"), (3, "top3")])
+def test_lockstep_search_equals_each_search_alone(monkeypatch, width, rule):
+    model, _ = tiny_setup()
+    lm = MemoryLM(len(model.vocab), list(hand_tokens(model)) + [6])
+    monkeypatch.setattr(D, "memory_next_dist", lm)
+    # keys 1..4 finish at different steps; memory lengths 2 and 3 form two groups
+    memories = [D.T.constant(np.full((2 + (v > 2), 4), float(v))) for v in (3, 1, 4, 2)]
+
+    def searches():
+        """Fresh rules, so that a sampling search replays its seed."""
+        pick, out = D.truncated_pick(3), []
+        for j, memory in enumerate(memories):
+            rng = np.random.default_rng(j)
+            out.append((memory, {"argmax": D._argmax, "top3": top3,
+                                 "sample": lambda dist, rng=rng: [(pick(dist, rng), 0.0)]}[rule]))
+        return out
+
+    together = D._search(searches(), model, width)
+    calls = lm.calls
+    alone = [D._search([search], model, width)[0] for search in searches()]
+    assert together == alone
+    assert len({len(ids) for hyps in together for ids in hyps}) > 1
+    assert calls < lm.calls - calls
+
+
+def greedy_per_expert(ctx, model):
+    """Decode each expert alone: its own select, its own encode and one
+    one-prefix `memory_next_dist` call per token."""
+    outputs, forbidden = [], set()
+    for z in range(model.cfg.n_experts):
+        concepts = D.select_concepts(ctx, model, z, forbidden)
+        forbidden.update(concepts)
+        memory = D.T.constant(D.generator.encode_inputs(
+            [D.generator_input(ctx, model, concepts, z)], model.params, model.vocab, model.cfg,
+            model.positions).data[0])
+        ids = []
+        while len(ids) < max_decode_len(model) and EOS not in ids:
+            [dist] = D.memory_next_dist(memory, [ids], model.params, model.cfg, model.positions)
+            ids.append(int(np.argmax(dist)))
+        outputs.append((model.vocab.decode(ids), len(concepts)))
+    return outputs
+
+
+def count_encodes(monkeypatch):
+    """The request count of every `encode_inputs` call, in call order."""
+    encodes = []
+    encode = D.generator.encode_inputs
+    monkeypatch.setattr(D.generator, "encode_inputs",
+                        lambda inps, *a: encodes.append(len(inps)) or encode(inps, *a))
+    return encodes
+
+
+@pytest.mark.parametrize("top_concepts", [2, 3])
+def test_disjoint_moe_with_memories_of_different_lengths_equals_per_expert_greedy(
+        monkeypatch, top_concepts):
+    model, ctx = tiny_setup(n_experts=3, disjoint_rule=True, top_concepts=top_concepts)
+    expected = greedy_per_expert(ctx, model)
+    # later experts find fewer concepts: 2, 1, 0 or 3, 0, 0
+    counts = [n for _, n in expected]
+    assert len(set(counts)) > 1 and counts == sorted(counts, reverse=True)
+    encodes = count_encodes(monkeypatch)
+    bundle = D.decode_moe(ctx, model)
+    assert [(e.output, len(e.concepts)) for e in bundle.entries] == expected
+    # one encode per distinct concept count
+    assert sorted(encodes) == sorted(counts.count(n) for n in set(counts))
+
+
+def test_moe_encodes_all_experts_in_one_call(monkeypatch):
+    model, ctx = tiny_setup(n_experts=3)
+    encodes = count_encodes(monkeypatch)
+    assert len(D.decode_moe(ctx, model).entries) == 3
+    assert encodes == [3]
 
 
 # --- sampling pick rules ------------------------------------------------------
@@ -251,7 +366,7 @@ def stepwise_samples(lm, model, strategy, pick, seed, example_id, n_samples):
         rng = np.random.default_rng(sub_seed(seed, f"{strategy}:{example_id}:{i}"))
         ids = []
         while len(ids) < max_decode_len(model) and EOS not in ids:
-            ids.append(pick(lm(None, ids, None, None, None), rng))
+            ids.append(pick(lm.row(ids), rng))
         outputs.append(model.vocab.decode(ids))
     return outputs
 

@@ -141,7 +141,7 @@ def test_expert_conditioning_changes_distribution_both_modes():
     def first_dist(expert, mode):
         mode_cfg = dataclasses.replace(cfg, expert_mode=mode)
         memory = single_memory(GeneratorInput(x, [], expert), params, vocab, mode_cfg, pos)
-        return memory_next_dist(memory, [], params, mode_cfg, pos)
+        return memory_next_dist(memory, [[]], params, mode_cfg, pos)[0]
     for mode in ("prompt", "embed"):
         assert np.abs(first_dist(0, mode) - first_dist(1, mode)).max() > 1e-9
 
@@ -247,7 +247,7 @@ def test_loss_matches_stepwise_next_token_dists():
     nll = 0.0
     prefix = []
     for tok in y:
-        dist = memory_next_dist(memory, prefix, params, cfg, pos)
+        [dist] = memory_next_dist(memory, [prefix], params, cfg, pos)
         nll -= math.log(dist[tok])
         prefix.append(tok)
     assert loss == pytest.approx(nll / len(y), abs=1e-9)
@@ -265,10 +265,58 @@ def test_loss_requires_eos_and_nonempty_target():
 def test_next_token_dist_is_normalized():
     vocab, cfg, params, pos = small_setup()
     memory = single_memory(GeneratorInput(vocab.encode("the"), [], 0), params, vocab, cfg, pos)
-    d = memory_next_dist(memory, [5], params, cfg, pos)
+    [d] = memory_next_dist(memory, [[5]], params, cfg, pos)
     assert d.shape == (len(vocab),)
     assert d.sum() == pytest.approx(1.0, abs=1e-12)
     assert (d > 0).all()
+
+
+def one_prefix_dist(memory, prefix, params, cfg, pos):
+    """The next-token distribution of one prefix over one memory [s, d], from the
+    1-D decoder path that training takes."""
+    with T.no_grad():
+        logits = decoder_logits(memory, [BOS] + prefix, params, cfg, pos).data[-1]
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+@pytest.mark.parametrize("expert_mode", ["prompt", "embed"])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("d_model, n_heads", [(8, 2), (18, 3)])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_batched_next_dist_rows_equal_one_prefix_calls_bit_for_bit(expert_mode, layers,
+                                                                   d_model, n_heads, stacked):
+    vocab, cfg, params, pos = small_setup(n_experts=4, d_model=d_model, n_heads=n_heads,
+                                          layers=layers, expert_mode=expert_mode)
+    x = vocab.encode("the cat sat")
+    words = ["dog", "mat", "cat", "ran", "on"]
+    inps = [GeneratorInput(x, [[vocab.ids[w]] for w in words[z : z + 2]], z) for z in range(4)]
+    with T.no_grad():
+        stack = encode_inputs(inps, params, vocab, cfg, pos)
+    rng = np.random.default_rng(layers)
+    for h in range(1, 5):
+        for t in (0, 1, 4):
+            prefixes = [rng.integers(4, len(vocab), t).tolist() for _ in range(h)]
+            memory = T.constant(stack.data[:h]) if stacked else T.constant(stack.data[0])
+            rows = memory_next_dist(memory, prefixes, params, cfg, pos)
+            assert rows.shape == (h, len(vocab))
+            for i, prefix in enumerate(prefixes):
+                own = T.constant(stack.data[i if stacked else 0])
+                assert np.array_equal(rows[i], memory_next_dist(own, [prefix], params, cfg,
+                                                                pos)[0])
+                assert np.array_equal(rows[i], one_prefix_dist(own, prefix, params, cfg, pos))
+
+
+def test_batched_next_dist_rejects_ragged_prefixes_and_mismatched_memory():
+    vocab, cfg, params, pos = small_setup()
+    x = vocab.encode("the cat")
+    with T.no_grad():
+        stack = encode_inputs([GeneratorInput(x, [], z) for z in (0, 1)], params, vocab, cfg,
+                              pos)
+    with pytest.raises(ValueError, match=r"one length, got lengths \[1, 2\]"):
+        memory_next_dist(T.constant(stack.data[0]), [[5], [5, 6]], params, cfg, pos)
+    with pytest.raises(ValueError, match="2 rows for 3 prefixes"):
+        memory_next_dist(stack, [[5], [6], [7]], params, cfg, pos)
 
 
 # --- gradients and trainability ---------------------------------------------
@@ -309,7 +357,7 @@ def test_overfits_single_pair():
     memory = single_memory(inp, params, vocab, cfg, pos)
     out, prefix = [], []
     for _ in range(cfg.max_len - 1):
-        tok = int(memory_next_dist(memory, prefix, params, cfg, pos).argmax())
+        tok = int(memory_next_dist(memory, [prefix], params, cfg, pos)[0].argmax())
         prefix.append(tok)
         if tok == EOS:
             break

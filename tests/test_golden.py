@@ -2,8 +2,8 @@
 
 A `make_synthetic_task` model is trained for 2 epochs in prompt and in embed
 mode, then each mode decodes 4 inputs with moe, beam-3, top-k x3 and
-nucleus x3.  The tests compare the generations and the training logs (every
-step's expert histogram and mean loss, also of runs at a second shape) with the
+nucleus x3, at two shapes.  The tests compare the generations and the training
+logs (every step's expert histogram and mean loss) with the
 committed fixtures, so a change meant to be exact (a faster op, a refactor) must
 leave every output byte, every E-step assignment and every loss bit unchanged.  Regenerate the fixtures only
 for an intended behaviour change:
@@ -27,7 +27,7 @@ SHAPE = dict(n_experts=3, d_model=16, n_heads=4, n_encoder_layers=1, n_decoder_l
 MODES = {"prompt": dict(expert_mode="prompt"),
          "embed": dict(expert_mode="embed", disjoint_rule=True)}
 # At SHAPE every attention and layer-norm scale is a power of two, so
-# reordering a scaling there is exact; the logs also cover a shape where it is not.
+# reordering a scaling there is exact; ODD_SHAPE is a shape where it is not.
 ODD_SHAPE = dict(SHAPE, d_model=18, n_heads=3, d_ff=30)
 STRATEGIES = [dict(strategy="moe"), dict(strategy="beam", n_outputs=3),
               dict(strategy="truncated", n_outputs=3, sample_k=3),
@@ -37,25 +37,30 @@ STRATEGIES = [dict(strategy="moe"), dict(strategy="beam", n_outputs=3),
 @functools.lru_cache(maxsize=None)
 def golden_runs() -> tuple[tuple[str, ...], tuple[str, ...]]:
     """(one JSON line per generated output, one JSON line per training-log
-    entry), over both modes and all strategies; the logs also cover ODD_SHAPE."""
+    entry), over both modes, all strategies and both shapes."""
     examples, triples = make_synthetic_task(seed=5, n_inputs=4, k_modes=3)
     kg = synthetic_kg(triples)
-    lines, log_lines = [], []
+    lines, odd_lines, log_lines = [], [], []
+
+    def generations(model, mode):
+        return [json.dumps({"mode": mode, "id": bundle.example_id, "strategy": bundle.strategy,
+                            "expert": entry.expert, "output": entry.output,
+                            "concepts": entry.concepts})
+                for settings in STRATEGIES
+                for bundle in generate_bundles(model, examples, RunConfig(**settings))
+                for entry in bundle.entries]
+
     for mode, extra in MODES.items():
-        _, log = train(examples, kg, TrainConfig(**ODD_SHAPE, **extra))
+        odd_model, log = train(examples, kg, TrainConfig(**ODD_SHAPE, **extra))
         log_lines += [json.dumps({"mode": f"{mode}-d18", **{k: entry[k] for k in LOG_KEYS}})
                       for entry in log]
+        odd_lines += generations(odd_model, f"{mode}-d18")
         model, log = train(examples, kg, TrainConfig(**SHAPE, **extra))
         log_lines += [json.dumps({"mode": mode, **{k: entry[k] for k in LOG_KEYS}})
                       for entry in log]
-        for settings in STRATEGIES:
-            for bundle in generate_bundles(model, examples, RunConfig(**settings)):
-                for entry in bundle.entries:
-                    lines.append(json.dumps({
-                        "mode": mode, "id": bundle.example_id, "strategy": bundle.strategy,
-                        "expert": entry.expert, "output": entry.output,
-                        "concepts": entry.concepts}))
-    return tuple(lines), tuple(log_lines)
+        lines += generations(model, mode)
+    # the ODD_SHAPE generations follow every SHAPE line
+    return tuple(lines + odd_lines), tuple(log_lines)
 
 
 def _assert_lines_match(fixture: Path, got):
