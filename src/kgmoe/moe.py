@@ -184,7 +184,7 @@ def select_concepts(ctx: ExampleContext, model: Model, expert: int,
 
 def _top_concepts(ctx: ExampleContext, p: T.Tensor, model: Model,
                   forbidden: set[int] | None) -> list[int]:
-    return top_n(dict(zip(ctx.node_ids, p.data.tolist())), model.cfg.top_concepts, forbidden)
+    return top_n(ctx.node_ids, p.data, model.cfg.top_concepts, forbidden)
 
 
 def _concept_half(ctx: ExampleContext, ref_idx: int, expert: int,

@@ -53,9 +53,12 @@ def concept_loss(p: T.Tensor, labels: np.ndarray) -> T.Tensor:
     return T.scale(T.mean_all(T.add(pos, neg)), -1.0)
 
 
-def top_n(p: dict[int, float], n: int, forbidden: set[int] | None = None) -> list[int]:
-    """N highest-probability concepts, ties broken by ascending id."""
-    forbidden = forbidden or set()
-    candidates = [(cid, prob) for cid, prob in p.items() if cid not in forbidden]
-    candidates.sort(key=lambda item: (-item[1], item[0]))
-    return [cid for cid, _ in candidates[: max(n, 0)]]
+def top_n(ids, p, n: int, forbidden: set[int] | None = None) -> list[int]:
+    """The n concept ids of highest probability p[i] for ids[i], ties broken
+    by ascending id; ids in forbidden are never picked."""
+    ids = np.asarray(ids, dtype=np.int64)
+    p = np.asarray(p, dtype=np.float64)
+    if forbidden:
+        keep = ~np.isin(ids, list(forbidden))
+        ids, p = ids[keep], p[keep]
+    return ids[np.lexsort((ids, -p))[: max(n, 0)]].tolist()

@@ -30,7 +30,8 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_backward_done",
+                 "_touched")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = (data if type(data) is np.ndarray and data.dtype == np.float64
@@ -40,6 +41,8 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self._backward_done = False
+        # (grad buffer, row-id arrays) while only embedding scatters wrote that buffer
+        self._touched = None
 
     @property
     def shape(self):
@@ -106,6 +109,22 @@ def _accum(t: Tensor, g: np.ndarray):
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
+    t._touched = None
+
+
+def _scatter_add(dst: np.ndarray, idx: np.ndarray, rows: np.ndarray):
+    """np.add.at(dst, idx, rows) for row ids idx on dst's axis 0, bit for bit.
+
+    The row scatter runs as one 1-D scatter over element indices, which numpy
+    does far faster; each element still takes its contributions one by one in
+    index order onto what dst holds, so every sum is the same.
+    """
+    if not dst.flags.c_contiguous:
+        np.add.at(dst, idx, rows)
+        return
+    width = math.prod(dst.shape[1:])
+    flat = idx.reshape(-1, 1) * width + np.arange(width)
+    np.add.at(dst.reshape(-1), flat.reshape(-1), rows.reshape(-1))
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -238,7 +257,10 @@ def embedding(table: Tensor, ids) -> Tensor:
             return
         if table.grad is None:
             table.grad = np.zeros(table.data.shape)
-        np.add.at(table.grad, idx, g)
+            table._touched = (table.grad, [])
+        if table._touched is not None:
+            table._touched[1].append(idx)
+        _scatter_add(table.grad, idx, g)
     return _make(table.data[idx], (table,), backward)
 
 
@@ -247,7 +269,7 @@ def segment_mean(x: Tensor, seg_ids, num_segments: int) -> Tensor:
     seg = np.asarray(seg_ids, dtype=np.int64)
     counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
     out = np.zeros((num_segments,) + x.data.shape[1:])
-    np.add.at(out, seg, x.data)
+    _scatter_add(out, seg, x.data)
     safe = np.maximum(counts, 1.0)
     out /= safe[(...,) + (None,) * (x.data.ndim - 1)]
 
@@ -369,7 +391,10 @@ class Adam:
     dense arithmetic and scattered back; the result is bit-identical to
     updating every row.  The moment buffers come from ``np.zeros``, so pages of
     rows that never go live are never written.  1-D and scalar parameters are
-    updated densely.
+    updated densely.  When only ``embedding`` backwards wrote a gradient (no
+    dense accumulation, no hand-assigned buffer) and there is no weight decay,
+    every untouched row is +0.0, so the live check reads just the touched rows
+    instead of the whole table.
     """
 
     def __init__(self, params: dict, lr: float = 1e-3, betas=(0.9, 0.999),
@@ -394,6 +419,7 @@ class Adam:
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
+            p._touched = None
 
     def step(self, lr: float | None = None):
         lr = self.lr if lr is None else _check_lr(lr)
@@ -409,7 +435,13 @@ class Adam:
             rows = ...
             live = self.live.get(k)
             if live is not None and not live.all():
-                live |= g.any(axis=tuple(range(1, g.ndim)))
+                touched = p._touched
+                if touched is not None and touched[0] is p.grad and not self.weight_decay:
+                    # only embedding scatters wrote g: every other row is +0.0
+                    ids = np.concatenate([i.reshape(-1) for i in touched[1]])
+                    live[ids[g[ids].any(axis=tuple(range(1, g.ndim)))]] = True
+                else:
+                    live |= g.any(axis=tuple(range(1, g.ndim)))
                 if not live.all():
                     rows = np.flatnonzero(live)
                     g = g[rows]
@@ -434,7 +466,18 @@ def save_checkpoint(path, params: dict, meta: dict | None = None):
     """Write parameters as a versioned JSON map name -> (shape, flat f64 list).
 
     Python's float repr round-trips exactly, so load returns bit-identical data.
+    The file is strict JSON: a NaN or infinity, in a parameter or in meta, is
+    refused with a ValueError naming the file (and the parameter) before
+    anything is written.
     """
+    for name, p in sorted(params.items()):
+        if not np.isfinite(p.data).all():
+            raise ValueError(f"{path}: parameter {name!r} holds a non-finite value; "
+                             "a checkpoint stores finite floats only")
+    try:
+        json.dumps(meta or {}, allow_nan=False)
+    except ValueError as err:
+        raise ValueError(f"{path}: checkpoint meta: {err}") from None
     payload = {
         "version": CHECKPOINT_VERSION,
         "meta": meta or {},
@@ -444,7 +487,7 @@ def save_checkpoint(path, params: dict, meta: dict | None = None):
         },
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
+        json.dump(payload, f, allow_nan=False)
 
 
 def load_checkpoint(path):
@@ -466,6 +509,8 @@ def load_checkpoint(path):
             arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         except (TypeError, ValueError) as err:
             raise ValueError(f"{path}: parameter {name!r}: {err}") from None
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
         params[name] = Tensor(arr, requires_grad=True)
     return params, payload.get("meta", {})
 

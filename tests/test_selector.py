@@ -104,34 +104,51 @@ def test_bce_clip_keeps_loss_finite():
 
 
 def test_top_n_orders_by_probability():
-    p = {0: 0.1, 1: 0.9, 2: 0.5}
-    assert top_n(p, 2) == [1, 2]
+    assert top_n([0, 1, 2], [0.1, 0.9, 0.5], 2) == [1, 2]
 
 
 def test_top_n_ties_break_by_ascending_id():
-    p = {5: 0.4, 2: 0.4, 9: 0.4}
-    assert top_n(p, 2) == [2, 5]
+    assert top_n([5, 2, 9], [0.4, 0.4, 0.4], 2) == [2, 5]
 
 
 def test_top_n_respects_forbidden():
-    p = {0: 0.9, 1: 0.8, 2: 0.7}
-    assert top_n(p, 2, forbidden={0}) == [1, 2]
+    assert top_n([0, 1, 2], [0.9, 0.8, 0.7], 2, forbidden={0}) == [1, 2]
 
 
 def test_top_n_more_than_available():
-    assert top_n({3: 0.2, 1: 0.8}, 10) == [1, 3]
+    assert top_n([3, 1], [0.2, 0.8], 10) == [1, 3]
 
 
 def test_top_n_disjoint_accumulation():
-    p = {0: 0.9, 1: 0.8, 2: 0.7, 3: 0.6}
+    ids, p = [0, 1, 2, 3], [0.9, 0.8, 0.7, 0.6]
     taken = set()
     picks = []
     for _ in range(2):
-        chosen = top_n(p, 2, forbidden=taken)
+        chosen = top_n(ids, p, 2, forbidden=taken)
         picks.append(chosen)
         taken |= set(chosen)
     assert picks == [[0, 1], [2, 3]]
     assert not set(picks[0]) & set(picks[1])
+
+
+def _top_n_by_python_sort(p: dict, n, forbidden):
+    """The reference rule: sort (id, p) pairs by (-p, id)."""
+    candidates = [(cid, prob) for cid, prob in p.items() if cid not in (forbidden or set())]
+    candidates.sort(key=lambda item: (-item[1], item[0]))
+    return [cid for cid, _ in candidates[: max(n, 0)]]
+
+
+def test_top_n_matches_python_sort_oracle():
+    rng = np.random.default_rng(8)
+    for case in range(300):
+        count = int(rng.integers(0, 12))
+        ids = rng.permutation(40)[:count]
+        p = rng.integers(0, 4, size=count) / 4.0 if case % 2 else rng.random(count)  # ties
+        forbidden = set(rng.choice(40, size=int(rng.integers(0, 6)), replace=False).tolist())
+        forbidden = [None, set(), forbidden][case % 3]
+        n = int(rng.integers(-1, count + 4))
+        want = _top_n_by_python_sort(dict(zip(ids.tolist(), p.tolist())), n, forbidden)
+        assert top_n(ids, p, n, forbidden) == want, case
 
 
 def test_selector_gradients_match_finite_differences():

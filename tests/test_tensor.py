@@ -277,6 +277,48 @@ def test_attention_causal_mask_hides_future_positions():
     assert kt.grad[:3].any() and vt.grad[:3].any()
 
 
+def test_scatter_add_equals_add_at_bit_for_bit():
+    rng = np.random.default_rng(21)
+    trailing = [(), (3,), (2, 3)]
+    for case in range(300):
+        n_rows = int(rng.integers(1, 7))
+        tail = trailing[case % 3]
+        n_ids = int(rng.integers(0, 12))          # 0: empty ids
+        ids = rng.integers(0, n_rows, size=n_ids)  # few rows, so ids repeat
+        if case % 2:
+            ids = ids[:, None]                     # the prompt-prefix [[z], ...] form
+        rows = rng.normal(size=ids.shape + tail) * 10.0 ** rng.uniform(-8, 8, ids.shape + tail)
+        rows[rng.random(rows.shape) < 0.1] = -0.0
+        dst = np.zeros((n_rows,) + tail)
+        if case % 4 >= 2:                          # a buffer earlier scatters wrote into
+            dst = rng.normal(size=dst.shape) * 10.0 ** rng.uniform(-8, 8, dst.shape)
+            dst[rng.random(dst.shape) < 0.1] = -0.0
+        if case % 5 == 0:
+            dst = np.asfortranarray(dst)
+        want = dst.copy()
+        np.add.at(want, ids, rows)
+        T._scatter_add(dst, ids, rows)
+        assert _same_bits(dst, want), case
+
+
+def test_embedding_and_segment_mean_gradients_over_column_ids_and_3d_rows():
+    rng = np.random.default_rng(22)
+    table = T.Tensor(rng.normal(size=(5, 2, 3)), requires_grad=True)
+    ids = [[4], [1], [1], [0]]                     # [n, 1] ids, row 1 twice
+    seg = [2, 0, 2, 0]
+
+    def forward():
+        rows = T.reshape(T.embedding(table, ids), (4, 2, 3))
+        pooled = T.segment_mean(rows, seg, 3)      # segment 1 stays empty
+        again = T.embedding(table, [1, 3, 1])      # a second scatter into the same buffer
+        return T.add(T.mean_all(T.mul(pooled, pooled)), T.mean_all(T.mul(again, again)))
+
+    loss = forward()
+    loss.backward()
+    check_gradients(lambda: forward().item(), {"table": table},
+                    np.random.default_rng(23), n_checks=20, rel_tol=1e-6)
+
+
 def test_segment_mean_empty_segment_is_zero():
     x = T.Tensor([[2.0, 4.0]])
     out = T.segment_mean(x, [1], 3)
@@ -396,6 +438,65 @@ def test_adam_row_skipping_matches_dense_oracle(weight_decay):
     assert "bias" not in opt.live
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_touched_rows_match_dense_oracle_through_embedding(weight_decay):
+    rng = np.random.default_rng(12)
+    init = {
+        "table": rng.normal(size=(10, 3)),    # read only by embedding
+        "rel": rng.normal(size=(6, 3)),       # by embedding and by a dense matmul
+        "hand": rng.normal(size=(7, 2)),      # its grad is replaced by hand
+    }
+    init["table"][9] = 0.0
+    fast = {k: T.Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+    dense = {k: T.Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+    opt = T.Adam(fast, lr=1e-2, weight_decay=weight_decay)
+    ref = DenseAdam(dense, lr=1e-2, weight_decay=weight_decay)
+    # row 8 of the table is read twice with opposite weights in every step,
+    # so its gradient cancels to exactly 0.0 and the row must stay dead
+    table_ids = [[0, 3, 3, 8, 8], [1, 1, 8, 8], [5, 8, 8, 0], [8, 8], [2, 6, 6, 8, 8]]
+    steps = len(table_ids)
+    plan = []
+    for ids in table_ids:
+        w = rng.normal(size=(len(ids), 3))
+        first, second = [i for i, r in enumerate(ids) if r == 8]
+        w[second] = -w[first]
+        plan.append((ids, w, rng.integers(0, 6, size=3), rng.normal(size=(2, 6)),
+                     rng.integers(0, 7, size=2), rng.normal(size=2)))
+
+    def loss_of(params, ids, w, rel_ids, x, hand_ids, hand_w):
+        emb = T.mul(T.embedding(params["table"], ids), T.constant(w))
+        rel = T.add(T.mean_all(T.embedding(params["rel"], rel_ids)),
+                    T.mean_all(T.matmul(T.constant(x), params["rel"])))
+        hand = T.mean_all(T.mul(T.embedding(params["hand"], hand_ids), T.constant(hand_w)))
+        return T.add(T.add(T.mean_all(emb), rel), hand)
+
+    for s, step in enumerate(plan):
+        for params in (fast, dense):
+            for p in params.values():
+                p.grad = None
+            loss_of(params, *step).backward()
+            # a hand-assigned buffer: rows the scatter never touched change too
+            params["hand"].grad = params["hand"].grad.copy()
+            params["hand"].grad[s % 7] += 0.5
+        assert fast["table"]._touched[0] is fast["table"].grad
+        assert fast["rel"]._touched is None
+        lr = 1e-2 * (s + 1) / steps
+        opt.step(lr=lr)
+        ref.step(lr)
+        for k in init:
+            assert _same_bits(fast[k].data, dense[k].data), (s, k)
+            assert _same_bits(opt.m[k], ref.m[k]), (s, k)
+            assert _same_bits(opt.v[k], ref.v[k]), (s, k)
+
+    live = opt.live["table"].tolist()
+    if weight_decay:
+        assert live == [r != 9 for r in range(10)]
+    else:
+        assert live == [r in (0, 1, 2, 3, 5, 6) for r in range(10)]
+        for buf in (opt.m["table"], opt.v["table"]):
+            assert _same_bits(buf[8], np.zeros(3))
+
+
 @pytest.mark.parametrize("kwargs", [dict(eps=0.0), dict(eps=float("nan")), dict(lr=-1e-3),
                                     dict(lr=float("inf")), dict(betas=(1.0, 0.999))])
 def test_adam_rejects_settings_that_break_row_skipping(kwargs):
@@ -446,6 +547,26 @@ def test_checkpoint_bad_entry_names_file_and_parameter(tmp_path, body, message):
     path.write_text(body)
     with pytest.raises(ValueError, match=r"bad\.json: " + message):
         T.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_checkpoint_load_rejects_non_finite_values(tmp_path, literal):
+    path = tmp_path / "bad.json"
+    path.write_text('{"version": 1, "params": {"w": {"shape": [3], "data": [1.0, %s, 2.0]}}}'
+                    % literal)
+    with pytest.raises(ValueError, match=r"bad\.json: parameter 'w' holds a non-finite value"):
+        T.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_checkpoint_save_refuses_non_finite_values(tmp_path, bad):
+    path = tmp_path / "ckpt.json"
+    params = {"a": T.Tensor([1.0, 2.0]), "w": T.Tensor([1.0, bad, 3.0])}
+    with pytest.raises(ValueError, match=r"ckpt\.json: parameter 'w' holds a non-finite value"):
+        T.save_checkpoint(path, params)
+    with pytest.raises(ValueError, match=r"ckpt\.json: checkpoint meta: Out of range float"):
+        T.save_checkpoint(path, {"a": params["a"]}, {"loss": bad})
+    assert not path.exists()
 
 
 def test_no_grad_blocks_graph():
