@@ -40,60 +40,54 @@ class GenerationBundle:
 
 
 def _memories(ctx: ExampleContext, model: Model,
-              selections: list[tuple[int, list[int]]]) -> list[T.Tensor]:
-    """The encoder memory [s, d] of each (expert, concept ids) selection, from
-    one `encode_inputs` call per distinct concept count."""
+              selections: list[tuple[int, list[int]]]) -> list[tuple[list[int], T.Tensor]]:
+    """The (selection indices, encoder memory) groups of the (expert, concept
+    ids) selections, from one `encode_inputs` call per distinct concept count.
+    A group's memory is [s, d] for a lone selection and [J, s, d] for J."""
     by_count: dict[int, list[int]] = {}
     for i, (_, concepts) in enumerate(selections):
         by_count.setdefault(len(concepts), []).append(i)
-    memories: list[T.Tensor] = [None] * len(selections)
+    groups = []
     for rows in by_count.values():
         inps = [generator_input(ctx, model, selections[i][1], selections[i][0]) for i in rows]
         with T.no_grad():
-            stack = generator.encode_inputs(inps, model.params, model.vocab, model.cfg,
-                                            model.positions).data
-        for row, i in enumerate(rows):
-            memories[i] = T.constant(stack[row])
-    return memories
+            memory = generator.encode_inputs(inps, model.params, model.vocab, model.cfg,
+                                             model.positions)
+        groups.append((rows, memory if len(rows) > 1 else T.constant(memory.data[0])))
+    return groups
 
 
-def _search(searches, model: Model, width: int,
+def _search(groups, expands, model: Model, width: int,
             length_normalize: bool = False) -> list[list[list[int]]]:
-    """For each (memory [s, d], expand) search, the token ids of its best
-    `width` hypotheses, best first.
+    """For each search j, the token ids of its best `width` hypotheses, best
+    first; `groups` holds the (search indices, memory) pairs of `_memories`.
 
     The searches advance in lockstep: each step asks for the next-token
     distributions of every live hypothesis of every search in one
-    `memory_next_dist` call per distinct memory length, and extends each
-    hypothesis by the (token, log-probability) pairs of its search's
-    `expand(dist)`; a rule with one continuation may score it 0.  Candidates
-    are ranked by score (summed log-probability, per token if
-    `length_normalize`), then by token ids; one that ends in EOS is finished.
-    A search stops once `width` of its hypotheses are finished or none is
-    live; all stop at the maximum decode length.  At step i every live
-    hypothesis holds i tokens, so no prefix needs padding.
+    `memory_next_dist` call per group, and extends each hypothesis by the
+    (token, log-probability) pairs of `expands[j](dist)`; a rule with one
+    continuation may score it 0.  Candidates are ranked by score (summed
+    log-probability, per token if `length_normalize`), then by token ids; one
+    that ends in EOS is finished.  A search stops once `width` of its
+    hypotheses are finished or none is live; all stop at the maximum decode
+    length.  At step i every live hypothesis holds i tokens, so no prefix needs
+    padding.
     """
     def rank(hyp):
         ids, logp = hyp
         return -(logp / len(ids) if length_normalize else logp), ids
 
-    by_length: dict[int, list[int]] = {}
-    for j, (memory, _) in enumerate(searches):
-        by_length.setdefault(memory.shape[0], []).append(j)
-    # a lone search's hypotheses share its memory; several searches' are stacked once
-    groups = [(js, None if len(js) == 1 else np.stack([searches[j][0].data for j in js]))
-              for js in by_length.values()]
-    live = [[([], 0.0)] for _ in searches]
-    finished: list[list[tuple[list[int], float]]] = [[] for _ in searches]
-    active = list(range(len(searches)))
+    live = [[([], 0.0)] for _ in expands]
+    finished: list[list[tuple[list[int], float]]] = [[] for _ in expands]
+    active = list(range(len(expands)))
     for _ in range(min(MAX_DECODE_LEN, model.cfg.max_len - 1)):
         dists = {}
-        for js, stack in groups:
+        for js, memory in groups:
             stepping = [(row, j) for row, j in enumerate(js) if j in active]
             if not stepping:
                 continue
-            memory = (searches[js[0]][0] if stack is None else
-                      T.constant(stack[[row for row, j in stepping for _ in live[j]]]))
+            if len(js) > 1:
+                memory = T.constant(memory.data[[row for row, j in stepping for _ in live[j]]])
             rows = iter(memory_next_dist(memory, [ids for _, j in stepping for ids, _ in live[j]],
                                          model.params, model.cfg, model.positions))
             for _, j in stepping:
@@ -101,7 +95,7 @@ def _search(searches, model: Model, width: int,
         for j in active:
             candidates = [(ids + [tok], logp + step)
                           for (ids, logp), dist in zip(live[j], dists[j])
-                          for tok, step in searches[j][1](dist)]
+                          for tok, step in expands[j](dist)]
             candidates.sort(key=rank)
             live[j] = []
             for hyp in candidates:
@@ -120,21 +114,10 @@ def _argmax(dist: np.ndarray) -> list[tuple[int, float]]:
 
 
 def decode_moe(ctx: ExampleContext, model: Model) -> GenerationBundle:
-    """Enumerate experts; each selects its own concepts and decodes greedily.
-
-    With the disjoint rule on, experts select in id order and may not reuse
-    concepts selected by earlier experts.
-    """
-    selections = []
-    forbidden: set[int] = set()
-    for z in range(model.cfg.n_experts):
-        concepts = select_concepts(ctx, model, z,
-                                   forbidden if model.cfg.disjoint_rule else None)
-        if model.cfg.disjoint_rule:
-            forbidden.update(concepts)
-        selections.append((z, concepts))
-    memories = _memories(ctx, model, selections)
-    outputs = _search([(memory, _argmax) for memory in memories], model, 1)
+    """Enumerate experts; each selects its own concepts (under the disjoint
+    rule if it is on, see `select_concepts`) and decodes greedily."""
+    selections = list(enumerate(select_concepts(ctx, model, model.cfg.n_experts)))
+    outputs = _search(_memories(ctx, model, selections), [_argmax] * len(selections), model, 1)
     entries = [GenerationEntry(z, model.vocab.decode(ids),
                                [model.kg.concepts[c] for c in concepts])
                for (z, concepts), [ids] in zip(selections, outputs)]
@@ -147,15 +130,15 @@ def decode_beam(ctx: ExampleContext, model: Model, beam: int,
     hypotheses (used as the no-MoE ablation decoder)."""
     if beam < 1:
         raise ValueError("beam must be >= 1")
-    concepts = select_concepts(ctx, model, 0)
-    [memory] = _memories(ctx, model, [(0, concepts)])
+    [concepts] = select_concepts(ctx, model)
 
     def top(dist: np.ndarray) -> list[tuple[int, float]]:
         logs = np.log(np.maximum(dist, 1e-300))
         return [(int(tok), float(logs[tok])) for tok in np.argsort(-logs, kind="stable")[:beam]]
 
     surfaces = [model.kg.concepts[c] for c in concepts]
-    [hyps] = _search([(memory, top)], model, beam, length_normalize)
+    [hyps] = _search(_memories(ctx, model, [(0, concepts)]), [top], model, beam,
+                     length_normalize)
     entries = [GenerationEntry(i, model.vocab.decode(ids), surfaces)
                for i, ids in enumerate(hyps)]
     return GenerationBundle(ctx.example_id, "beam", entries)
@@ -191,14 +174,16 @@ def nucleus_pick(p: float):
 def _decode_samples(ctx: ExampleContext, model: Model, strategy: str, pick,
                     seed: int, n_samples: int) -> GenerationBundle:
     """n independent draws on expert 0, each from its own seeded generator."""
-    concepts = [model.kg.concepts[c] for c in select_concepts(ctx, model, 0)]
-    searches = []
-    for i in range(n_samples):
-        rng = np.random.default_rng(sub_seed(seed, f"{strategy}:{ctx.example_id}:{i}"))
-        [memory] = _memories(ctx, model, [(0, select_concepts(ctx, model, 0))])
-        searches.append((memory, lambda dist, rng=rng: [(pick(dist, rng), 0.0)]))
-    entries = [GenerationEntry(i, model.vocab.decode(ids), concepts)
-               for i, [ids] in enumerate(_search(searches, model, 1))]
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    concepts = [model.kg.concepts[c] for c in select_concepts(ctx, model)[0]]
+    # one select per sample as well: perfbench pins selects_per_output at (n + 1) / n
+    selections = [(0, select_concepts(ctx, model)[0]) for _ in range(n_samples)]
+    rngs = [np.random.default_rng(sub_seed(seed, f"{strategy}:{ctx.example_id}:{i}"))
+            for i in range(n_samples)]
+    expands = [lambda dist, rng=rng: [(pick(dist, rng), 0.0)] for rng in rngs]
+    entries = [GenerationEntry(i, model.vocab.decode(ids), concepts) for i, [ids]
+               in enumerate(_search(_memories(ctx, model, selections), expands, model, 1))]
     return GenerationBundle(ctx.example_id, strategy, entries)
 
 

@@ -75,12 +75,25 @@ class Vocab:
 
     @classmethod
     def load(cls, path, n_experts: int) -> "Vocab":
+        """Read a `save`d table, skipping blank lines.  After the special tokens
+        the file must hold `<expert0>`, `<expert1>`, .. in order, and no token twice."""
         with open(path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f if line.rstrip("\n")]
+            numbered = [(n, tok) for n, line in enumerate(f, 1) if (tok := line.rstrip("\n"))]
         try:
-            return cls(tokens, n_experts)
+            vocab = cls([tok for _, tok in numbered], n_experts)
         except ValueError as err:
             raise ValueError(f"{path}: {err}") from None
+        first: dict[str, int] = {}
+        for i, (n, tok) in enumerate(numbered):
+            want = f"<expert{i - 4}>" if 4 <= i < 4 + n_experts else tok
+            if tok != want:
+                raise ValueError(f"{path}: line {n}: expected {want!r}, got {tok!r}")
+            if first.setdefault(tok, n) != n:
+                raise ValueError(f"{path}: line {n}: {tok!r} repeats line {first[tok]}")
+        if len(numbered) < 4 + n_experts:
+            raise ValueError(f"{path}: line {numbered[-1][0] + 1}: expected "
+                             f"'<expert{len(numbered) - 4}>', got the end of the file")
+        return vocab
 
     def content_hash(self) -> str:
         digest = hashlib.sha256("\n".join(self.tokens).encode("utf-8"))

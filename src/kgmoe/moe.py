@@ -173,57 +173,58 @@ def generator_input(ctx: ExampleContext, model: Model, concepts: list[int],
     return GeneratorInput(ctx.x_ids, tokens, expert)
 
 
-def select_concepts(ctx: ExampleContext, model: Model, expert: int,
-                    forbidden: set[int] | None = None) -> list[int]:
-    """Top-N concept ids under the given expert's selection scores."""
+def select_concepts(ctx: ExampleContext, model: Model, n_experts: int = 1) -> list[list[int]]:
+    """The top-N concept ids of experts 0..n_experts-1, scored on one R-GCN
+    encode.  With the disjoint rule on, experts select in id order and none
+    reuses a concept an earlier one selected."""
+    cfg = model.cfg
+    if not 0 <= n_experts <= cfg.n_experts:
+        raise ValueError(f"cannot select for {n_experts} of {cfg.n_experts} experts")
+    selections: list[list[int]] = []
+    forbidden: set[int] = set()
     with T.no_grad():
-        states = encode(ctx.subgraph, model.params, model.kg, model.cfg.rgcn_layers)
-        p = score_concepts(states, model.params, expert)
-    return _top_concepts(ctx, p, model, forbidden)
+        states = encode(ctx.subgraph, model.params, model.kg, cfg.rgcn_layers)
+        for z in range(n_experts):
+            chosen = top_n(ctx.node_ids, score_concepts(states, model.params, z).data,
+                           cfg.top_concepts, forbidden)
+            if cfg.disjoint_rule:
+                forbidden.update(chosen)
+            selections.append(chosen)
+    return selections
 
 
-def _top_concepts(ctx: ExampleContext, p: T.Tensor, model: Model,
-                  forbidden: set[int] | None) -> list[int]:
-    return top_n(ctx.node_ids, p.data, model.cfg.top_concepts, forbidden)
-
-
-def _concept_half(ctx: ExampleContext, ref_idx: int, expert: int,
-                  model: Model) -> tuple[T.Tensor, GeneratorInput]:
-    """The unit's concept loss under the expert, and the generator request for
-    the expert's top-N concepts."""
-    states = encode(ctx.subgraph, model.params, model.kg, model.cfg.rgcn_layers)
-    p = score_concepts(states, model.params, expert)
-    l_concept = concept_loss(p, ctx.labels[ref_idx])
-    chosen = _top_concepts(ctx, p, model, None)
-    return l_concept, generator_input(ctx, model, chosen, expert)
+def joint_losses(ctx: ExampleContext, ref_idx: int, experts, model: Model
+                 ) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
+    """The unit's [E] (joint, generation, concept) losses under each of the E
+    listed experts.  Each expert selects its top-N concepts from its own
+    scores; the E generation losses come from one batched generator pass."""
+    cfg = model.cfg
+    concept_losses, requests = [], []
+    for z in experts:
+        if not 0 <= z < cfg.n_experts:
+            raise ValueError(f"invalid expert id {z}")
+        # one encode per expert: perfbench pins rgcn.encodes_per_unit at K + 1
+        states = encode(ctx.subgraph, model.params, model.kg, cfg.rgcn_layers)
+        p = score_concepts(states, model.params, z)
+        concept_losses.append(T.reshape(concept_loss(p, ctx.labels[ref_idx]), (1,)))
+        chosen = top_n(ctx.node_ids, p.data, cfg.top_concepts)
+        requests.append(generator_input(ctx, model, chosen, z))
+    l_gen = generation_loss(requests, ctx.y_ids[ref_idx], model.params, model.vocab, cfg,
+                            model.positions)
+    l_concept = T.concat(concept_losses)
+    return T.add(l_gen, T.scale(l_concept, cfg.concept_weight)), l_gen, l_concept
 
 
 def joint_loss(ctx: ExampleContext, ref_idx: int, expert: int,
                model: Model) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
-    """Returns (joint, generation, concept) losses for one unit and expert."""
-    cfg = model.cfg
-    if not 0 <= expert < cfg.n_experts:
-        raise ValueError(f"invalid expert id {expert}")
-    l_concept, request = _concept_half(ctx, ref_idx, expert, model)
-    l_gen = T.reshape(generation_loss([request], ctx.y_ids[ref_idx], model.params,
-                                      model.vocab, cfg, model.positions), ())
-    joint = T.add(l_gen, T.scale(l_concept, cfg.concept_weight))
-    return joint, l_gen, l_concept
+    """Returns the scalar (joint, generation, concept) losses for one unit and expert."""
+    return tuple(T.reshape(loss, ()) for loss in joint_losses(ctx, ref_idx, [expert], model))
 
 
 def e_step(ctx: ExampleContext, ref_idx: int, model: Model) -> Responsibility:
-    """Assign the unit to the expert with the smallest joint loss.
-
-    Each expert selects its concepts on its own; the K generation losses then
-    come from one batched generator pass.  Each joint loss is the float
-    arithmetic of `joint_loss`, so the two agree bit for bit."""
-    cfg = model.cfg
+    """Assign the unit to the expert with the smallest joint loss."""
     with T.no_grad():
-        halves = [_concept_half(ctx, ref_idx, z, model) for z in range(cfg.n_experts)]
-        l_gen = generation_loss([request for _, request in halves], ctx.y_ids[ref_idx],
-                                model.params, model.vocab, cfg, model.positions)
-    losses = [float(l_gen.data[z] + l_concept.data * cfg.concept_weight)
-              for z, (l_concept, _) in enumerate(halves)]
+        losses = joint_losses(ctx, ref_idx, range(model.cfg.n_experts), model)[0].data.tolist()
     best = min(range(len(losses)), key=lambda z: (losses[z], z))
     return Responsibility(best, losses)
 

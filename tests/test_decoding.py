@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from kgmoe import decoding as D
+from kgmoe import moe
 from kgmoe.generator import EOS
 from kgmoe.kg import KnowledgeGraph
 from kgmoe.generator import Vocab
@@ -199,18 +200,22 @@ def test_lockstep_search_equals_each_search_alone(monkeypatch, width, rule):
     # keys 1..4 finish at different steps; memory lengths 2 and 3 form two groups
     memories = [D.T.constant(np.full((2 + (v > 2), 4), float(v))) for v in (3, 1, 4, 2)]
 
-    def searches():
+    groups = [([0, 2], D.T.constant(np.stack([memories[0].data, memories[2].data]))),
+              ([1, 3], D.T.constant(np.stack([memories[1].data, memories[3].data])))]
+
+    def expands():
         """Fresh rules, so that a sampling search replays its seed."""
         pick, out = D.truncated_pick(3), []
-        for j, memory in enumerate(memories):
+        for j in range(len(memories)):
             rng = np.random.default_rng(j)
-            out.append((memory, {"argmax": D._argmax, "top3": top3,
-                                 "sample": lambda dist, rng=rng: [(pick(dist, rng), 0.0)]}[rule]))
+            out.append({"argmax": D._argmax, "top3": top3,
+                        "sample": lambda dist, rng=rng: [(pick(dist, rng), 0.0)]}[rule])
         return out
 
-    together = D._search(searches(), model, width)
+    together = D._search(groups, expands(), model, width)
     calls = lm.calls
-    alone = [D._search([search], model, width)[0] for search in searches()]
+    alone = [D._search([([0], memory)], [expand], model, width)[0]
+             for memory, expand in zip(memories, expands())]
     assert together == alone
     assert len({len(ids) for hyps in together for ids in hyps}) > 1
     assert calls < lm.calls - calls
@@ -219,10 +224,8 @@ def test_lockstep_search_equals_each_search_alone(monkeypatch, width, rule):
 def greedy_per_expert(ctx, model):
     """Decode each expert alone: its own select, its own encode and one
     one-prefix `memory_next_dist` call per token."""
-    outputs, forbidden = [], set()
-    for z in range(model.cfg.n_experts):
-        concepts = D.select_concepts(ctx, model, z, forbidden)
-        forbidden.update(concepts)
+    outputs = []
+    for z, concepts in enumerate(D.select_concepts(ctx, model, model.cfg.n_experts)):
         memory = D.T.constant(D.generator.encode_inputs(
             [D.generator_input(ctx, model, concepts, z)], model.params, model.vocab, model.cfg,
             model.positions).data[0])
@@ -263,6 +266,40 @@ def test_moe_encodes_all_experts_in_one_call(monkeypatch):
     encodes = count_encodes(monkeypatch)
     assert len(D.decode_moe(ctx, model).entries) == 3
     assert encodes == [3]
+
+
+def count_calls(monkeypatch, owner, name):
+    """A list that grows by one entry per call of owner.name."""
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(1) or fn(*a))
+    return calls
+
+
+@pytest.mark.parametrize("disjoint", [False, True])
+def test_moe_makes_one_rgcn_encode_per_bundle(monkeypatch, disjoint):
+    model, ctx = tiny_setup(n_experts=3, disjoint_rule=disjoint)
+    encodes = count_calls(monkeypatch, moe, "encode")
+    assert len(D.decode_moe(ctx, model).entries) == 3
+    assert len(encodes) == 1
+
+
+@pytest.mark.parametrize("fn, kw", [(D.decode_truncated, {"k": 3}), (D.decode_nucleus, {"p": 0.9})])
+def test_sampler_encodes_its_samples_in_one_call(monkeypatch, fn, kw):
+    model, ctx = tiny_setup()
+    encodes = count_encodes(monkeypatch)
+    selects = count_calls(monkeypatch, D, "select_concepts")
+    assert len(fn(ctx, model, seed=4, n_samples=5, **kw).entries) == 5
+    assert encodes == [5]
+    assert len(selects) == 5 + 1
+
+
+@pytest.mark.parametrize("fn, kw", [(D.decode_truncated, {"k": 3}), (D.decode_nucleus, {"p": 0.9})])
+@pytest.mark.parametrize("n_samples", [0, -2])
+def test_samplers_reject_bad_sample_count(fn, kw, n_samples):
+    model, ctx = tiny_setup()
+    with pytest.raises(ValueError, match="n_samples"):
+        fn(ctx, model, seed=0, n_samples=n_samples, **kw)
 
 
 # --- sampling pick rules ------------------------------------------------------

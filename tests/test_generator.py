@@ -90,6 +90,38 @@ def test_vocab_load_without_specials_names_file(tmp_path):
         Vocab.load(p, 1)
 
 
+def test_vocab_load_rejects_a_repeated_token_naming_both_lines(tmp_path):
+    p = tmp_path / "vocab.txt"
+    p.write_text("<pad>\n<bos>\n<eos>\n<unk>\n<expert0>\nfoo\nbar\nfoo\n")
+    with pytest.raises(ValueError, match=r"vocab\.txt: line 8: 'foo' repeats line 6"):
+        Vocab.load(p, 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    # the file ends before <expert2>
+    ("<pad>\n<bos>\n<eos>\n<unk>\n<expert0>\n", r"line 6: expected '<expert1>', got the end"),
+    ("<pad>\n<bos>\n<eos>\n<unk>\n<expert0>\n<expert1>\n", r"line 7: expected '<expert2>'"),
+    # a corpus token where an expert prefix belongs
+    ("<pad>\n<bos>\n<eos>\n<unk>\n<expert0>\nfoo\nbar\nbaz\n",
+     r"line 6: expected '<expert1>', got 'foo'"),
+    ("<pad>\n<bos>\n<eos>\n<unk>\n<expert1>\n<expert0>\n<expert2>\n",
+     r"line 5: expected '<expert0>', got '<expert1>'"),
+    # blank lines are skipped but still counted
+    ("<pad>\n<bos>\n<eos>\n<unk>\n\n<expert0>\n\nfoo\n", r"line 8: expected '<expert1>'")],
+    ids=["ends-after-expert0", "ends-after-expert1", "corpus-token", "out-of-order", "blank-lines"])
+def test_vocab_load_rejects_missing_expert_tokens_naming_the_line(tmp_path, text, message):
+    p = tmp_path / "vocab.txt"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=r"vocab\.txt: " + message):
+        Vocab.load(p, 3)
+
+
+def test_vocab_load_skips_blank_lines(tmp_path):
+    p = tmp_path / "vocab.txt"
+    p.write_text("<pad>\n<bos>\n\n<eos>\n<unk>\n<expert0>\n\nfoo\n")
+    assert Vocab.load(p, 1).tokens == ["<pad>", "<bos>", "<eos>", "<unk>", "<expert0>", "foo"]
+
+
 def test_config_rejects_bad_head_split():
     with pytest.raises(ValueError, match="n_heads"):
         TrainConfig(d_model=10, n_heads=4)

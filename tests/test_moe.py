@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from kgmoe import moe
 from kgmoe import tensor as T
 from kgmoe.kg import KnowledgeGraph
 from kgmoe.generator import UNK, Vocab
@@ -13,6 +14,8 @@ from kgmoe.moe import (Model, TrainConfig, build_model, e_step,
                        epoch_unit_order, generator_input, joint_loss, learning_rate_at,
                        m_step, prepare_example, select_concepts, sub_seed, train)
 from kgmoe.pipeline import Example
+from kgmoe.rgcn import encode
+from kgmoe.selector import score_concepts, top_n
 
 
 def tiny_kg():
@@ -315,14 +318,41 @@ def test_single_expert_training_equals_plain_loop():
 
 
 def test_select_concepts_disjoint_accumulation():
-    model, contexts = tiny_model(tiny_config(top_concepts=2))
-    taken: set[int] = set()
-    picks = []
-    for z in range(model.cfg.n_experts):
-        chosen = select_concepts(contexts[0], model, z, forbidden=taken)
-        picks.append(set(chosen))
-        taken |= set(chosen)
+    model, contexts = tiny_model(tiny_config(top_concepts=2, disjoint_rule=True))
+    picks = [set(chosen) for chosen in select_concepts(contexts[0], model, model.cfg.n_experts)]
     assert not picks[0] & picks[1]
+
+
+def per_expert_selections(ctx, model, n_experts):
+    """Oracle: each expert encodes the subgraph on its own, scores it and
+    takes its top-N, skipping what earlier experts took under the disjoint rule."""
+    selections, taken = [], set()
+    for z in range(n_experts):
+        with T.no_grad():
+            states = encode(ctx.subgraph, model.params, model.kg, model.cfg.rgcn_layers)
+            p = score_concepts(states, model.params, z).data
+        chosen = top_n(ctx.node_ids, p, model.cfg.top_concepts,
+                       taken if model.cfg.disjoint_rule else None)
+        taken |= set(chosen)
+        selections.append(chosen)
+    return selections
+
+
+@pytest.mark.parametrize("disjoint", [False, True])
+def test_select_concepts_equals_per_expert_oracle(monkeypatch, disjoint):
+    model, contexts = tiny_model(tiny_config(n_experts=3, top_concepts=2, disjoint_rule=disjoint))
+    for ctx in contexts:
+        expected = per_expert_selections(ctx, model, 3)
+        encodes = []
+        monkeypatch.setattr(moe, "encode", lambda *a: encodes.append(1) or encode(*a))
+        assert select_concepts(ctx, model, 3) == expected
+        assert select_concepts(ctx, model, 2) == expected[:2]
+        assert select_concepts(ctx, model) == expected[:1]
+        assert encodes == [1, 1, 1]
+        monkeypatch.undo()
+    assert select_concepts(contexts[0], model, 0) == []
+    with pytest.raises(ValueError):
+        select_concepts(contexts[0], model, 4)
 
 
 # --- example preparation and generator input ---------------------------------
