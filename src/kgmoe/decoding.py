@@ -71,30 +71,35 @@ def _search(groups, expands, model: Model, width: int,
     that ends in EOS is finished.  A search stops once `width` of its
     hypotheses are finished or none is live; all stop at the maximum decode
     length.  At step i every live hypothesis holds i tokens, so no prefix needs
-    padding.
+    padding.  Each group keeps a decoder cache, so a step feeds one token per
+    hypothesis; a hypothesis carries the cache row of its parent, and the kept
+    ones select their rows with one gather.
     """
     def rank(hyp):
-        ids, logp = hyp
+        ids, logp, _ = hyp
         return -(logp / len(ids) if length_normalize else logp), ids
 
-    live = [[([], 0.0)] for _ in expands]
-    finished: list[list[tuple[list[int], float]]] = [[] for _ in expands]
+    live = [[([], 0.0, 0)] for _ in expands]
+    finished: list[list[tuple[list[int], float, int]]] = [[] for _ in expands]
     active = list(range(len(expands)))
+    caches = [generator.DecoderCache() for _ in groups]
     for _ in range(min(MAX_DECODE_LEN, model.cfg.max_len - 1)):
         dists = {}
-        for js, memory in groups:
+        for (js, memory), cache in zip(groups, caches):
             stepping = [(row, j) for row, j in enumerate(js) if j in active]
             if not stepping:
                 continue
-            if len(js) > 1:
-                memory = T.constant(memory.data[[row for row, j in stepping for _ in live[j]]])
-            rows = iter(memory_next_dist(memory, [ids for _, j in stepping for ids, _ in live[j]],
-                                         model.params, model.cfg, model.positions))
+            picks = [row for row, j in stepping for _ in live[j]]
+            if len(js) > 1 and picks != list(range(len(js))):
+                memory = T.constant(memory.data[picks])
+            rows = enumerate(memory_next_dist(
+                memory, [ids for _, j in stepping for ids, _, _ in live[j]],
+                model.params, model.cfg, model.positions, cache))
             for _, j in stepping:
                 dists[j] = [next(rows) for _ in live[j]]
         for j in active:
-            candidates = [(ids + [tok], logp + step)
-                          for (ids, logp), dist in zip(live[j], dists[j])
+            candidates = [(ids + [tok], logp + step, row)
+                          for (ids, logp, _), (row, dist) in zip(live[j], dists[j])
                           for tok, step in expands[j](dist)]
             candidates.sort(key=rank)
             live[j] = []
@@ -105,7 +110,9 @@ def _search(groups, expands, model: Model, width: int,
         active = [j for j in active if len(finished[j]) < width and live[j]]
         if not active:
             break
-    return [[ids for ids, _ in sorted(f + l, key=rank)[:width]]
+        for (js, _), cache in zip(groups, caches):
+            cache.take([row for j in js if j in active for _, _, row in live[j]])
+    return [[ids for ids, _, _ in sorted(f + l, key=rank)[:width]]
             for f, l in zip(finished, live)]
 
 

@@ -11,6 +11,15 @@ expert mode are read from the model's `TrainConfig`, passed as `cfg`.
 that `decoder_logits` and `generation_loss` carry through; slice z equals a
 one-request call bit for bit.  `memory_next_dist` likewise runs H decoder
 prefixes of one length in one `decoder_logits` call.
+
+Decoding feeds the decoder one position at a time through a `DecoderCache`
+(KV caching, Pope et al. 2022): it holds each layer's cross-attention K/V,
+projected from the memory once, and the self-attention K/V of every position
+fed so far, one row per hypothesis, so a step reads `[H, 1]` new tokens and
+`DecoderCache.take` reorders the rows.  Cached logits equal the teacher-forced
+rows within 1e-12, not bit for bit: a one-row matmul rounds differently from
+row t of a `[t, d]` one.  The stream stays `[H, 1, d]`, where numpy runs one
+product per row, so row h equals a one-hypothesis step bit for bit.
 """
 
 from __future__ import annotations
@@ -154,11 +163,51 @@ def init_generator_params(rng: np.random.Generator, vocab_size: int,
     return params
 
 
+class DecoderCache:
+    """Attention keys and values of a decoder fed a few positions per call, one
+    row per hypothesis, for `decoder_logits(..., cache)`.  The first call fixes
+    the row count and projects each layer's cross-attention K/V from the memory;
+    every call appends its positions' self-attention K/V."""
+
+    def __init__(self):
+        self.kv: dict[str, tuple[T.Tensor, T.Tensor]] = {}   # attention prefix -> (k, v)
+        self.length = 0                                      # positions fed so far
+        self.rows: int | None = None
+
+    def keys_values(self, prefix: str, kv_in: T.Tensor, params,
+                    grows: bool) -> tuple[T.Tensor, T.Tensor]:
+        """The K/V attention `prefix` reads: a memory's are projected on the
+        first call and kept; a growing stream's new rows are appended."""
+        held = self.kv.get(prefix)
+        if held is None or grows:
+            new = (T.matmul(kv_in, params[f"{prefix}.wk"]),
+                   T.matmul(kv_in, params[f"{prefix}.wv"]))
+            held = new if held is None else tuple(
+                T.constant(np.concatenate((old.data, x.data), axis=-2))
+                for old, x in zip(held, new))
+            self.kv[prefix] = held
+        return held
+
+    def take(self, rows: list[int]) -> None:
+        """Keep the hypothesis rows `rows` (each new row's parent), in that
+        order; a memory K/V shared by every row stays as it is."""
+        if rows == list(range(self.rows or 0)):
+            return
+        rows = np.asarray(rows, dtype=np.int64)
+        self.kv = {name: tuple(T.constant(x.data[rows]) if x.data.ndim == 3 else x for x in kv)
+                   for name, kv in self.kv.items()}
+        self.rows = len(rows)
+
+
 def _attention(q_in: T.Tensor, kv_in: T.Tensor, params, prefix: str, cfg: TrainConfig,
-               mask: np.ndarray | None = None) -> T.Tensor:
+               mask: np.ndarray | None = None, cache: DecoderCache | None = None) -> T.Tensor:
     q = T.matmul(q_in, params[f"{prefix}.wq"])
-    k = T.matmul(kv_in, params[f"{prefix}.wk"])
-    v = T.matmul(kv_in, params[f"{prefix}.wv"])
+    if cache is None:
+        k = T.matmul(kv_in, params[f"{prefix}.wk"])
+        v = T.matmul(kv_in, params[f"{prefix}.wv"])
+    else:
+        # self-attention (kv_in is q_in) grows by the new positions
+        k, v = cache.keys_values(prefix, kv_in, params, grows=kv_in is q_in)
     return T.matmul(T.attention(q, k, v, cfg.n_heads, mask), params[f"{prefix}.wo"])
 
 
@@ -233,25 +282,39 @@ def _causal_mask(max_len: int) -> np.ndarray:
 
 
 def decoder_logits(memory: T.Tensor, dec_ids, params, cfg: TrainConfig,
-                   positions: np.ndarray) -> T.Tensor:
+                   positions: np.ndarray, cache: DecoderCache | None = None) -> T.Tensor:
     """Logits [..., t, vocab] for the next token at each position of dec_ids
     [t] or [H, t], over a memory [..., s, d].  A 1-D dec_ids keeps the stream
     [t, d] until the first cross-attention, so layer 0's self-attention runs
-    once however many memories share it."""
+    once however many memories share it.
+
+    With a cache, dec_ids [H, t] continues the H sequences the cache holds
+    from position `cache.length` on: earlier positions' self-attention K/V
+    and the memory's cross-attention K/V come from the cache, which takes the
+    new positions' K/V."""
     dec_ids = np.asarray(dec_ids, dtype=np.int64)
-    t = dec_ids.shape[-1]
-    if t > cfg.max_len:
-        raise ValueError(f"decoder length {t} exceeds max_len {cfg.max_len}")
-    stream = T.add(T.embedding(params["gen.tok_embed"], dec_ids), T.constant(positions[:t]))
-    mask = _causal_mask(cfg.max_len)[:t, :t]
+    start, t = 0, dec_ids.shape[-1]
+    if cache is not None:
+        start = cache.length
+        if cache.rows not in (None, len(dec_ids)):
+            raise ValueError(f"decoder cache holds {cache.rows} rows "
+                             f"for {len(dec_ids)} hypotheses")
+    if start + t > cfg.max_len:
+        raise ValueError(f"decoder length {start + t} exceeds max_len {cfg.max_len}")
+    stream = T.add(T.embedding(params["gen.tok_embed"], dec_ids),
+                   T.constant(positions[start:start + t]))
+    mask = _causal_mask(cfg.max_len)[start:start + t, :start + t]
     for layer in range(cfg.n_decoder_layers):
         p = f"gen.dec{layer}"
         stream = _sublayer(stream, params, f"{p}.self",
-                           lambda s, p=p: _attention(s, s, params, f"{p}.self", cfg, mask=mask))
+                           lambda s, p=p: _attention(s, s, params, f"{p}.self", cfg, mask, cache))
         stream = _sublayer(stream, params, f"{p}.cross",
-                           lambda s, p=p: _attention(s, memory, params, f"{p}.cross", cfg))
+                           lambda s, p=p: _attention(s, memory, params, f"{p}.cross", cfg,
+                                                     cache=cache))
         stream = _sublayer(stream, params, f"{p}.ff",
                            lambda s, p=p: _feed_forward(s, params, f"{p}.ff"))
+    if cache is not None:
+        cache.length, cache.rows = start + t, len(dec_ids)
     stream = T.layer_norm(stream, params["gen.dec_ln_g"], params["gen.dec_ln_b"])
     return T.add(T.matmul(stream, params["gen.out_w"]), params["gen.out_b"])
 
@@ -270,10 +333,15 @@ def generation_loss(inps: list[GeneratorInput], y_ids: list[int], params, vocab:
 
 
 def memory_next_dist(memory: T.Tensor, prefixes: list[list[int]], params,
-                     cfg: TrainConfig, positions: np.ndarray) -> np.ndarray:
+                     cfg: TrainConfig, positions: np.ndarray,
+                     cache: DecoderCache | None = None) -> np.ndarray:
     """Next-token distributions [H, vocab] of H prefixes of one length, from one
     decoder call over an encoder memory [s, d] shared by every prefix or
-    [H, s, d], one per prefix.  Row h equals a one-prefix call bit for bit."""
+    [H, s, d], one per prefix.  Row h equals a one-prefix call bit for bit.
+
+    With a cache that holds the prefixes' earlier positions (row h for
+    prefix h), the call feeds only the positions it does not hold: in
+    decoding, each prefix's newest token."""
     lengths = sorted({len(p) for p in prefixes})
     if len(lengths) != 1:
         raise ValueError(f"prefixes must share one length, got lengths {lengths}")
@@ -282,9 +350,14 @@ def memory_next_dist(memory: T.Tensor, prefixes: list[list[int]], params,
                          f"for {len(prefixes)} prefixes")
     if lengths[0] + 1 > cfg.max_len:
         raise ValueError(f"prefix length {lengths[0]} exceeds max_len {cfg.max_len}")
+    dec_ids = [[BOS, *p] for p in prefixes]
+    if cache is not None:
+        if cache.length > lengths[0]:
+            raise ValueError(f"decoder cache holds {cache.length} positions "
+                             f"for prefixes of length {lengths[0]}")
+        dec_ids = [ids[cache.length:] for ids in dec_ids]
     with T.no_grad():
-        logits = decoder_logits(memory, [[BOS, *p] for p in prefixes], params, cfg,
-                                positions).data[:, -1]
+        logits = decoder_logits(memory, dec_ids, params, cfg, positions, cache).data[:, -1]
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)

@@ -40,7 +40,7 @@ class FixedLM:
         self.step_dists = step_dists          # list of {token_id: prob}
         self.forced_eos_at = forced_eos_at
 
-    def __call__(self, memory, prefixes, params, cfg, positions):
+    def __call__(self, memory, prefixes, params, cfg, positions, cache=None):
         return np.stack([self.row(prefix) for prefix in prefixes])
 
     def row(self, prefix_ids):
@@ -167,7 +167,7 @@ class MemoryLM:
         self.tokens = tokens
         self.calls = 0
 
-    def __call__(self, memory, prefixes, params, cfg, positions):
+    def __call__(self, memory, prefixes, params, cfg, positions, cache=None):
         assert len({len(p) for p in prefixes}) == 1
         keys = memory.data[..., 0, 0]
         if memory.data.ndim == 3:
@@ -282,6 +282,63 @@ def test_moe_makes_one_rgcn_encode_per_bundle(monkeypatch, disjoint):
     encodes = count_calls(monkeypatch, moe, "encode")
     assert len(D.decode_moe(ctx, model).entries) == 3
     assert len(encodes) == 1
+
+
+# --- decoder cache ------------------------------------------------------------
+
+CACHED_DECODERS = {
+    "moe": lambda ctx, model: D.decode_moe(ctx, model),
+    "beam": lambda ctx, model: D.decode_beam(ctx, model, beam=3),
+    "beam-raw": lambda ctx, model: D.decode_beam(ctx, model, beam=3, length_normalize=False),
+    "topk": lambda ctx, model: D.decode_truncated(ctx, model, k=3, seed=2, n_samples=3),
+    "nucleus": lambda ctx, model: D.decode_nucleus(ctx, model, p=0.9, seed=2, n_samples=3),
+}
+
+
+def uncached(monkeypatch):
+    """Make decoding call `memory_next_dist` without a cache, so every step
+    runs the decoder over the full prefixes."""
+    full = D.memory_next_dist
+    monkeypatch.setattr(D, "memory_next_dist",
+                        lambda memory, prefixes, params, cfg, positions, cache:
+                        full(memory, prefixes, params, cfg, positions))
+
+
+@pytest.mark.parametrize("setup", [dict(), dict(n_experts=3, disjoint_rule=True, top_concepts=2),
+                                   dict(n_experts=3, disjoint_rule=True, top_concepts=3),
+                                   dict(n_experts=3, expert_mode="embed", n_decoder_layers=2)])
+def test_cached_decoding_equals_full_prefix_decoding(monkeypatch, setup):
+    model, ctx = tiny_setup(**setup)
+    reorders = []
+    take = D.generator.DecoderCache.take
+    monkeypatch.setattr(D.generator.DecoderCache, "take", lambda cache, rows: reorders.append(
+        rows != list(range(cache.rows))) or take(cache, rows))
+    cached = [fn(ctx, model) for fn in CACHED_DECODERS.values()]
+    # a beam's kept hypotheses moved or dropped cache rows
+    assert any(reorders)
+    monkeypatch.undo()
+    uncached(monkeypatch)
+    assert cached == [fn(ctx, model) for fn in CACHED_DECODERS.values()]
+
+
+@pytest.mark.parametrize("name", CACHED_DECODERS)
+def test_decoding_reads_one_position_per_next_token_distribution(monkeypatch, name):
+    model, ctx = tiny_setup(n_experts=3, disjoint_rule=True, top_concepts=2)
+    positions, dists = [], []
+    decoder, next_dist = D.generator.decoder_logits, D.memory_next_dist
+
+    def counted_decoder(memory, dec_ids, *rest):
+        positions.append(np.asarray(dec_ids).size)      # H x t
+        return decoder(memory, dec_ids, *rest)
+
+    def counted_next_dist(memory, prefixes, *rest):
+        dists.append(len(prefixes))
+        return next_dist(memory, prefixes, *rest)
+    monkeypatch.setattr(D.generator, "decoder_logits", counted_decoder)
+    monkeypatch.setattr(D, "memory_next_dist", counted_next_dist)
+    CACHED_DECODERS[name](ctx, model)
+    assert len(positions) == len(dists) > 1
+    assert sum(positions) == sum(dists)
 
 
 @pytest.mark.parametrize("fn, kw", [(D.decode_truncated, {"k": 3}), (D.decode_nucleus, {"p": 0.9})])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kgmoe import tensor as T
-from kgmoe.generator import (BOS, EOS, PAD, UNK, GeneratorInput, Vocab,
+from kgmoe.generator import (BOS, EOS, PAD, UNK, DecoderCache, GeneratorInput, Vocab,
                              decoder_logits, encode_inputs, generation_loss,
                              init_generator_params, memory_next_dist,
                              sinusoidal_positions)
@@ -349,6 +349,102 @@ def test_batched_next_dist_rejects_ragged_prefixes_and_mismatched_memory():
         memory_next_dist(T.constant(stack.data[0]), [[5], [5, 6]], params, cfg, pos)
     with pytest.raises(ValueError, match="2 rows for 3 prefixes"):
         memory_next_dist(stack, [[5], [6], [7]], params, cfg, pos)
+
+
+def cache_setup(expert_mode="prompt", layers=1, d_model=8, n_heads=2, stacked=False, h=3):
+    """(cfg, params, pos, memory [s, d] or [h, s, d], h token rows [BOS, ..] of 9 ids)."""
+    vocab, cfg, params, pos = small_setup(n_experts=h, d_model=d_model, n_heads=n_heads,
+                                          layers=layers, expert_mode=expert_mode)
+    x = vocab.encode("the cat sat")
+    words = ["dog", "mat", "cat", "ran", "on"]
+    inps = [GeneratorInput(x, [[vocab.ids[w]] for w in words[z : z + 2]], z) for z in range(h)]
+    with T.no_grad():
+        stack = encode_inputs(inps, params, vocab, cfg, pos)
+    memory = stack if stacked else T.constant(stack.data[0])
+    ids = np.random.default_rng(layers).integers(4, len(vocab), (h, 8))
+    return cfg, params, pos, memory, np.hstack([np.full((h, 1), BOS), ids])
+
+
+def cached_steps(memory, ids, params, cfg, pos, cache=None):
+    """The logits [H, V] of each position of ids [H, t], fed one position per call."""
+    cache = cache or DecoderCache()
+    with T.no_grad():
+        return [decoder_logits(memory, ids[:, i : i + 1], params, cfg, pos, cache).data[:, 0]
+                for i in range(ids.shape[1])]
+
+
+@pytest.mark.parametrize("expert_mode", ["prompt", "embed"])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("d_model, n_heads", [(8, 2), (18, 3)])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_cached_steps_equal_teacher_forced_rows(expert_mode, layers, d_model, n_heads,
+                                                stacked):
+    cfg, params, pos, memory, ids = cache_setup(expert_mode, layers, d_model, n_heads, stacked)
+    with T.no_grad():
+        full = decoder_logits(memory, ids, params, cfg, pos).data
+    steps = cached_steps(memory, ids, params, cfg, pos)
+    assert len(steps) == ids.shape[1]
+    for i, step in enumerate(steps):
+        assert np.allclose(step, full[:, i], rtol=0, atol=1e-12)
+    # memory_next_dist with a cache feeds only the newest token of each prefix
+    cache = DecoderCache()
+    for i in range(ids.shape[1]):
+        prefixes = ids[:, 1 : i + 1].tolist()
+        cached = memory_next_dist(memory, prefixes, params, cfg, pos, cache)
+        assert cache.length == i + 1
+        assert np.allclose(cached, memory_next_dist(memory, prefixes, params, cfg, pos),
+                           rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("expert_mode", ["prompt", "embed"])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("d_model, n_heads", [(8, 2), (18, 3)])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_cached_step_rows_equal_one_hypothesis_steps_bit_for_bit(expert_mode, layers,
+                                                                  d_model, n_heads, stacked):
+    cfg, params, pos, memory, ids = cache_setup(expert_mode, layers, d_model, n_heads, stacked)
+    # after 4 positions, row r continues from row parents[r]'s cache (a beam reorder)
+    parents = [2, 0, 0]
+    cache = DecoderCache()
+    head = cached_steps(memory, ids[:, :4], params, cfg, pos, cache)
+    cache.take(parents)
+    assert cache.rows == 3
+    tail = cached_steps(memory if not stacked else T.constant(memory.data[parents]),
+                        ids[:, 4:], params, cfg, pos, cache)
+    for r, parent in enumerate(parents):
+        own = memory if not stacked else T.constant(memory.data[parent])
+        alone = DecoderCache()
+        one_head = cached_steps(own, ids[parent : parent + 1, :4], params, cfg, pos, alone)
+        one_tail = cached_steps(own, ids[r : r + 1, 4:], params, cfg, pos, alone)
+        assert all(np.array_equal(a[parent], b[0]) for a, b in zip(head, one_head))
+        assert all(np.array_equal(a[r], b[0]) for a, b in zip(tail, one_tail))
+
+
+def test_cached_step_past_max_len_raises_as_teacher_forcing_does():
+    cfg, params, pos, memory, _ = cache_setup()
+    ids = np.full((3, cfg.max_len + 1), 7)
+    with pytest.raises(ValueError) as forced:
+        decoder_logits(memory, ids, params, cfg, pos)
+    cache = DecoderCache()
+    cached_steps(memory, ids[:, : cfg.max_len], params, cfg, pos, cache)
+    with pytest.raises(ValueError) as cached:
+        cached_steps(memory, ids[:, cfg.max_len :], params, cfg, pos, cache)
+    assert str(cached.value) == str(forced.value) == (
+        f"decoder length {cfg.max_len + 1} exceeds max_len {cfg.max_len}")
+
+
+def test_cache_rejects_rows_or_positions_that_do_not_match_the_tokens():
+    cfg, params, pos, memory, ids = cache_setup()
+    cache = DecoderCache()
+    cached_steps(memory, ids[:, :2], params, cfg, pos, cache)
+    with pytest.raises(ValueError, match="cache holds 3 rows for 2 hypotheses"):
+        cached_steps(memory, ids[:2, 2:3], params, cfg, pos, cache)
+    cache.take([1])
+    with pytest.raises(ValueError, match="cache holds 1 rows for 3 hypotheses"):
+        cached_steps(memory, ids[:, 2:3], params, cfg, pos, cache)
+    # prefixes must extend the positions the cache holds
+    with pytest.raises(ValueError, match="cache holds 2 positions for prefixes of length 1"):
+        memory_next_dist(memory, ids[1:2, 1:2].tolist(), params, cfg, pos, cache)
 
 
 # --- gradients and trainability ---------------------------------------------
