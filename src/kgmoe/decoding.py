@@ -73,7 +73,8 @@ def _search(groups, expands, model: Model, width: int,
     length.  At step i every live hypothesis holds i tokens, so no prefix needs
     padding.  Each group keeps a decoder cache, so a step feeds one token per
     hypothesis; a hypothesis carries the cache row of its parent, and the kept
-    ones select their rows with one gather.
+    ones select their rows with one gather.  The memory is read only at the
+    first step, before any search stops, so it is never regathered.
     """
     def rank(hyp):
         ids, logp, _ = hyp
@@ -89,9 +90,6 @@ def _search(groups, expands, model: Model, width: int,
             stepping = [(row, j) for row, j in enumerate(js) if j in active]
             if not stepping:
                 continue
-            picks = [row for row, j in stepping for _ in live[j]]
-            if len(js) > 1 and picks != list(range(len(js))):
-                memory = T.constant(memory.data[picks])
             rows = enumerate(memory_next_dist(
                 memory, [ids for _, j in stepping for ids, _, _ in live[j]],
                 model.params, model.cfg, model.positions, cache))

@@ -170,23 +170,21 @@ class DecoderCache:
     every call appends its positions' self-attention K/V."""
 
     def __init__(self):
-        self.kv: dict[str, tuple[T.Tensor, T.Tensor]] = {}   # attention prefix -> (k, v)
-        self.length = 0                                      # positions fed so far
+        self.memory_kv: dict[str, tuple[T.Tensor, T.Tensor]] = {}  # cross-attention prefix -> (k, v)
+        self.kv: dict[str, tuple[np.ndarray, ...]] = {}            # self-attention prefix -> (k, v)
+        self.length = 0                                            # positions fed so far
         self.rows: int | None = None
 
-    def keys_values(self, prefix: str, kv_in: T.Tensor, params,
-                    grows: bool) -> tuple[T.Tensor, T.Tensor]:
-        """The K/V attention `prefix` reads: a memory's are projected on the
-        first call and kept; a growing stream's new rows are appended."""
-        held = self.kv.get(prefix)
-        if held is None or grows:
-            new = (T.matmul(kv_in, params[f"{prefix}.wk"]),
-                   T.matmul(kv_in, params[f"{prefix}.wv"]))
-            held = new if held is None else tuple(
-                T.constant(np.concatenate((old.data, x.data), axis=-2))
-                for old, x in zip(held, new))
-            self.kv[prefix] = held
-        return held
+    def grow(self, prefix: str):
+        """The `attention_sublayer` hook of self-attention `prefix`: it appends a
+        call's new keys and values to those held and returns all of them."""
+        def extend(k: np.ndarray, v: np.ndarray):
+            held = self.kv.get(prefix)
+            if held is not None:
+                k, v = (np.concatenate(pair, axis=-2) for pair in zip(held, (k, v)))
+            self.kv[prefix] = (k, v)
+            return k, v
+        return extend
 
     def take(self, rows: list[int]) -> None:
         """Keep the hypothesis rows `rows` (each new row's parent), in that
@@ -194,32 +192,18 @@ class DecoderCache:
         if rows == list(range(self.rows or 0)):
             return
         rows = np.asarray(rows, dtype=np.int64)
-        self.kv = {name: tuple(T.constant(x.data[rows]) if x.data.ndim == 3 else x for x in kv)
-                   for name, kv in self.kv.items()}
+        self.kv = {name: tuple(x[rows] for x in kv) for name, kv in self.kv.items()}
+        self.memory_kv = {name: tuple(T.constant(x.data[rows]) if x.data.ndim == 3 else x
+                                      for x in kv) for name, kv in self.memory_kv.items()}
         self.rows = len(rows)
 
 
-def _attention(q_in: T.Tensor, kv_in: T.Tensor, params, prefix: str, cfg: TrainConfig,
-               mask: np.ndarray | None = None, cache: DecoderCache | None = None) -> T.Tensor:
-    q = T.matmul(q_in, params[f"{prefix}.wq"])
-    if cache is None:
-        k = T.matmul(kv_in, params[f"{prefix}.wk"])
-        v = T.matmul(kv_in, params[f"{prefix}.wv"])
-    else:
-        # self-attention (kv_in is q_in) grows by the new positions
-        k, v = cache.keys_values(prefix, kv_in, params, grows=kv_in is q_in)
-    return T.matmul(T.attention(q, k, v, cfg.n_heads, mask), params[f"{prefix}.wo"])
+_SELF_ATTENTION = ("ln_g", "ln_b", "wq", "wk", "wv", "wo")
+_FEED_FORWARD = ("ln_g", "ln_b", "w1", "b1", "w2", "b2")
 
 
-def _sublayer(x: T.Tensor, params, prefix: str, fn) -> T.Tensor:
-    # pre-LN residual block
-    normed = T.layer_norm(x, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
-    return T.add(x, fn(normed))
-
-
-def _feed_forward(x: T.Tensor, params, prefix: str) -> T.Tensor:
-    hidden = T.relu(T.add(T.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    return T.add(T.matmul(hidden, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+def _weights(params, prefix: str, names) -> list[T.Tensor]:
+    return [params[f"{prefix}.{name}"] for name in names]
 
 
 def _concept_embeddings(inps: list[GeneratorInput], n_concepts: int, params) -> T.Tensor:
@@ -265,11 +249,10 @@ def encode_inputs(inps: list[GeneratorInput], params: dict[str, T.Tensor], vocab
         stream = T.add(stream, T.embedding(params["gen.expert_embed"], [[z] for z in experts]))
 
     for layer in range(cfg.n_encoder_layers):
-        prefix_name = f"gen.enc{layer}"
-        stream = _sublayer(stream, params, f"{prefix_name}.self",
-                           lambda s, p=prefix_name: _attention(s, s, params, f"{p}.self", cfg))
-        stream = _sublayer(stream, params, f"{prefix_name}.ff",
-                           lambda s, p=prefix_name: _feed_forward(s, params, f"{p}.ff"))
+        p = f"gen.enc{layer}"
+        stream = T.attention_sublayer(stream, *_weights(params, f"{p}.self", _SELF_ATTENTION),
+                                      cfg.n_heads)
+        stream = T.feed_forward_sublayer(stream, *_weights(params, f"{p}.ff", _FEED_FORWARD))
     return T.layer_norm(stream, params["gen.enc_ln_g"], params["gen.enc_ln_b"])
 
 
@@ -306,13 +289,20 @@ def decoder_logits(memory: T.Tensor, dec_ids, params, cfg: TrainConfig,
     mask = _causal_mask(cfg.max_len)[start:start + t, :start + t]
     for layer in range(cfg.n_decoder_layers):
         p = f"gen.dec{layer}"
-        stream = _sublayer(stream, params, f"{p}.self",
-                           lambda s, p=p: _attention(s, s, params, f"{p}.self", cfg, mask, cache))
-        stream = _sublayer(stream, params, f"{p}.cross",
-                           lambda s, p=p: _attention(s, memory, params, f"{p}.cross", cfg,
-                                                     cache=cache))
-        stream = _sublayer(stream, params, f"{p}.ff",
-                           lambda s, p=p: _feed_forward(s, params, f"{p}.ff"))
+        stream = T.attention_sublayer(stream, *_weights(params, f"{p}.self", _SELF_ATTENTION),
+                                      cfg.n_heads, mask,
+                                      grow=None if cache is None else cache.grow(f"{p}.self"))
+        # the memory's keys and values: projected once per search with a cache
+        kv = None if cache is None else cache.memory_kv.get(f"{p}.cross")
+        if kv is None:
+            kv = (T.matmul(memory, params[f"{p}.cross.wk"]),
+                  T.matmul(memory, params[f"{p}.cross.wv"]))
+            if cache is not None:
+                cache.memory_kv[f"{p}.cross"] = kv
+        gain, bias, wq, wo = _weights(params, f"{p}.cross", ("ln_g", "ln_b", "wq", "wo"))
+        stream = T.attention_sublayer(stream, gain, bias, wq, *kv, wo, cfg.n_heads,
+                                      project=False)
+        stream = T.feed_forward_sublayer(stream, *_weights(params, f"{p}.ff", _FEED_FORWARD))
     if cache is not None:
         cache.length, cache.rows = start + t, len(dec_ids)
     stream = T.layer_norm(stream, params["gen.dec_ln_g"], params["gen.dec_ln_b"])
@@ -341,11 +331,14 @@ def memory_next_dist(memory: T.Tensor, prefixes: list[list[int]], params,
 
     With a cache that holds the prefixes' earlier positions (row h for
     prefix h), the call feeds only the positions it does not hold: in
-    decoding, each prefix's newest token."""
+    decoding, each prefix's newest token.  Once the cache holds rows, the
+    memory's keys and values come from it and the memory is not read, so a
+    stacked memory need not match the prefixes any more."""
     lengths = sorted({len(p) for p in prefixes})
     if len(lengths) != 1:
         raise ValueError(f"prefixes must share one length, got lengths {lengths}")
-    if memory.data.ndim == 3 and memory.shape[0] != len(prefixes):
+    if memory.data.ndim == 3 and memory.shape[0] != len(prefixes) and (
+            cache is None or cache.rows is None):
         raise ValueError(f"stacked memory holds {memory.shape[0]} rows "
                          f"for {len(prefixes)} prefixes")
     if lengths[0] + 1 > cfg.max_len:

@@ -63,8 +63,10 @@ class Subgraph:
             self._sorted_nodes = sorted(self.nodes)
         return self._sorted_nodes
 
-    def message_arrays(self, n_relations: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Local (src, dst, rel) index arrays of the messages along the edges.
+    def message_arrays(self, n_relations: int
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Local (src, dst, rel) index arrays of the messages along the edges,
+        and each node's in-degree as a float divisor, at least 1.
 
         Indices are rows of `sorted_nodes()`.  Edge by edge, a triple (h, r, t)
         sends h -> t under r, then t -> h under the inverse relation
@@ -76,8 +78,10 @@ class Subgraph:
             hrt = np.array([(row[h], r, row[t]) for h, r, t in self.edges],
                            dtype=np.int64).reshape(-1, 3)
             h, r, t = hrt.T
-            arrays = (np.column_stack([h, t]).ravel(), np.column_stack([t, h]).ravel(),
-                      np.column_stack([r, r + n_relations]).ravel())
+            dst = np.column_stack([t, h]).ravel()
+            divisor = np.maximum(np.bincount(dst, minlength=len(row)).astype(np.float64), 1.0)
+            arrays = (np.column_stack([h, t]).ravel(), dst,
+                      np.column_stack([r, r + n_relations]).ravel(), divisor)
             self._messages[n_relations] = arrays
         return arrays
 

@@ -26,34 +26,21 @@ def init_rgcn_params(rng: np.random.Generator, n_concepts: int, n_relations: int
     return params
 
 
-def compose(h_u: T.Tensor, h_r: T.Tensor) -> T.Tensor:
-    """Non-parametric composition of neighbor and relation states (difference)."""
-    if h_u.shape != h_r.shape:
-        raise ValueError(f"compose dimension mismatch: {h_u.shape} vs {h_r.shape}")
-    return T.sub(h_u, h_r)
-
-
 def rgcn_layer(h: T.Tensor, h_rel: T.Tensor, subgraph: Subgraph, w_neighbor: T.Tensor,
-               w_self: T.Tensor, w_rel: T.Tensor, n_relations: int) -> tuple[T.Tensor, T.Tensor]:
+               w_self: T.Tensor, w_rel: T.Tensor | None,
+               n_relations: int) -> tuple[T.Tensor, T.Tensor | None]:
     """One relational convolution layer; nodes without incoming edges aggregate zero.
 
     h holds one row per node in `subgraph.sorted_nodes()` order and h_rel one
     row per relation, inverses in the second half; returns the next (h, h_rel).
+    With w_rel None (a last layer, whose relation states nothing reads) the
+    next h_rel is None.
     """
     n = len(subgraph.nodes)
     if h.shape[0] != n:
         raise ValueError(f"node states have {h.shape[0]} rows for a subgraph of {n} nodes")
-    src, dst, rel = subgraph.message_arrays(n_relations)
-    self_term = T.matmul(h, w_self)
-    if len(src):
-        h_u = T.embedding(h, src)
-        h_r = T.embedding(h_rel, rel)
-        messages = T.matmul(compose(h_u, h_r), w_neighbor)
-        agg = T.segment_mean(messages, dst, n)
-        updated = T.relu(T.add(agg, self_term))
-    else:
-        updated = T.relu(self_term)
-    return updated, T.matmul(h_rel, w_rel)
+    updated = T.rgcn_conv(h_rel, h, w_neighbor, w_self, subgraph.message_arrays(n_relations))
+    return updated, None if w_rel is None else T.matmul(h_rel, w_rel)
 
 
 def encode(subgraph: Subgraph, params: dict[str, T.Tensor], kg: KnowledgeGraph,
@@ -67,7 +54,7 @@ def encode(subgraph: Subgraph, params: dict[str, T.Tensor], kg: KnowledgeGraph,
             h, h_rel, subgraph,
             params[f"rgcn.l{layer}.w_neighbor"],
             params[f"rgcn.l{layer}.w_self"],
-            params[f"rgcn.l{layer}.w_rel"],
+            params[f"rgcn.l{layer}.w_rel"] if layer + 1 < layers else None,
             kg.num_relations,
         )
     return h

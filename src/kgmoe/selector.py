@@ -29,11 +29,9 @@ def score_concepts(h: T.Tensor, params: dict[str, T.Tensor],
                    expert: int | None = None) -> T.Tensor:
     """Selection probability per subgraph node, as a [n_nodes] tensor in (0,1),
     from node states h [n_nodes, d] (rows in the subgraph's sorted-node order)."""
-    if expert is not None:
-        h = T.add(h, T.embedding(params["sel.expert_embed"], [expert]))
-    hidden = T.relu(T.add(T.matmul(h, params["sel.w1"]), params["sel.b1"]))
-    logits = T.add(T.matmul(hidden, params["sel.w2"]), params["sel.b2"])
-    return T.reshape(T.sigmoid(logits), (h.shape[0],))
+    shift = None if expert is None else (params["sel.expert_embed"], expert)
+    return T.sigmoid_mlp(h, params["sel.w1"], params["sel.b1"], params["sel.w2"],
+                         params["sel.b2"], shift)
 
 
 def build_labels(subgraph: Subgraph, reference: str, kg: KnowledgeGraph) -> np.ndarray:
@@ -46,11 +44,7 @@ def concept_loss(p: T.Tensor, labels: np.ndarray) -> T.Tensor:
     """Binary cross-entropy, mean over nodes, probabilities clipped away from 0/1."""
     if labels.size == 0:
         return T.constant(0.0)
-    pc = T.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
-    y = T.constant(labels)
-    pos = T.mul(y, T.log(pc))
-    neg = T.mul(T.constant(1.0 - labels), T.log(T.sub(T.constant(np.ones_like(labels)), pc)))
-    return T.scale(T.mean_all(T.add(pos, neg)), -1.0)
+    return T.binary_cross_entropy(p, labels, PROB_CLIP)
 
 
 def top_n(ids, p, n: int, forbidden: set[int] | None = None) -> list[int]:

@@ -106,10 +106,38 @@ def _make(data, parents, backward):
 def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is None and g.shape == t.data.shape:
+        # 0.0 + g in a buffer of t.data's layout, as zeros_like then += writes it
+        # (-0.0 becomes +0.0); a view's layout would change later products' rounding
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad += g
     t._touched = None
+
+
+def _rows(table: Tensor, ids) -> np.ndarray:
+    """ids as an int64 index array into table's rows, range-checked."""
+    idx = np.asarray(ids, dtype=np.int64)
+    if idx.size and (np.minimum.reduce(idx, axis=None) < 0
+                     or np.maximum.reduce(idx, axis=None) >= table.data.shape[0]):
+        raise IndexError(f"embedding index out of range for table of {table.data.shape[0]} rows")
+    return idx
+
+
+def _scatter_rows(table: Tensor, idx: np.ndarray, g: np.ndarray):
+    """Add the rows of g into table's gradient at rows idx (an embedding's
+    backward).  A fresh buffer remembers the row ids while only such scatters
+    write it, for `Adam`'s touched-row check."""
+    if not table.requires_grad:
+        return
+    if table.grad is None:
+        table.grad = np.zeros(table.data.shape)
+        table._touched = (table.grad, [])
+    if table._touched is not None:
+        table._touched[1].append(idx)
+    _scatter_add(table.grad, idx, g)
 
 
 def _scatter_add(dst: np.ndarray, idx: np.ndarray, rows: np.ndarray):
@@ -134,10 +162,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     while g.ndim > len(shape):
         # a size-1 axis is dropped as a view: summing it would only turn -0.0
         # into +0.0, which every +0.0-initialised gradient buffer does anyway
-        g = g[0] if g.shape[0] == 1 else g.sum(axis=0)
+        g = g[0] if g.shape[0] == 1 else np.add.reduce(g, axis=0)
     for ax, dim in enumerate(shape):
         if dim == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
+            g = np.add.reduce(g, axis=ax, keepdims=True)
     return g
 
 
@@ -155,55 +183,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-    return _make(a.data - b.data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-    return _make(a.data * b.data, (a, b), backward)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     def backward(g):
         _accum(a, g * s)
     return _make(a.data * s, (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def backward(g):
-        _accum(a, g * mask)
-    return _make(a.data * mask, (a,), backward)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        _accum(a, g * y * (1.0 - y))
-    return _make(y, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    def backward(g):
-        _accum(a, g / a.data)
-    return _make(np.log(a.data), (a,), backward)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient passes only through unclipped entries."""
-    mask = (a.data > lo) & (a.data < hi)
-
-    def backward(g):
-        _accum(a, g * mask)
-    return _make(np.clip(a.data, lo, hi), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +231,10 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 def embedding(table: Tensor, ids) -> Tensor:
     """Row gather; gradient scatter-adds back into the table."""
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise IndexError(f"embedding index out of range for table of {table.data.shape[0]} rows")
+    idx = _rows(table, ids)
 
     def backward(g):
-        if not table.requires_grad:
-            return
-        if table.grad is None:
-            table.grad = np.zeros(table.data.shape)
-            table._touched = (table.grad, [])
-        if table._touched is not None:
-            table._touched[1].append(idx)
-        _scatter_add(table.grad, idx, g)
+        _scatter_rows(table, idx, g)
     return _make(table.data[idx], (table,), backward)
 
 
@@ -278,64 +252,59 @@ def segment_mean(x: Tensor, seg_ids, num_segments: int) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def backward(g):
-        _accum(a, np.full_like(a.data, float(g) / n))
-    return _make(a.data.mean(), (a,), backward)
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tensor:
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask=None):
     """Multi-head scaled dot-product attention of q [..., tq, d] over k, v [..., tk, d].
 
     Leading axes broadcast: a q [tq, d] against k, v [K, tk, d] gives [K, tq, d].
     Splits n_heads heads, adds the optional additive mask [tq, tk] to the
     scaled scores, takes the row softmax and merges the heads into [..., tq, d].
-    Each view and float operation is the one a chain of reshape, transpose,
-    matmul, scale and softmax ops would run, so BLAS sees the same layouts and
-    the results match that chain bit for bit; the stacked products run one
-    gemm per slice, so a batched call matches per-slice calls bit for bit.
+    Returns (output, backward), where backward(g) gives the gradients of q, k
+    and v over the broadcast leading axes.  Each view and float operation is
+    the one a chain of reshape, transpose, matmul, scale and softmax ops would
+    run, so BLAS sees the same layouts and the results match that chain bit
+    for bit; the stacked products run one gemm per slice, so a batched call
+    matches per-slice calls bit for bit.
     """
-    qshape, kshape = q.data.shape, k.data.shape
+    qshape, kshape = q.shape, k.shape
     tq, d = qshape[-2:]
     heads = (n_heads, d // n_heads)
     s = 1.0 / math.sqrt(heads[1])
     # [..., t, d] -> [..., h, t, dh]; k and v share a shape
-    qh = q.data.reshape(qshape[:-1] + heads).swapaxes(-3, -2)
-    kh = k.data.reshape(kshape[:-1] + heads).swapaxes(-3, -2)
-    vh = v.data.reshape(kshape[:-1] + heads).swapaxes(-3, -2)
+    qh = q.reshape(qshape[:-1] + heads).swapaxes(-3, -2)
+    kh = k.reshape(kshape[:-1] + heads).swapaxes(-3, -2)
+    vh = v.reshape(kshape[:-1] + heads).swapaxes(-3, -2)
     # the scores become the softmax weights in place, sparing the temporaries
     y = np.matmul(qh, kh.swapaxes(-1, -2))
     y *= s
     if mask is not None:
         y += mask
-    y -= y.max(axis=-1, keepdims=True)
+    # ufunc reductions are what ndarray.max and .sum run, minus their Python wrappers
+    y -= np.maximum.reduce(y, axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
     out = np.matmul(y, vh)
 
     def backward(g):
         go = g.reshape(g.shape[:-1] + heads).swapaxes(-3, -2)
         gy = np.matmul(go, vh.swapaxes(-1, -2))
         gv = np.matmul(y.swapaxes(-1, -2), go)
-        gs = (gy - (gy * y).sum(axis=-1, keepdims=True)) * y * s
+        gs = (gy - np.add.reduce(gy * y, axis=-1, keepdims=True)) * y * s
         gq = np.matmul(gs, kh)
         gkt = np.matmul(qh.swapaxes(-1, -2), gs)
         lead = tuple(range(gkt.ndim - 3))
-        _accum(q, _unbroadcast(gq.swapaxes(-3, -2).reshape(gq.shape[:-3] + (tq, d)), qshape))
-        _accum(k, _unbroadcast(gkt.transpose(lead + (-1, -3, -2))
-                               .reshape(gkt.shape[:-3] + (kshape[-2], d)), kshape))
-        _accum(v, _unbroadcast(gv.swapaxes(-3, -2).reshape(gv.shape[:-3] + (kshape[-2], d)),
-                               kshape))
-    return _make(out.swapaxes(-3, -2).reshape(out.shape[:-3] + (tq, d)), (q, k, v), backward)
+        return (gq.swapaxes(-3, -2).reshape(gq.shape[:-3] + (tq, d)),
+                gkt.transpose(lead + (-1, -3, -2)).reshape(gkt.shape[:-3] + (kshape[-2], d)),
+                gv.swapaxes(-3, -2).reshape(gv.shape[:-3] + (kshape[-2], d)))
+    return out.swapaxes(-3, -2).reshape(out.shape[:-3] + (tq, d)), backward
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    # np.mean and np.var run these reductions, minus their Python wrappers
-    d = x.data.shape[-1]
-    centred = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+def _norm(x: np.ndarray, gain: Tensor, bias: Tensor, eps: float = 1e-5):
+    """Layer norm of x over its last axis, scaled and shifted: (output,
+    backward), where backward(g) accumulates the gain and bias gradients and
+    returns x's."""
+    # np.mean, np.var and ndarray.sum run these reductions, minus their Python wrappers
+    d = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centred * inv
@@ -344,10 +313,177 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
         _accum(bias, _unbroadcast(g, bias.data.shape))
         gx = g * gain.data
-        t1 = gx.sum(axis=-1, keepdims=True)
-        t2 = (gx * xhat).sum(axis=-1, keepdims=True)
-        _accum(x, inv * (gx - t1 / d - xhat * t2 / d))
-    return _make(xhat * gain.data + bias.data, (x, gain, bias), backward)
+        t1 = np.add.reduce(gx, axis=-1, keepdims=True)
+        t2 = np.add.reduce(gx * xhat, axis=-1, keepdims=True)
+        return inv * (gx - t1 / d - xhat * t2 / d)
+    return xhat * gain.data + bias.data, backward
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis, then scale and shift."""
+    out, norm_backward = _norm(x.data, gain, bias, eps)
+
+    def backward(g):
+        _accum(x, norm_backward(g))
+    return _make(out, (x, gain, bias), backward)
+
+
+# ---------------------------------------------------------------------------
+# fused layers
+#
+# Each op below runs a whole chain of the ops above as one node with one
+# backward closure.  It computes exactly the ndarray expressions of that chain,
+# and it adds every gradient's terms in the order the chain's backward sweep
+# would (a residual before the layer norm, a query's term before the key's
+# and the value's), through buffers of the same memory layout, so values and
+# parameter gradients match the chain bit for bit.  The order of each op's
+# parents keeps the sweep's order over the rest of the graph.
+
+
+def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, k: Tensor,
+                       v: Tensor, wo: Tensor, n_heads: int, mask=None, project: bool = True,
+                       grow=None) -> Tensor:
+    """x + attention(LN(x) wq, keys, values) wo, a pre-LN attention sublayer.
+
+    With project (self-attention), k and v are the projections giving the
+    keys LN(x) k and the values LN(x) v; `grow`, if given, maps those new
+    positions' keys and values to the arrays attention reads (a decoder
+    cache's, with them appended), and only the new positions pass a gradient
+    on.  Without project, k and v are the keys and values themselves
+    (cross-attention over a memory, projected by the caller).  Leading axes
+    broadcast as in `_attend`; mask is added to the scaled scores.
+    """
+    xn, norm_backward = _norm(x.data, gain, bias)
+    q = np.matmul(xn, wq.data)
+    if project:
+        keys, values = np.matmul(xn, k.data), np.matmul(xn, v.data)
+        if grow is not None:
+            keys, values = grow(keys, values)
+    else:
+        keys, values = k.data, v.data
+    a, attend_backward = _attend(q, keys, values, n_heads, mask)
+    out = x.data + np.matmul(a, wo.data)
+
+    def backward(g):
+        _accum(x, _unbroadcast(g, x.data.shape))
+        _accum(wo, _unbroadcast(np.matmul(a.swapaxes(-1, -2), g), wo.data.shape))
+        gq, gk, gv = attend_backward(np.matmul(g, wo.data.swapaxes(-1, -2)))
+        gq = np.ascontiguousarray(_unbroadcast(gq, q.shape))
+        _accum(wq, _unbroadcast(np.matmul(xn.swapaxes(-1, -2), gq), wq.data.shape))
+        gxn = np.matmul(gq, wq.data.swapaxes(-1, -2))
+        if project:
+            t = xn.shape[-2]
+            for w, gw in ((k, gk), (v, gv)):
+                gw = np.ascontiguousarray(_unbroadcast(gw[..., -t:, :], xn.shape))
+                _accum(w, _unbroadcast(np.matmul(xn.swapaxes(-1, -2), gw), w.data.shape))
+                gxn += np.matmul(gw, w.data.swapaxes(-1, -2))
+        else:
+            _accum(k, _unbroadcast(gk, keys.shape))
+            _accum(v, _unbroadcast(gv, values.shape))
+        _accum(x, norm_backward(gxn))
+    # k and v last: the sweep reaches a memory's projections before x's layers
+    return _make(out, (x, gain, bias, wq, wo, k, v), backward)
+
+
+def feed_forward_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor,
+                          w2: Tensor, b2: Tensor) -> Tensor:
+    """x + ReLU(LN(x) w1 + b1) w2 + b2, a pre-LN feed-forward sublayer."""
+    xn, norm_backward = _norm(x.data, gain, bias)
+    pre = np.matmul(xn, w1.data) + b1.data
+    mask = pre > 0
+    hidden = pre * mask
+    out = x.data + (np.matmul(hidden, w2.data) + b2.data)
+
+    def backward(g):
+        _accum(x, _unbroadcast(g, x.data.shape))
+        _accum(b2, _unbroadcast(g, b2.data.shape))
+        _accum(w2, _unbroadcast(np.matmul(hidden.swapaxes(-1, -2), g), w2.data.shape))
+        gpre = np.matmul(g, w2.data.swapaxes(-1, -2)) * mask
+        _accum(b1, _unbroadcast(gpre, b1.data.shape))
+        _accum(w1, _unbroadcast(np.matmul(xn.swapaxes(-1, -2), gpre), w1.data.shape))
+        _accum(x, norm_backward(np.matmul(gpre, w1.data.swapaxes(-1, -2))))
+    return _make(out, (x, gain, bias, w1, b1, w2, b2), backward)
+
+
+def rgcn_conv(h_rel: Tensor, h: Tensor, w_neighbor: Tensor, w_self: Tensor,
+              messages) -> Tensor:
+    """ReLU(mean over the messages into each node + h w_self), one relational
+    graph convolution of node states h [n, d].
+
+    messages is (src, dst, rel, divisor): the message along edge i is
+    (h[src[i]] - h_rel[rel[i]]) w_neighbor, sent to node dst[i], and
+    divisor [n] holds each node's in-degree, at least 1.
+    """
+    src, dst, rel, divisor = messages
+    pre = np.matmul(h.data, w_self.data)
+    if len(src):
+        diff = h.data[src] - h_rel.data[rel]
+        msg = np.matmul(diff, w_neighbor.data)
+        agg = np.zeros(pre.shape)
+        _scatter_add(agg, dst, msg)
+        agg /= divisor[:, None]
+        pre = agg + pre
+    mask = pre > 0
+
+    def backward(g):
+        gpre = g * mask
+        if len(src):
+            gmsg = gpre[dst] / divisor[dst][:, None]
+            gdiff = np.matmul(gmsg, w_neighbor.data.T)
+            _accum(w_neighbor, np.matmul(diff.T, gmsg))
+            # the edge scatter into h comes before the dense self term
+            _scatter_rows(h, src, gdiff)
+            _scatter_rows(h_rel, rel, -gdiff)
+        _accum(h, np.matmul(gpre, w_self.data.T))
+        _accum(w_self, np.matmul(h.data.T, gpre))
+    # h_rel first: the sweep reaches h's layers before h_rel's projection
+    return _make(pre * mask, (h_rel, h, w_neighbor, w_self), backward)
+
+
+def sigmoid_mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                shift=None) -> Tensor:
+    """sigmoid(ReLU((h + shift) w1 + b1) w2 + b2) for the rows of h [n, d], as
+    an [n] tensor; w2 is [d_hidden, 1].  shift is None or (table, row), which
+    adds that table row to every row of h and scatters its gradient back."""
+    x = h.data
+    parents = (h, w1, b1, w2, b2)
+    if shift is not None:
+        table, row = shift
+        idx = _rows(table, [row])
+        x = x + table.data[idx]
+        parents += (table,)
+    pre = np.matmul(x, w1.data) + b1.data
+    mask = pre > 0
+    hidden = pre * mask
+    y = 1.0 / (1.0 + np.exp(-(np.matmul(hidden, w2.data) + b2.data)))
+
+    def backward(g):
+        gz = g.reshape(y.shape) * y * (1.0 - y)
+        _accum(b2, _unbroadcast(gz, b2.data.shape))
+        _accum(w2, np.matmul(hidden.T, gz))
+        gpre = np.matmul(gz, w2.data.T) * mask
+        _accum(b1, _unbroadcast(gpre, b1.data.shape))
+        _accum(w1, np.matmul(x.T, gpre))
+        gx = np.matmul(gpre, w1.data.T)
+        _accum(h, gx)
+        if shift is not None:
+            _scatter_rows(table, idx, _unbroadcast(gx, (1, x.shape[1])))
+    return _make(y.reshape(len(x)), parents, backward)
+
+
+def binary_cross_entropy(p: Tensor, labels: np.ndarray, eps: float) -> Tensor:
+    """Mean binary cross-entropy of probabilities p against 0/1 labels, with
+    p clipped to [eps, 1 - eps]; no gradient passes where p was clipped."""
+    pc = np.clip(p.data, eps, 1.0 - eps)
+    kept = (p.data > eps) & (p.data < 1.0 - eps)
+    qc = np.ones_like(labels) - pc
+    negatives = 1.0 - labels
+    terms = labels * np.log(pc) + negatives * np.log(qc)
+
+    def backward(g):
+        gt = float(g * -1.0) / terms.size
+        _accum(p, ((gt * labels) / pc + -((gt * negatives) / qc)) * kept)
+    return _make(terms.mean() * -1.0, (p,), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:

@@ -160,7 +160,11 @@ def test_greedy_on_hand_lm_takes_argmax_path(monkeypatch):
 class MemoryLM:
     """Hand-built next-token model whose distribution depends on the memory row
     (its first entry, v), the prefix length and the last token; EOS is forced
-    once the prefix holds 2v tokens, so searches finish at different steps."""
+    once the prefix holds 2v tokens, so searches finish at different steps.
+
+    Like the decoder, it reads the memory only while the cache holds no rows;
+    then it keeps each hypothesis's v in the cache, where `take` reorders it
+    with the hypotheses, and later steps read v from there."""
 
     def __init__(self, vocab_size, tokens):
         self.vocab_size = vocab_size
@@ -169,12 +173,20 @@ class MemoryLM:
 
     def __call__(self, memory, prefixes, params, cfg, positions, cache=None):
         assert len({len(p) for p in prefixes}) == 1
-        keys = memory.data[..., 0, 0]
-        if memory.data.ndim == 3:
+        if cache is None or cache.rows is None:
+            keys = memory.data[..., 0, 0]
+            if memory.data.ndim == 3:
+                assert len(keys) == len(prefixes)
+            keys = np.broadcast_to(keys, len(prefixes)).reshape(-1, 1, 1)
+        else:
+            [keys] = cache.kv["memory-row"]
             assert len(keys) == len(prefixes)
+        if cache is not None:
+            cache.kv["memory-row"] = (keys,)
+            cache.rows, cache.length = len(prefixes), len(prefixes[0]) + 1
         self.calls += 1
         return np.stack([self.row(int(v), prefix)
-                         for v, prefix in zip(np.broadcast_to(keys, len(prefixes)), prefixes)])
+                         for v, prefix in zip(keys[:, 0, 0], prefixes)])
 
     def row(self, v, prefix):
         dist = np.zeros(self.vocab_size)
@@ -297,11 +309,19 @@ CACHED_DECODERS = {
 
 def uncached(monkeypatch):
     """Make decoding call `memory_next_dist` without a cache, so every step
-    runs the decoder over the full prefixes."""
+    runs the decoder over the full prefixes.  `_search` hands a stacked group
+    its whole memory at every step, so the rows of the live hypotheses ride in
+    the cache they would have used, where `take` selects them as it does the
+    keys and values."""
     full = D.memory_next_dist
-    monkeypatch.setattr(D, "memory_next_dist",
-                        lambda memory, prefixes, params, cfg, positions, cache:
-                        full(memory, prefixes, params, cfg, positions))
+
+    def step(memory, prefixes, params, cfg, positions, cache):
+        if memory.data.ndim == 3:
+            if cache.rows is not None:
+                memory = D.T.constant(cache.kv["memory"][0])
+            cache.kv["memory"], cache.rows = (memory.data,), len(prefixes)
+        return full(memory, prefixes, params, cfg, positions)
+    monkeypatch.setattr(D, "memory_next_dist", step)
 
 
 @pytest.mark.parametrize("setup", [dict(), dict(n_experts=3, disjoint_rule=True, top_concepts=2),

@@ -5,9 +5,9 @@ import pytest
 
 from kgmoe import tensor as T
 from kgmoe.kg import KnowledgeGraph, Subgraph, extract_subgraph
-from kgmoe.rgcn import compose, encode, init_rgcn_params, rgcn_layer
+from kgmoe.rgcn import encode, init_rgcn_params, rgcn_layer
 
-from util import check_gradients
+from util import check_gradients, compose, mean_all, mul
 
 
 def build_kg(triples):
@@ -93,11 +93,12 @@ def test_mean_of_equal_neighbors():
 def test_message_arrays_interleave_forward_and_reverse_in_edge_order():
     # segment_mean sums messages in this order, so it fixes the float results.
     sub = Subgraph(nodes={5, 2, 9}, edges=[(9, 0, 2), (2, 1, 5)], seeds=set())
-    src, dst, rel = sub.message_arrays(2)
+    src, dst, rel, divisor = sub.message_arrays(2)
     assert src.tolist() == [2, 0, 0, 1]
     assert dst.tolist() == [0, 2, 1, 0]
     assert rel.tolist() == [0, 2, 1, 3]
-    assert all(a is b for a, b in zip(sub.message_arrays(2), (src, dst, rel)))
+    assert divisor.tolist() == [2.0, 1.0, 1.0]     # in-degrees, built with the arrays
+    assert all(a is b for a, b in zip(sub.message_arrays(2), (src, dst, rel, divisor)))
 
 
 def test_layer_rejects_states_out_of_subgraph_order():
@@ -190,8 +191,8 @@ def test_gradients_match_finite_differences():
 
     def forward():
         out = encode(sub, params, kg, 2)
-        diff = T.sub(out, target)
-        return T.mean_all(T.mul(diff, diff))
+        diff = compose(out, target)
+        return mean_all(mul(diff, diff))
 
     loss = forward()
     loss.backward()

@@ -7,7 +7,8 @@ import pytest
 
 from kgmoe import tensor as T
 
-from util import check_gradients
+from util import (attention, check_gradients, clip, compose, log, mean_all, mul, relu,
+                  sigmoid, sub)
 
 
 def test_matmul_identity():
@@ -54,14 +55,14 @@ def test_cross_entropy_target_out_of_range():
 def test_backward_linear():
     w = T.Tensor([[0.5, -1.0]], requires_grad=True)
     x = T.Tensor([[1.], [2.]])
-    T.mean_all(T.matmul(w, x)).backward()
+    mean_all(T.matmul(w, x)).backward()
     assert w.grad.tolist() == [[1., 2.]]
 
 
 def test_backward_unreachable_param_has_no_grad():
     w = T.Tensor([[1.0]], requires_grad=True)
     unused = T.Tensor([[2.0]], requires_grad=True)
-    T.mean_all(T.matmul(w, w)).backward()
+    mean_all(T.matmul(w, w)).backward()
     assert unused.grad is None
 
 
@@ -73,7 +74,7 @@ def test_backward_requires_scalar():
 
 def test_backward_twice_is_error():
     v = T.Tensor([2.0], requires_grad=True)
-    loss = T.mean_all(T.mul(v, v))
+    loss = mean_all(mul(v, v))
     loss.backward()
     with pytest.raises(RuntimeError):
         loss.backward()
@@ -84,7 +85,7 @@ def attention_weights(scores: np.ndarray) -> T.Tensor:
     and values the identity, each output row is the attention weights."""
     tk = scores.shape[1]
     eye = T.Tensor(np.eye(tk))
-    return T.attention(T.Tensor(scores * math.sqrt(tk)), eye, eye, 1)
+    return attention(T.Tensor(scores * math.sqrt(tk)), eye, eye, 1)
 
 
 def test_softmax_rows_sum_to_one():
@@ -107,8 +108,8 @@ def test_mlp_gradients_match_finite_differences():
     targets = [0, 2, 1]
 
     def forward():
-        h = T.relu(T.add(T.matmul(T.Tensor(x), params["w1"]), params["b1"]))
-        h = T.sigmoid(T.matmul(h, params["w2"]))
+        h = relu(T.add(T.matmul(T.Tensor(x), params["w1"]), params["b1"]))
+        h = sigmoid(T.matmul(h, params["w2"]))
         h = T.layer_norm(h, params["ln_g"], params["ln_b"])
         return T.softmax_cross_entropy(T.matmul(h, params["w3"]), targets)
 
@@ -127,7 +128,7 @@ def test_segment_mean_and_embedding_gradients():
     def forward():
         rows = T.embedding(table, idx)
         pooled = T.segment_mean(rows, seg, 4)   # segment 3 stays empty
-        return T.mean_all(T.mul(pooled, pooled))
+        return mean_all(mul(pooled, pooled))
 
     loss = forward()
     loss.backward()
@@ -162,7 +163,7 @@ def test_attention_matches_naive_per_head_reference(n_heads, masked):
     mask = rng.choice([0.0, -1e9], size=(tq, tk)) if masked else None
     if masked:
         mask[:, 0] = 0.0                 # every query keeps one key
-    out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), n_heads, mask)
+    out = attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), n_heads, mask)
     assert out.shape == (tq, d)
     assert np.allclose(out.data, naive_attention(q, k, v, n_heads, mask), rtol=0, atol=1e-12)
 
@@ -177,9 +178,9 @@ def test_attention_gradients_match_finite_differences(n_heads):
     target = rng.normal(size=(4, 8))
 
     def forward():
-        out = T.attention(params["q"], params["k"], params["v"], n_heads, mask)
-        diff = T.sub(out, T.constant(target))
-        return T.mean_all(T.mul(diff, diff))
+        out = attention(params["q"], params["k"], params["v"], n_heads, mask)
+        diff = sub(out, T.constant(target))
+        return mean_all(mul(diff, diff))
 
     forward().backward()
     for name in params:
@@ -198,11 +199,11 @@ def test_batched_attention_equals_per_slice_calls_bit_for_bit(k_batch, broadcast
     mask = rng.choice([0.0, -1e9], size=(tq, tk)) if masked else None
     if masked:
         mask[:, 0] = 0.0
-    out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), n_heads, mask)
+    out = attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), n_heads, mask)
     assert out.shape == (k_batch, tq, d)
     for z in range(k_batch):
         qz = q if broadcast_q else q[z]
-        single = T.attention(T.Tensor(qz), T.Tensor(k[z]), T.Tensor(v[z]), n_heads, mask)
+        single = attention(T.Tensor(qz), T.Tensor(k[z]), T.Tensor(v[z]), n_heads, mask)
         assert np.array_equal(out.data[z], single.data)
 
 
@@ -219,9 +220,9 @@ def test_batched_attention_gradients_match_finite_differences(broadcast_q):
     target = rng.normal(size=(k_batch, tq, d))
 
     def forward():
-        out = T.attention(params["q"], params["k"], params["v"], 2, mask)
-        diff = T.sub(out, T.constant(target))
-        return T.mean_all(T.mul(diff, diff))
+        out = attention(params["q"], params["k"], params["v"], 2, mask)
+        diff = sub(out, T.constant(target))
+        return mean_all(mul(diff, diff))
 
     forward().backward()
     assert params["q"].grad.shape == params["q"].shape
@@ -242,17 +243,199 @@ def test_batched_cross_entropy_is_one_mean_per_leading_index():
     weights = T.constant([0.5, -1.0, 2.0])
 
     def forward():
-        return T.mean_all(T.mul(T.softmax_cross_entropy(params["logits"], targets), weights))
+        return mean_all(mul(T.softmax_cross_entropy(params["logits"], targets), weights))
 
     forward().backward()
     check_gradients(lambda: forward().item(), params, np.random.default_rng(71), n_checks=15)
+
+
+# --- fused layers against the chains of small ops they replace ----------------
+
+def chain_attention(x, gain, bias, wq, k, v, wo, n_heads, mask=None, project=True):
+    normed = T.layer_norm(x, gain, bias)
+    q = T.matmul(normed, wq)
+    if project:
+        k, v = T.matmul(normed, k), T.matmul(normed, v)
+    return T.add(x, T.matmul(attention(q, k, v, n_heads, mask), wo))
+
+
+def chain_feed_forward(x, gain, bias, w1, b1, w2, b2):
+    normed = T.layer_norm(x, gain, bias)
+    hidden = relu(T.add(T.matmul(normed, w1), b1))
+    return T.add(x, T.add(T.matmul(hidden, w2), b2))
+
+
+def chain_rgcn(h_rel, h, w_neighbor, w_self, messages):
+    src, dst, rel, _ = messages
+    self_term = T.matmul(h, w_self)
+    if not len(src):
+        return relu(self_term)
+    diff = compose(T.embedding(h, src), T.embedding(h_rel, rel))
+    return relu(T.add(T.segment_mean(T.matmul(diff, w_neighbor), dst, h.shape[0]), self_term))
+
+
+def chain_sigmoid_mlp(h, w1, b1, w2, b2, shift=None):
+    if shift is not None:
+        h = T.add(h, T.embedding(shift[0], [shift[1]]))
+    hidden = relu(T.add(T.matmul(h, w1), b1))
+    return T.reshape(sigmoid(T.add(T.matmul(hidden, w2), b2)), (h.shape[0],))
+
+
+def chain_binary_cross_entropy(p, labels, eps):
+    pc = clip(p, eps, 1.0 - eps)
+    pos = mul(T.constant(labels), log(pc))
+    neg = mul(T.constant(1.0 - labels), log(sub(T.constant(np.ones_like(labels)), pc)))
+    return T.scale(mean_all(T.add(pos, neg)), -1.0)
+
+
+def run_layer(layer, arrays, weights, *args, **kwargs):
+    """(output, gradient of each input) of layer(*inputs, *args, **kwargs),
+    with leaf inputs holding copies of arrays, under the loss mean(out * weights)."""
+    inputs = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = layer(*inputs, *args, **kwargs)
+    mean_all(mul(out, T.constant(weights))).backward()
+    return out.data, [t.grad for t in inputs]
+
+
+def assert_layer_matches_chain(fused, chain, arrays, out_shape, rng, *args, **kwargs):
+    weights = rng.normal(size=out_shape)
+    got, got_grads = run_layer(fused, arrays, weights, *args, **kwargs)
+    want, want_grads = run_layer(chain, arrays, weights, *args, **kwargs)
+    assert got.shape == out_shape and _same_bits(got, want)
+    for i, (a, b) in enumerate(zip(got_grads, want_grads)):
+        assert a is None and b is None or _same_bits(a, b), i
+    return got_grads
+
+
+def assert_layer_matches_finite_differences(layer, arrays, out_shape, rng, *args, **kwargs):
+    params = {str(i): T.Tensor(a.copy(), requires_grad=True) for i, a in enumerate(arrays)}
+    weights = T.constant(rng.normal(size=out_shape))
+
+    def forward():
+        out = layer(*params.values(), *args, **kwargs)
+        return mean_all(mul(out, weights))
+
+    forward().backward()
+    for name in params:
+        check_gradients(lambda: forward().item(), params, rng, n_checks=10, rel_tol=1e-6,
+                        names=[name])
+
+
+def attention_arrays(rng, x_shape, kv_shape, project):
+    d = x_shape[-1]
+    k_shape = (d, d) if project else kv_shape
+    return [rng.normal(size=x_shape), 1.0 + 0.2 * rng.normal(size=d), 0.2 * rng.normal(size=d),
+            rng.normal(size=(d, d)) / 3, rng.normal(size=k_shape) / 3,
+            rng.normal(size=k_shape) / 3, rng.normal(size=(d, d)) / 3]
+
+
+# (x, keys/values) shapes: a 3-D [K, t, d] stream with its own projections, a
+# [t, d] stream, and a shared [t, d] query over a [K, s, d] memory
+ATTENTION_CASES = {"self-3d": ((3, 5, 12), None), "self-2d": ((5, 12), None),
+                   "cross-3d": ((3, 5, 12), (3, 7, 12)), "cross-broadcast": ((5, 12), (3, 7, 12))}
+
+
+@pytest.mark.parametrize("case", ATTENTION_CASES)
+@pytest.mark.parametrize("n_heads", [1, 3])
+def test_attention_sublayer_matches_chain_bit_for_bit(case, n_heads):
+    x_shape, kv_shape = ATTENTION_CASES[case]
+    rng = np.random.default_rng(80 + n_heads)
+    project = kv_shape is None
+    arrays = attention_arrays(rng, x_shape, kv_shape, project)
+    t = x_shape[-2]
+    mask = causal_mask(t) if project else None
+    out_shape = x_shape if project else kv_shape[:-2] + x_shape[-2:]
+    assert_layer_matches_chain(T.attention_sublayer, chain_attention, arrays, out_shape, rng,
+                               n_heads, mask, project=project)
+    assert_layer_matches_finite_differences(T.attention_sublayer, arrays, out_shape, rng,
+                                            n_heads, mask, project=project)
+
+
+def test_attention_sublayer_grow_hook_reads_held_keys_and_passes_new_gradients():
+    rng = np.random.default_rng(85)
+    x_shape, held = (2, 3, 12), 4
+    arrays = attention_arrays(rng, x_shape, None, True)
+    past_k, past_v = rng.normal(size=(2, 2, held, 12))
+    # the hook prepends held positions, as a decoder cache does
+    def grow(k, v):
+        return np.concatenate((past_k, k), axis=-2), np.concatenate((past_v, v), axis=-2)
+    mask = np.triu(np.full((3, held + 3), -1e9), k=held + 1)
+    got = T.attention_sublayer(*map(T.Tensor, arrays), 3, mask, grow=grow).data
+    # the same rows as a stream of all held + new positions whose keys and values are given
+    x, gain, bias, wq, wk, wv, wo = map(T.Tensor, arrays)
+    normed = T.layer_norm(x, gain, bias)
+    k, v = (T.constant(np.concatenate((past, T.matmul(normed, w).data), axis=-2))
+            for past, w in ((past_k, wk), (past_v, wv)))
+    want = T.attention_sublayer(x, gain, bias, wq, k, v, wo, 3, mask, project=False).data
+    assert np.array_equal(got, want)
+    assert_layer_matches_finite_differences(T.attention_sublayer, arrays, x_shape, rng, 3, mask,
+                                            grow=grow)
+
+
+@pytest.mark.parametrize("x_shape", [(3, 5, 12), (5, 12)], ids=["3d", "2d"])
+def test_feed_forward_sublayer_matches_chain_bit_for_bit(x_shape):
+    rng = np.random.default_rng(90)
+    d, ff = x_shape[-1], 20
+    arrays = [rng.normal(size=x_shape), 1.0 + 0.2 * rng.normal(size=d),
+              0.2 * rng.normal(size=d), rng.normal(size=(d, ff)) / 3,
+              0.3 * rng.normal(size=ff), rng.normal(size=(ff, d)) / 3, 0.3 * rng.normal(size=d)]
+    assert_layer_matches_chain(T.feed_forward_sublayer, chain_feed_forward, arrays, x_shape, rng)
+    assert_layer_matches_finite_differences(T.feed_forward_sublayer, arrays, x_shape, rng)
+
+
+@pytest.mark.parametrize("edges", [[(0, 0, 1), (1, 1, 2), (2, 0, 0), (0, 1, 3), (3, 0, 1)], []],
+                         ids=["edges", "no-edges"])
+def test_rgcn_conv_matches_chain_bit_for_bit(edges):
+    from kgmoe.kg import Subgraph
+    rng = np.random.default_rng(91)
+    n, n_relations, d = 5, 2, 6
+    messages = Subgraph(nodes=set(range(n)), edges=edges, seeds=set()).message_arrays(n_relations)
+    arrays = [rng.normal(size=(2 * n_relations, d)), rng.normal(size=(n, d)),
+              rng.normal(size=(d, d)), rng.normal(size=(d, d))]
+    grads = assert_layer_matches_chain(T.rgcn_conv, chain_rgcn, arrays, (n, d), rng, messages)
+    # without messages, the relation states and w_neighbor get no gradient
+    assert [g is None for g in grads] == [not edges, False, not edges, False]
+    assert_layer_matches_finite_differences(T.rgcn_conv, arrays, (n, d), rng, messages)
+
+
+@pytest.mark.parametrize("shifted", [True, False], ids=["expert-shift", "no-shift"])
+def test_sigmoid_mlp_matches_chain_bit_for_bit(shifted):
+    rng = np.random.default_rng(92)
+    n, d = 7, 6
+    arrays = [rng.normal(size=(n, d)), rng.normal(size=(d, d)) / 2, 0.3 * rng.normal(size=d),
+              rng.normal(size=(d, 1)), 0.3 * rng.normal(size=1)]
+    if shifted:
+        arrays.append(rng.normal(size=(3, d)))
+
+    def with_shift(layer):
+        def run(h, w1, b1, w2, b2, table=None):
+            return layer(h, w1, b1, w2, b2, None if table is None else (table, 2))
+        return run
+    assert_layer_matches_chain(with_shift(T.sigmoid_mlp), with_shift(chain_sigmoid_mlp), arrays,
+                               (n,), rng)
+    assert_layer_matches_finite_differences(with_shift(T.sigmoid_mlp), arrays, (n,), rng)
+
+
+def test_binary_cross_entropy_matches_chain_bit_for_bit():
+    rng = np.random.default_rng(93)
+    eps = 1e-7
+    p = rng.uniform(0.05, 0.95, size=9)
+    p[[1, 6]] = [1e-9, 1.0 - 1e-9]            # clipped: no gradient passes there
+    labels = (rng.random(9) < 0.4).astype(float)
+    got, [got_grad] = run_layer(T.binary_cross_entropy, [p], 0.7, labels, eps)
+    want, [want_grad] = run_layer(chain_binary_cross_entropy, [p], 0.7, labels, eps)
+    assert got.shape == () and _same_bits(got, want) and _same_bits(got_grad, want_grad)
+    assert got_grad[1] == 0.0 and got_grad[6] == 0.0
+    interior = [i for i in range(9) if i not in (1, 6)]
+    assert_layer_matches_finite_differences(
+        lambda q: T.binary_cross_entropy(q, labels[interior], eps), [p[interior]], (), rng)
 
 
 def test_broadcast_to_sums_gradient_back():
     a = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     out = T.broadcast_to(a, (4, 2, 3))
     assert np.array_equal(out.data, np.broadcast_to(a.data, (4, 2, 3)))
-    T.mean_all(T.mul(out, T.constant(np.arange(24.0).reshape(4, 2, 3)))).backward()
+    mean_all(mul(out, T.constant(np.arange(24.0).reshape(4, 2, 3)))).backward()
     assert np.allclose(a.grad, np.arange(24.0).reshape(4, 2, 3).sum(axis=0) / 24, atol=1e-15)
 
 
@@ -260,19 +443,19 @@ def test_attention_causal_mask_hides_future_positions():
     rng = np.random.default_rng(8)
     t, d = 5, 8
     q, k, v = (rng.normal(size=(t, d)) for _ in range(3))
-    base = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 2, causal_mask(t)).data
+    base = attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 2, causal_mask(t)).data
     k2, v2 = k.copy(), v.copy()
     k2[3:] = rng.normal(size=(2, d))
     v2[3:] = rng.normal(size=(2, d))
-    moved = T.attention(T.Tensor(q), T.Tensor(k2), T.Tensor(v2), 2, causal_mask(t)).data
+    moved = attention(T.Tensor(q), T.Tensor(k2), T.Tensor(v2), 2, causal_mask(t)).data
     # rows 0-2 see keys 0-2 only: bit-identical, since masked weights are exactly 0
     assert np.array_equal(base[:3], moved[:3])
     assert not np.allclose(base[3:], moved[3:])
 
     # and no gradient flows from earlier rows into future keys or values
     kt, vt = T.Tensor(k, requires_grad=True), T.Tensor(v, requires_grad=True)
-    out = T.attention(T.Tensor(q), kt, vt, 2, causal_mask(t))
-    T.mean_all(T.mul(out, T.constant(np.arange(t)[:, None] < 3))).backward()
+    out = attention(T.Tensor(q), kt, vt, 2, causal_mask(t))
+    mean_all(mul(out, T.constant(np.arange(t)[:, None] < 3))).backward()
     assert not kt.grad[3:].any() and not vt.grad[3:].any()
     assert kt.grad[:3].any() and vt.grad[:3].any()
 
@@ -311,7 +494,7 @@ def test_embedding_and_segment_mean_gradients_over_column_ids_and_3d_rows():
         rows = T.reshape(T.embedding(table, ids), (4, 2, 3))
         pooled = T.segment_mean(rows, seg, 3)      # segment 1 stays empty
         again = T.embedding(table, [1, 3, 1])      # a second scatter into the same buffer
-        return T.add(T.mean_all(T.mul(pooled, pooled)), T.mean_all(T.mul(again, again)))
+        return T.add(mean_all(mul(pooled, pooled)), mean_all(mul(again, again)))
 
     loss = forward()
     loss.backward()
@@ -338,7 +521,7 @@ def test_forward_determinism():
 def test_adam_zero_lr_keeps_params():
     p = T.Tensor([1.0, 2.0], requires_grad=True)
     opt = T.Adam({"p": p}, lr=0.0)
-    T.mean_all(T.mul(p, p)).backward()
+    mean_all(mul(p, p)).backward()
     opt.step()
     assert p.data.tolist() == [1.0, 2.0]
 
@@ -349,7 +532,7 @@ def test_adam_descends():
     values = []
     for _ in range(60):
         opt.zero_grad()
-        loss = T.mean_all(T.mul(p, p))
+        loss = mean_all(mul(p, p))
         values.append(loss.item())
         loss.backward()
         opt.step()
@@ -464,11 +647,11 @@ def test_adam_touched_rows_match_dense_oracle_through_embedding(weight_decay):
                      rng.integers(0, 7, size=2), rng.normal(size=2)))
 
     def loss_of(params, ids, w, rel_ids, x, hand_ids, hand_w):
-        emb = T.mul(T.embedding(params["table"], ids), T.constant(w))
-        rel = T.add(T.mean_all(T.embedding(params["rel"], rel_ids)),
-                    T.mean_all(T.matmul(T.constant(x), params["rel"])))
-        hand = T.mean_all(T.mul(T.embedding(params["hand"], hand_ids), T.constant(hand_w)))
-        return T.add(T.add(T.mean_all(emb), rel), hand)
+        emb = mul(T.embedding(params["table"], ids), T.constant(w))
+        rel = T.add(mean_all(T.embedding(params["rel"], rel_ids)),
+                    mean_all(T.matmul(T.constant(x), params["rel"])))
+        hand = mean_all(mul(T.embedding(params["hand"], hand_ids), T.constant(hand_w)))
+        return T.add(T.add(mean_all(emb), rel), hand)
 
     for s, step in enumerate(plan):
         for params in (fast, dense):
@@ -572,6 +755,6 @@ def test_checkpoint_save_refuses_non_finite_values(tmp_path, bad):
 def test_no_grad_blocks_graph():
     p = T.Tensor([1.0], requires_grad=True)
     with T.no_grad():
-        out = T.mul(p, p)
+        out = mul(p, p)
     assert out.requires_grad is False
     assert out._backward is None
