@@ -1,12 +1,12 @@
 """Inference-time decoders: per-expert greedy enumeration plus beam search,
 truncated (top-k) sampling and nucleus (top-p) sampling baselines.
 
-All four run one token loop, `_search`, and differ only in the encoder
-memories they hand it, its width and the rules that expand a next-token
-distribution into continuations.  `_search` advances several searches in
-lockstep, so every live hypothesis of a bundle goes through one decoder call
-per step.  Every decoder stops at EOS or at the maximum decode length, and
-breaks argmax ties by the lowest token id (numpy argmax already does).
+All four run one token loop, `_search`, and differ only in the encoder memory
+they hand it, its width and the rules that expand a next-token distribution
+into continuations.  `_search` steps several searches over one memory in
+lockstep, so every live hypothesis goes through one decoder call per step.
+Every decoder stops at EOS or at the maximum decode length, and breaks argmax
+ties by the lowest token id (numpy argmax already does).
 """
 
 from __future__ import annotations
@@ -39,42 +39,36 @@ class GenerationBundle:
     entries: list[GenerationEntry]
 
 
-def _memories(ctx: ExampleContext, model: Model,
-              selections: list[tuple[int, list[int]]]) -> list[tuple[list[int], T.Tensor]]:
-    """The (selection indices, encoder memory) groups of the (expert, concept
-    ids) selections, from one `encode_inputs` call per distinct concept count.
-    A group's memory is [s, d] for a lone selection and [J, s, d] for J."""
-    by_count: dict[int, list[int]] = {}
-    for i, (_, concepts) in enumerate(selections):
-        by_count.setdefault(len(concepts), []).append(i)
-    groups = []
-    for rows in by_count.values():
-        inps = [generator_input(ctx, model, selections[i][1], selections[i][0]) for i in rows]
-        with T.no_grad():
-            memory = generator.encode_inputs(inps, model.params, model.vocab, model.cfg,
-                                             model.positions)
-        groups.append((rows, memory if len(rows) > 1 else T.constant(memory.data[0])))
-    return groups
+def _memory(ctx: ExampleContext, model: Model,
+            selections: list[tuple[int, list[int]]]) -> T.Tensor:
+    """The encoder memory of (expert, concept ids) selections that share a
+    concept count, from one `encode_inputs` call: [s, d] for a lone selection,
+    [J, s, d] for J."""
+    inps = [generator_input(ctx, model, concepts, z) for z, concepts in selections]
+    with T.no_grad():
+        memory = generator.encode_inputs(inps, model.params, model.vocab, model.cfg,
+                                         model.positions)
+    return memory if len(inps) > 1 else T.constant(memory.data[0])
 
 
-def _search(groups, expands, model: Model, width: int,
+def _search(memory: T.Tensor, expands, model: Model, width: int,
             length_normalize: bool = False) -> list[list[list[int]]]:
     """For each search j, the token ids of its best `width` hypotheses, best
-    first; `groups` holds the (search indices, memory) pairs of `_memories`.
+    first, over a memory [s, d] shared by every search or [J, s, d], one each.
 
     The searches advance in lockstep: each step asks for the next-token
-    distributions of every live hypothesis of every search in one
-    `memory_next_dist` call per group, and extends each hypothesis by the
-    (token, log-probability) pairs of `expands[j](dist)`; a rule with one
-    continuation may score it 0.  Candidates are ranked by score (summed
-    log-probability, per token if `length_normalize`), then by token ids; one
-    that ends in EOS is finished.  A search stops once `width` of its
-    hypotheses are finished or none is live; all stop at the maximum decode
-    length.  At step i every live hypothesis holds i tokens, so no prefix needs
-    padding.  Each group keeps a decoder cache, so a step feeds one token per
-    hypothesis; a hypothesis carries the cache row of its parent, and the kept
-    ones select their rows with one gather.  The memory is read only at the
-    first step, before any search stops, so it is never regathered.
+    distributions of every live hypothesis in one `memory_next_dist` call,
+    and extends each hypothesis by the (token, log-probability) pairs of
+    `expands[j](dist)`; a rule with one continuation may score it 0.
+    Candidates are ranked by score (summed log-probability, per token if
+    `length_normalize`), then by token ids; one that ends in EOS is finished.
+    A search stops once `width` of its hypotheses are finished or none is
+    live; all stop at the maximum decode length.  At step i every live
+    hypothesis holds i tokens, so no prefix needs padding.  The decoder cache
+    lets a step feed one token per hypothesis; a hypothesis carries the cache
+    row of its parent, and the kept ones select their rows with one gather.
+    The memory is read only at the first step, before any search stops, so
+    it is never regathered.
     """
     def rank(hyp):
         ids, logp, _ = hyp
@@ -83,21 +77,15 @@ def _search(groups, expands, model: Model, width: int,
     live = [[([], 0.0, 0)] for _ in expands]
     finished: list[list[tuple[list[int], float, int]]] = [[] for _ in expands]
     active = list(range(len(expands)))
-    caches = [generator.DecoderCache() for _ in groups]
+    cache = generator.DecoderCache()
     for _ in range(min(MAX_DECODE_LEN, model.cfg.max_len - 1)):
-        dists = {}
-        for (js, memory), cache in zip(groups, caches):
-            stepping = [(row, j) for row, j in enumerate(js) if j in active]
-            if not stepping:
-                continue
-            rows = enumerate(memory_next_dist(
-                memory, [ids for _, j in stepping for ids, _, _ in live[j]],
-                model.params, model.cfg, model.positions, cache))
-            for _, j in stepping:
-                dists[j] = [next(rows) for _ in live[j]]
+        rows = enumerate(memory_next_dist(
+            memory, [ids for j in active for ids, _, _ in live[j]],
+            model.params, model.cfg, model.positions, cache))
         for j in active:
+            # zip reads live[j] first, so it takes exactly one row per hypothesis
             candidates = [(ids + [tok], logp + step, row)
-                          for (ids, logp, _), (row, dist) in zip(live[j], dists[j])
+                          for (ids, logp, _), (row, dist) in zip(live[j], rows)
                           for tok, step in expands[j](dist)]
             candidates.sort(key=rank)
             live[j] = []
@@ -108,8 +96,7 @@ def _search(groups, expands, model: Model, width: int,
         active = [j for j in active if len(finished[j]) < width and live[j]]
         if not active:
             break
-        for (js, _), cache in zip(groups, caches):
-            cache.take([row for j in js if j in active for _, _, row in live[j]])
+        cache.take([row for j in active for _, _, row in live[j]])
     return [[ids for ids, _, _ in sorted(f + l, key=rank)[:width]]
             for f, l in zip(finished, live)]
 
@@ -120,13 +107,17 @@ def _argmax(dist: np.ndarray) -> list[tuple[int, float]]:
 
 def decode_moe(ctx: ExampleContext, model: Model) -> GenerationBundle:
     """Enumerate experts; each selects its own concepts (under the disjoint
-    rule if it is on, see `select_concepts`) and decodes greedily."""
+    rule if it is on, see `select_concepts`) and decodes greedily.  Experts
+    with one concept count (all, unless that rule is on) share a search."""
     selections = list(enumerate(select_concepts(ctx, model, model.cfg.n_experts)))
-    outputs = _search(_memories(ctx, model, selections), [_argmax] * len(selections), model, 1)
-    entries = [GenerationEntry(z, model.vocab.decode(ids),
-                               [model.kg.concepts[c] for c in concepts])
-               for (z, concepts), [ids] in zip(selections, outputs)]
-    return GenerationBundle(ctx.example_id, "moe", entries)
+    entries = []
+    for n in dict.fromkeys(len(concepts) for _, concepts in selections):
+        group = [(z, concepts) for z, concepts in selections if len(concepts) == n]
+        outputs = _search(_memory(ctx, model, group), [_argmax] * len(group), model, 1)
+        entries += [GenerationEntry(z, model.vocab.decode(ids),
+                                    [model.kg.concepts[c] for c in concepts])
+                    for (z, concepts), [ids] in zip(group, outputs)]
+    return GenerationBundle(ctx.example_id, "moe", sorted(entries, key=lambda e: e.expert))
 
 
 def decode_beam(ctx: ExampleContext, model: Model, beam: int,
@@ -142,7 +133,7 @@ def decode_beam(ctx: ExampleContext, model: Model, beam: int,
         return [(int(tok), float(logs[tok])) for tok in np.argsort(-logs, kind="stable")[:beam]]
 
     surfaces = [model.kg.concepts[c] for c in concepts]
-    [hyps] = _search(_memories(ctx, model, [(0, concepts)]), [top], model, beam,
+    [hyps] = _search(_memory(ctx, model, [(0, concepts)]), [top], model, beam,
                      length_normalize)
     entries = [GenerationEntry(i, model.vocab.decode(ids), surfaces)
                for i, ids in enumerate(hyps)]
@@ -178,17 +169,20 @@ def nucleus_pick(p: float):
 
 def _decode_samples(ctx: ExampleContext, model: Model, strategy: str, pick,
                     seed: int, n_samples: int) -> GenerationBundle:
-    """n independent draws on expert 0, each from its own seeded generator."""
+    """n independent draws on expert 0, each from its own seeded generator;
+    the draws share one encoder memory."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    concepts = [model.kg.concepts[c] for c in select_concepts(ctx, model)[0]]
+    [concepts] = select_concepts(ctx, model)
     # one select per sample as well: perfbench pins selects_per_output at (n + 1) / n
-    selections = [(0, select_concepts(ctx, model)[0]) for _ in range(n_samples)]
+    for _ in range(n_samples):
+        select_concepts(ctx, model)
     rngs = [np.random.default_rng(sub_seed(seed, f"{strategy}:{ctx.example_id}:{i}"))
             for i in range(n_samples)]
     expands = [lambda dist, rng=rng: [(pick(dist, rng), 0.0)] for rng in rngs]
-    entries = [GenerationEntry(i, model.vocab.decode(ids), concepts) for i, [ids]
-               in enumerate(_search(_memories(ctx, model, selections), expands, model, 1))]
+    surfaces = [model.kg.concepts[c] for c in concepts]
+    entries = [GenerationEntry(i, model.vocab.decode(ids), surfaces) for i, [ids]
+               in enumerate(_search(_memory(ctx, model, [(0, concepts)]), expands, model, 1))]
     return GenerationBundle(ctx.example_id, strategy, entries)
 
 

@@ -12,14 +12,15 @@ that `decoder_logits` and `generation_loss` carry through; slice z equals a
 one-request call bit for bit.  `memory_next_dist` likewise runs H decoder
 prefixes of one length in one `decoder_logits` call.
 
-Decoding feeds the decoder one position at a time through a `DecoderCache`
-(KV caching, Pope et al. 2022): it holds each layer's cross-attention K/V,
-projected from the memory once, and the self-attention K/V of every position
-fed so far, one row per hypothesis, so a step reads `[H, 1]` new tokens and
-`DecoderCache.take` reorders the rows.  Cached logits equal the teacher-forced
-rows within 1e-12, not bit for bit: a one-row matmul rounds differently from
-row t of a `[t, d]` one.  The stream stays `[H, 1, d]`, where numpy runs one
-product per row, so row h equals a one-hypothesis step bit for bit.
+The decoder has one path, through a `DecoderCache` (KV caching, Pope et al.
+2022): it holds each layer's cross-attention K/V, projected from the memory
+once, and the self-attention K/V of every position fed so far, one row per
+hypothesis.  Teacher forcing is a call on an empty cache that feeds every
+position; a decode step feeds `[H, 1]` new tokens, and `DecoderCache.take`
+reorders the rows.  Stepped logits equal the teacher-forced rows within
+1e-12, not bit for bit: a one-row matmul rounds differently from row t of a
+`[t, d]` one.  The stream stays `[H, 1, d]`, where numpy runs one product per
+row, so row h equals a one-hypothesis step bit for bit.
 """
 
 from __future__ import annotations
@@ -271,17 +272,16 @@ def decoder_logits(memory: T.Tensor, dec_ids, params, cfg: TrainConfig,
     [t, d] until the first cross-attention, so layer 0's self-attention runs
     once however many memories share it.
 
-    With a cache, dec_ids [H, t] continues the H sequences the cache holds
-    from position `cache.length` on: earlier positions' self-attention K/V
-    and the memory's cross-attention K/V come from the cache, which takes the
-    new positions' K/V."""
+    dec_ids continues the sequences the cache holds from position
+    `cache.length` on; without a cache, an empty one starts them at position
+    0.  Earlier positions' self-attention K/V and the memory's cross-attention
+    K/V come from the cache, which takes the new positions' K/V."""
+    cache = DecoderCache() if cache is None else cache
     dec_ids = np.asarray(dec_ids, dtype=np.int64)
-    start, t = 0, dec_ids.shape[-1]
-    if cache is not None:
-        start = cache.length
-        if cache.rows not in (None, len(dec_ids)):
-            raise ValueError(f"decoder cache holds {cache.rows} rows "
-                             f"for {len(dec_ids)} hypotheses")
+    start, t = cache.length, dec_ids.shape[-1]
+    if cache.rows not in (None, len(dec_ids)):
+        raise ValueError(f"decoder cache holds {cache.rows} rows "
+                         f"for {len(dec_ids)} hypotheses")
     if start + t > cfg.max_len:
         raise ValueError(f"decoder length {start + t} exceeds max_len {cfg.max_len}")
     stream = T.add(T.embedding(params["gen.tok_embed"], dec_ids),
@@ -290,21 +290,16 @@ def decoder_logits(memory: T.Tensor, dec_ids, params, cfg: TrainConfig,
     for layer in range(cfg.n_decoder_layers):
         p = f"gen.dec{layer}"
         stream = T.attention_sublayer(stream, *_weights(params, f"{p}.self", _SELF_ATTENTION),
-                                      cfg.n_heads, mask,
-                                      grow=None if cache is None else cache.grow(f"{p}.self"))
-        # the memory's keys and values: projected once per search with a cache
-        kv = None if cache is None else cache.memory_kv.get(f"{p}.cross")
+                                      cfg.n_heads, mask, grow=cache.grow(f"{p}.self"))
+        kv = cache.memory_kv.get(f"{p}.cross")
         if kv is None:
-            kv = (T.matmul(memory, params[f"{p}.cross.wk"]),
-                  T.matmul(memory, params[f"{p}.cross.wv"]))
-            if cache is not None:
-                cache.memory_kv[f"{p}.cross"] = kv
+            kv = cache.memory_kv[f"{p}.cross"] = (T.matmul(memory, params[f"{p}.cross.wk"]),
+                                                 T.matmul(memory, params[f"{p}.cross.wv"]))
         gain, bias, wq, wo = _weights(params, f"{p}.cross", ("ln_g", "ln_b", "wq", "wo"))
         stream = T.attention_sublayer(stream, gain, bias, wq, *kv, wo, cfg.n_heads,
                                       project=False)
         stream = T.feed_forward_sublayer(stream, *_weights(params, f"{p}.ff", _FEED_FORWARD))
-    if cache is not None:
-        cache.length, cache.rows = start + t, len(dec_ids)
+    cache.length, cache.rows = start + t, len(dec_ids)
     stream = T.layer_norm(stream, params["gen.dec_ln_g"], params["gen.dec_ln_b"])
     return T.add(T.matmul(stream, params["gen.out_w"]), params["gen.out_b"])
 
@@ -329,26 +324,22 @@ def memory_next_dist(memory: T.Tensor, prefixes: list[list[int]], params,
     decoder call over an encoder memory [s, d] shared by every prefix or
     [H, s, d], one per prefix.  Row h equals a one-prefix call bit for bit.
 
-    With a cache that holds the prefixes' earlier positions (row h for
-    prefix h), the call feeds only the positions it does not hold: in
-    decoding, each prefix's newest token.  Once the cache holds rows, the
-    memory's keys and values come from it and the memory is not read, so a
-    stacked memory need not match the prefixes any more."""
+    The call feeds only the positions the cache does not hold (row h for
+    prefix h): without a cache, all of them; in decoding, each prefix's newest
+    token.  Once the cache holds rows, the memory's keys and values come from
+    it and the memory is not read, so a stacked memory need not match the
+    prefixes any more."""
+    cache = DecoderCache() if cache is None else cache
     lengths = sorted({len(p) for p in prefixes})
     if len(lengths) != 1:
         raise ValueError(f"prefixes must share one length, got lengths {lengths}")
-    if memory.data.ndim == 3 and memory.shape[0] != len(prefixes) and (
-            cache is None or cache.rows is None):
+    if memory.data.ndim == 3 and memory.shape[0] != len(prefixes) and cache.rows is None:
         raise ValueError(f"stacked memory holds {memory.shape[0]} rows "
                          f"for {len(prefixes)} prefixes")
-    if lengths[0] + 1 > cfg.max_len:
-        raise ValueError(f"prefix length {lengths[0]} exceeds max_len {cfg.max_len}")
-    dec_ids = [[BOS, *p] for p in prefixes]
-    if cache is not None:
-        if cache.length > lengths[0]:
-            raise ValueError(f"decoder cache holds {cache.length} positions "
-                             f"for prefixes of length {lengths[0]}")
-        dec_ids = [ids[cache.length:] for ids in dec_ids]
+    if cache.length > lengths[0]:
+        raise ValueError(f"decoder cache holds {cache.length} positions "
+                         f"for prefixes of length {lengths[0]}")
+    dec_ids = [[BOS, *p][cache.length:] for p in prefixes]
     with T.no_grad():
         logits = decoder_logits(memory, dec_ids, params, cfg, positions, cache).data[:, -1]
     shifted = logits - logits.max(axis=-1, keepdims=True)

@@ -132,6 +132,8 @@ def make_synthetic_task(seed: int, n_inputs: int, k_modes: int,
     """
     if k_modes < 2:
         raise ValueError("k_modes must be >= 2")
+    if n_inputs < 1:
+        raise ValueError("n_inputs must be >= 1")
     minimum = k_modes + n_inputs * (1 + 2 * k_modes + 2)
     if kg_size is None:
         kg_size = minimum

@@ -637,18 +637,29 @@ def load_checkpoint(path):
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+    entries, meta = payload.get("params", {}), payload.get("meta", {})
+    for key, value in (("params", entries), ("meta", meta)):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: {key!r} must be an object, got {type(value).__name__}")
     params = {}
-    for name, entry in payload.get("params", {}).items():
+    for name, entry in entries.items():
         if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
             raise ValueError(f"{path}: parameter {name!r} needs 'shape' and 'data'")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"{path}: parameter {name!r}: shape {shape!r} is not a list "
+                             "of non-negative ints")
         try:
-            arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            arr = np.array(entry["data"], dtype=np.float64)
+            if arr.ndim != 1:
+                raise ValueError(f"data must be a flat list, got {arr.ndim} dimensions")
+            arr = arr.reshape(shape)
         except (TypeError, ValueError) as err:
             raise ValueError(f"{path}: parameter {name!r}: {err}") from None
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
         params[name] = Tensor(arr, requires_grad=True)
-    return params, payload.get("meta", {})
+    return params, meta
 
 
 # ---------------------------------------------------------------------------

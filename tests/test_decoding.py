@@ -209,11 +209,9 @@ def test_lockstep_search_equals_each_search_alone(monkeypatch, width, rule):
     model, _ = tiny_setup()
     lm = MemoryLM(len(model.vocab), list(hand_tokens(model)) + [6])
     monkeypatch.setattr(D, "memory_next_dist", lm)
-    # keys 1..4 finish at different steps; memory lengths 2 and 3 form two groups
+    # keys 1..4 finish at different steps; memory lengths 3 and 2 give two stacks
     memories = [D.T.constant(np.full((2 + (v > 2), 4), float(v))) for v in (3, 1, 4, 2)]
-
-    groups = [([0, 2], D.T.constant(np.stack([memories[0].data, memories[2].data]))),
-              ([1, 3], D.T.constant(np.stack([memories[1].data, memories[3].data])))]
+    stacks = [[0, 2], [1, 3]]
 
     def expands():
         """Fresh rules, so that a sampling search replays its seed."""
@@ -224,9 +222,14 @@ def test_lockstep_search_equals_each_search_alone(monkeypatch, width, rule):
                         "sample": lambda dist, rng=rng: [(pick(dist, rng), 0.0)]}[rule])
         return out
 
-    together = D._search(groups, expands(), model, width)
+    together = {}
+    for js in stacks:
+        stack = D.T.constant(np.stack([memories[j].data for j in js]))
+        rules = expands()
+        together.update(zip(js, D._search(stack, [rules[j] for j in js], model, width)))
+    together = [together[j] for j in range(len(memories))]
     calls = lm.calls
-    alone = [D._search([([0], memory)], [expand], model, width)[0]
+    alone = [D._search(memory, [expand], model, width)[0]
              for memory, expand in zip(memories, expands())]
     assert together == alone
     assert len({len(ids) for hyps in together for ids in hyps}) > 1
@@ -309,8 +312,8 @@ CACHED_DECODERS = {
 
 def uncached(monkeypatch):
     """Make decoding call `memory_next_dist` without a cache, so every step
-    runs the decoder over the full prefixes.  `_search` hands a stacked group
-    its whole memory at every step, so the rows of the live hypotheses ride in
+    runs the decoder over the full prefixes.  `_search` hands over its whole
+    stacked memory at every step, so the rows of the live hypotheses ride in
     the cache they would have used, where `take` selects them as it does the
     keys and values."""
     full = D.memory_next_dist
@@ -367,7 +370,7 @@ def test_sampler_encodes_its_samples_in_one_call(monkeypatch, fn, kw):
     encodes = count_encodes(monkeypatch)
     selects = count_calls(monkeypatch, D, "select_concepts")
     assert len(fn(ctx, model, seed=4, n_samples=5, **kw).entries) == 5
-    assert encodes == [5]
+    assert encodes == [1]
     assert len(selects) == 5 + 1
 
 

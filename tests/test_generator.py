@@ -429,7 +429,10 @@ def test_cached_step_past_max_len_raises_as_teacher_forcing_does():
     cached_steps(memory, ids[:, : cfg.max_len], params, cfg, pos, cache)
     with pytest.raises(ValueError) as cached:
         cached_steps(memory, ids[:, cfg.max_len :], params, cfg, pos, cache)
-    assert str(cached.value) == str(forced.value) == (
+    # a prefix of max_len tokens plus BOS
+    with pytest.raises(ValueError) as next_dist:
+        memory_next_dist(memory, [[7] * cfg.max_len], params, cfg, pos)
+    assert str(cached.value) == str(forced.value) == str(next_dist.value) == (
         f"decoder length {cfg.max_len + 1} exceeds max_len {cfg.max_len}")
 
 

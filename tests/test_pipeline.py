@@ -173,6 +173,12 @@ def test_synthetic_needs_two_modes():
         make_synthetic_task(seed=0, n_inputs=2, k_modes=1)
 
 
+@pytest.mark.parametrize("n_inputs, kg_size", [(0, None), (-3, None), (0, 10)])
+def test_synthetic_needs_an_input(n_inputs, kg_size):
+    with pytest.raises(ValueError, match="n_inputs must be >= 1"):
+        make_synthetic_task(seed=0, n_inputs=n_inputs, k_modes=2, kg_size=kg_size)
+
+
 # --- run configuration -------------------------------------------------------
 
 def test_load_run_config_parses_types(tmp_path):
@@ -414,6 +420,15 @@ def test_load_model_rejects_unexpected_parameter(trained_run, tmp_path):
     _rewrite_checkpoint(path, lambda params: params.update(
         {"bogus.weight": {"shape": [1], "data": [0.0]}}))
     with pytest.raises(ValueError, match=r"checkpoint\.json: unexpected parameter 'bogus\.weight'"):
+        load_model(trained_run)
+
+
+def test_load_model_rejects_a_list_meta(trained_run, tmp_path):
+    path = tmp_path / "checkpoint.json"
+    payload = json.loads(path.read_text())
+    payload["meta"] = [payload["meta"]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"checkpoint\.json: 'meta' must be an object, got list"):
         load_model(trained_run)
 
 

@@ -723,8 +723,22 @@ def test_checkpoint_version_check(tmp_path):
     ('{"version": 1, "params": {"w": {"data": [1.0]}}}', r"parameter 'w' needs 'shape' and 'data'"),
     ('{"version": 1, "params": {"w": {"shape": [1]}}}', r"parameter 'w' needs 'shape' and 'data'"),
     ('{"version": 1, "params": {"w": {"shape": [2, 2], "data": [1.0, 2.0, 3.0]}}}',
-     r"parameter 'w': cannot reshape")],
-    ids=["malformed-json", "no-shape", "no-data", "data-misfits-shape"])
+     r"parameter 'w': cannot reshape"),
+    ('{"version": 1, "params": []}', r"'params' must be an object, got list"),
+    ('{"version": 1, "params": {}, "meta": []}', r"'meta' must be an object, got list"),
+    ('{"version": 1, "params": {"w": {"shape": [-1], "data": [1.0, 2.0]}}}',
+     r"parameter 'w': shape \[-1\] is not a list of non-negative ints"),
+    ('{"version": 1, "params": {"w": {"shape": 2, "data": [1.0, 2.0]}}}',
+     r"parameter 'w': shape 2 is not a list of non-negative ints"),
+    ('{"version": 1, "params": {"w": {"shape": [2.0], "data": [1.0, 2.0]}}}',
+     r"parameter 'w': shape \[2.0\] is not a list of non-negative ints"),
+    ('{"version": 1, "params": {"w": {"shape": [2, 1], "data": [[1.0], [2.0]]}}}',
+     r"parameter 'w': data must be a flat list, got 2 dimensions"),
+    ('{"version": 1, "params": {"w": {"shape": [], "data": 1.0}}}',
+     r"parameter 'w': data must be a flat list, got 0 dimensions")],
+    ids=["malformed-json", "no-shape", "no-data", "data-misfits-shape", "params-list",
+         "meta-list", "negative-shape", "shape-not-list", "float-shape", "nested-data",
+         "scalar-data"])
 def test_checkpoint_bad_entry_names_file_and_parameter(tmp_path, body, message):
     path = tmp_path / "bad.json"
     path.write_text(body)
