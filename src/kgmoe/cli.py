@@ -7,7 +7,7 @@ import sys
 
 from .kg import load_kg
 from .moe import TrainConfig
-from .pipeline import (RunConfig, load_run_config, make_synthetic_task, run_evaluate,
+from .pipeline import (load_run_config, make_synthetic_task, run_evaluate,
                        run_generate, run_train, save_dataset, save_kg_tsv, subgraph_json)
 
 
@@ -15,13 +15,6 @@ def _add_override_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config key (repeatable)")
-
-
-def _build_run_config(args) -> RunConfig:
-    try:
-        return load_run_config(args.config, args.set)
-    except ValueError as err:
-        raise SystemExit(str(err)) from None
 
 
 def main(argv=None) -> int:
@@ -51,23 +44,25 @@ def main(argv=None) -> int:
     p.add_argument("--kg-out", default="kg.tsv")
 
     args = parser.parse_args(argv)
-
-    if args.command == "train":
-        run_train(_build_run_config(args))
-    elif args.command == "generate":
-        run_generate(_build_run_config(args))
-    elif args.command == "evaluate":
-        report = run_evaluate(_build_run_config(args))
-        print(report.to_json())
-    elif args.command == "subgraph":
-        kg = load_kg(args.kg)
-        print(subgraph_json(kg, args.text, hops=args.hops, max_nodes=args.max_nodes))
-    elif args.command == "synth":
-        examples, triples = make_synthetic_task(args.seed, args.n_inputs,
-                                                args.k_modes, args.kg_size)
-        save_dataset(args.dataset_out, examples)
-        save_kg_tsv(args.kg_out, triples)
-        print(f"wrote {len(examples)} examples and {len(triples)} triples")
+    try:
+        if args.command == "train":
+            run_train(load_run_config(args.config, args.set))
+        elif args.command == "generate":
+            run_generate(load_run_config(args.config, args.set))
+        elif args.command == "evaluate":
+            print(run_evaluate(load_run_config(args.config, args.set)).to_json())
+        elif args.command == "subgraph":
+            kg = load_kg(args.kg)
+            print(subgraph_json(kg, args.text, hops=args.hops, max_nodes=args.max_nodes))
+        elif args.command == "synth":
+            examples, triples = make_synthetic_task(args.seed, args.n_inputs,
+                                                    args.k_modes, args.kg_size)
+            save_dataset(args.dataset_out, examples)
+            save_kg_tsv(args.kg_out, triples)
+            print(f"wrote {len(examples)} examples and {len(triples)} triples")
+    except ValueError as err:
+        # Config, file and argument errors name their source: one line, exit status 1.
+        raise SystemExit(str(err)) from None
     return 0
 
 

@@ -8,9 +8,11 @@ scalar loss walks the recorded graph in reverse topological order and fills
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
 import math
+import os
 
 import numpy as np
 
@@ -595,16 +597,18 @@ def _check_lr(lr: float) -> float:
     return lr
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2     # load_checkpoint also reads version 1: data as a JSON float list
 
 
 def save_checkpoint(path, params: dict, meta: dict | None = None):
-    """Write parameters as a versioned JSON map name -> (shape, flat f64 list).
+    """Write parameters as a versioned strict-JSON map name -> (shape, data).
 
-    Python's float repr round-trips exactly, so load returns bit-identical data.
-    The file is strict JSON: a NaN or infinity, in a parameter or in meta, is
-    refused with a ValueError naming the file (and the parameter) before
-    anything is written.
+    ``data`` is the base64 text of the parameter's C-order little-endian
+    float64 bytes, so load returns bit-identical data.  A NaN or infinity, in a
+    parameter or in meta, is refused with a ValueError naming the file (and the
+    parameter) before anything is written.  The JSON goes to a temporary file
+    beside ``path`` that is then renamed onto it, so a failed or interrupted
+    save never leaves a truncated checkpoint and keeps any old one intact.
     """
     for name, p in sorted(params.items()):
         if not np.isfinite(p.data).all():
@@ -618,24 +622,35 @@ def save_checkpoint(path, params: dict, meta: dict | None = None):
         "version": CHECKPOINT_VERSION,
         "meta": meta or {},
         "params": {
-            name: {"shape": list(p.data.shape), "data": p.data.reshape(-1).tolist()}
+            name: {"shape": list(p.data.shape),
+                   "data": base64.b64encode(p.data.astype("<f8", copy=False).tobytes()).decode()}
             for name, p in sorted(params.items())
         },
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, allow_nan=False)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(payload, f, allow_nan=False)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (name->Tensor dict with requires_grad, meta).
-    A bad file raises a ValueError naming it (and the parameter at fault)."""
+    """Read a checkpoint of version 1 or 2; returns (name->Tensor dict with
+    requires_grad, meta).  A bad file raises a ValueError naming it (and the
+    parameter at fault)."""
     with open(path, encoding="utf-8") as f:
         try:
             payload = json.load(f)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: malformed checkpoint JSON: {err}") from None
     version = payload.get("version") if isinstance(payload, dict) else None
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     entries, meta = payload.get("params", {}), payload.get("meta", {})
     for key, value in (("params", entries), ("meta", meta)):
@@ -645,14 +660,27 @@ def load_checkpoint(path):
     for name, entry in entries.items():
         if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
             raise ValueError(f"{path}: parameter {name!r} needs 'shape' and 'data'")
-        shape = entry["shape"]
+        shape, data = entry["shape"], entry["data"]
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"{path}: parameter {name!r}: shape {shape!r} is not a list "
                              "of non-negative ints")
         try:
-            arr = np.array(entry["data"], dtype=np.float64)
-            if arr.ndim != 1:
-                raise ValueError(f"data must be a flat list, got {arr.ndim} dimensions")
+            if version == 1:
+                arr = np.array(data, dtype=np.float64)
+                if arr.ndim != 1:
+                    raise ValueError(f"data must be a flat list, got {arr.ndim} dimensions")
+            elif not isinstance(data, str):
+                raise ValueError(f"data must be a base64 string, got {type(data).__name__}")
+            else:
+                try:
+                    raw = base64.b64decode(data, validate=True)
+                except ValueError as err:
+                    raise ValueError(f"data is not valid base64: {err}") from None
+                if len(raw) != 8 * math.prod(shape):
+                    raise ValueError(f"data holds {len(raw)} bytes, shape {shape} needs "
+                                     f"{8 * math.prod(shape)}")
+                # an owned, writable copy: Adam updates parameters in place
+                arr = np.frombuffer(raw, "<f8").astype(np.float64)
             arr = arr.reshape(shape)
         except (TypeError, ValueError) as err:
             raise ValueError(f"{path}: parameter {name!r}: {err}") from None

@@ -2,6 +2,7 @@
 
 import pickle
 import tracemalloc
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -228,6 +229,18 @@ def test_whole_text_stemming_matches_the_token_rule(surfaces):
         assert norm_tokens(text) == [loop_stem(t) for t in text.split()]
     expected = [" ".join(loop_stem(t) for t in s.replace("_", " ").split()) for s in surfaces]
     assert kgmod._surface_keys(surfaces) == expected
+
+
+def token_stem(text):
+    """`stem` by hand: each run of non-space chars through `loop_stem`, spaces kept."""
+    runs = ("".join(run) for _, run in groupby(text, str.isspace))
+    return "".join(r if r.isspace() else loop_stem(r) for r in runs)
+
+
+@given(st.text(alphabet=TEXT_CHARS, max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_stem_matches_a_plain_per_token_rule(text):
+    assert stem(text) == token_stem(text)
 
 
 def test_ground_multiconcept_sentence():

@@ -1,9 +1,15 @@
 """File formats, synthetic task contracts, config parsing, end-to-end
 train -> generate -> evaluate round trip, and CLI subcommands."""
 
+import base64
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgmoe.cli import main as cli_main
@@ -399,13 +405,18 @@ def _rewrite_checkpoint(path, edit):
     path.write_text(json.dumps(payload))
 
 
+def _zero_entry(shape):
+    """A zero-filled parameter entry in the version-2 checkpoint encoding."""
+    return {"shape": list(shape), "data": base64.b64encode(np.zeros(shape).tobytes()).decode()}
+
+
 def test_load_model_rejects_wrong_shape(trained_run, tmp_path):
     path = tmp_path / "checkpoint.json"
     name = "sel.expert_embed"
     expected = tuple(json.loads(path.read_text())["params"][name]["shape"])
 
     def shrink(params):
-        params[name] = {"shape": [1, expected[1]], "data": [0.0] * expected[1]}
+        params[name] = _zero_entry([1, expected[1]])
     _rewrite_checkpoint(path, shrink)
     found = (1, expected[1])
     with pytest.raises(ValueError) as err:
@@ -418,7 +429,7 @@ def test_load_model_rejects_wrong_shape(trained_run, tmp_path):
 def test_load_model_rejects_unexpected_parameter(trained_run, tmp_path):
     path = tmp_path / "checkpoint.json"
     _rewrite_checkpoint(path, lambda params: params.update(
-        {"bogus.weight": {"shape": [1], "data": [0.0]}}))
+        {"bogus.weight": _zero_entry([1])}))
     with pytest.raises(ValueError, match=r"checkpoint\.json: unexpected parameter 'bogus\.weight'"):
         load_model(trained_run)
 
@@ -542,7 +553,7 @@ def test_cli_subgraph_emits_json(tmp_path, capsys):
 
 def test_cli_subgraph_rejects_negative_max_nodes(tmp_path):
     save_kg_tsv(tmp_path / "k.tsv", [("piano", "relatedto", "music")])
-    with pytest.raises(ValueError, match="max_nodes"):
+    with pytest.raises(SystemExit, match="max_nodes"):
         cli_main(["subgraph", "--kg", str(tmp_path / "k.tsv"), "--text", "a piano",
                   "--max-nodes", "-2"])
 
@@ -579,6 +590,29 @@ def test_cli_rejects_bad_set_flag():
 def test_cli_rejects_unknown_key():
     with pytest.raises(SystemExit):
         cli_main(["train", "--set", "mystery=1"])
+
+
+@pytest.mark.parametrize("case", ["synth-negative-inputs", "dataset-line-without-input",
+                                  "corrupt-v2-checkpoint"])
+def test_cli_input_errors_exit_with_one_line(tmp_path, case):
+    save_kg_tsv(tmp_path / "kg.tsv", [("piano", "relatedto", "music")])
+    (tmp_path / "bad.jsonl").write_text('{"id": "a", "references": ["x"]}\n')
+    (tmp_path / "ckpt.json").write_text(
+        '{"version": 2, "params": {"w": {"shape": [1], "data": "AAA*"}}}')
+    argv, named = {
+        "synth-negative-inputs": (["synth", "--n-inputs", "-3"], "n_inputs"),
+        "dataset-line-without-input": (["evaluate", "--set", "dataset_path=bad.jsonl"],
+                                       "bad.jsonl: line 1 missing 'input'"),
+        "corrupt-v2-checkpoint": (["generate", "--set", "checkpoint_path=ckpt.json"],
+                                  "ckpt.json: parameter 'w': data is not valid base64"),
+    }[case]
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "kgmoe.cli", *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.count("\n") == 1 and named in done.stderr, done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_subgraph_json_caps_nodes(tmp_path):

@@ -1,5 +1,7 @@
 """Autodiff engine: op semantics, gradient oracles, optimizer, checkpoints."""
 
+import base64
+import json
 import math
 
 import numpy as np
@@ -698,17 +700,73 @@ def test_adam_step_rejects_negative_lr():
 
 def test_checkpoint_round_trip_exact(tmp_path):
     rng = np.random.default_rng(6)
+    tiny = np.finfo(np.float64).smallest_subnormal
     params = {
         "a": T.Tensor(rng.normal(size=(3, 5)), requires_grad=True),
-        "b": T.Tensor(rng.normal(size=(7,)), requires_grad=True),
+        "b": T.Tensor(rng.normal(size=(7,)) * 1e300, requires_grad=True),
+        "signs": T.Tensor(np.array([[-0.0, 0.0], [tiny, -tiny * 3]]), requires_grad=True),
+        "scalar": T.Tensor(np.array(-0.0), requires_grad=True),
+        "empty": T.Tensor(np.zeros((0, 4)), requires_grad=True),
     }
     path = tmp_path / "ckpt.json"
     T.save_checkpoint(path, params, {"note": "x"})
+    payload = json.loads(path.read_text())
+    assert payload["version"] == 2 and list(payload["params"]) == sorted(params)
     loaded, meta = T.load_checkpoint(path)
     assert meta["note"] == "x"
     for name in params:
-        assert np.array_equal(loaded[name].data, params[name].data)
+        assert loaded[name].shape == params[name].shape
+        assert np.array_equal(loaded[name].data.view(np.int64), params[name].data.view(np.int64))
         assert loaded[name].data.dtype == np.float64
+
+
+def _b64(values) -> str:
+    """Version-2 checkpoint data: base64 of little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def test_checkpoint_version_1_still_loads_to_the_same_bits(tmp_path):
+    values = np.random.default_rng(8).normal(size=(4, 3))
+    values[0, 0] = -0.0
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps({"version": 1, "meta": {"note": "old"}, "params": {
+        "w": {"shape": [4, 3], "data": values.reshape(-1).tolist()}}}))
+    loaded, meta = T.load_checkpoint(path)
+    assert meta == {"note": "old"}
+    assert np.array_equal(loaded["w"].data.view(np.int64), values.view(np.int64))
+
+
+def test_checkpoint_saves_are_byte_identical(tmp_path):
+    params = {"b": T.Tensor(np.arange(6.0).reshape(2, 3)), "a": T.Tensor([0.1, -2.5])}
+    T.save_checkpoint(tmp_path / "one.json", params, {"k": 1})
+    T.save_checkpoint(tmp_path / "two.json", params, {"k": 1})
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
+
+
+def test_loaded_parameters_are_writable_for_adam(tmp_path):
+    path = tmp_path / "ckpt.json"
+    T.save_checkpoint(path, {"w": T.Tensor(np.ones((3, 2))), "b": T.Tensor([0.5])})
+    params, _ = T.load_checkpoint(path)
+    for p in params.values():
+        assert p.data.flags.writeable
+        p.grad = np.ones_like(p.data)
+    T.Adam(params, lr=0.1).step()
+    assert (params["w"].data < 1.0).all() and params["b"].data[0] < 0.5
+
+
+def test_failing_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.json"
+    T.save_checkpoint(path, {"w": T.Tensor([1.0, 2.0])})
+    before = path.read_bytes()
+
+    def dump_half_then_fail(obj, f, **kwargs):
+        f.write('{"version": 2, "params": {')
+        raise OSError("disk full")
+    monkeypatch.setattr(T.json, "dump", dump_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        T.save_checkpoint(path, {"w": T.Tensor([3.0, 4.0])})
+    assert path.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["ckpt.json"]
 
 
 def test_checkpoint_version_check(tmp_path):
@@ -735,10 +793,19 @@ def test_checkpoint_version_check(tmp_path):
     ('{"version": 1, "params": {"w": {"shape": [2, 1], "data": [[1.0], [2.0]]}}}',
      r"parameter 'w': data must be a flat list, got 2 dimensions"),
     ('{"version": 1, "params": {"w": {"shape": [], "data": 1.0}}}',
-     r"parameter 'w': data must be a flat list, got 0 dimensions")],
+     r"parameter 'w': data must be a flat list, got 0 dimensions"),
+    ('{"version": 2, "params": {"w": {"shape": [1], "data": [1.0]}}}',
+     r"parameter 'w': data must be a base64 string, got list"),
+    ('{"version": 2, "params": {"w": {"shape": [1], "data": "AAAA$AAAAAA="}}}',
+     r"parameter 'w': data is not valid base64"),
+    ('{"version": 2, "params": {"w": {"shape": [2], "data": "%s"}}}' % _b64([1.0]),
+     r"parameter 'w': data holds 8 bytes, shape \[2\] needs 16"),
+    ('{"version": 2, "params": {"w": {"shape": [2], "data": "%s"}}}' % _b64([1.0, math.nan]),
+     r"parameter 'w' holds a non-finite value")],
     ids=["malformed-json", "no-shape", "no-data", "data-misfits-shape", "params-list",
          "meta-list", "negative-shape", "shape-not-list", "float-shape", "nested-data",
-         "scalar-data"])
+         "scalar-data", "v2-data-not-string", "v2-invalid-base64", "v2-byte-count",
+         "v2-non-finite"])
 def test_checkpoint_bad_entry_names_file_and_parameter(tmp_path, body, message):
     path = tmp_path / "bad.json"
     path.write_text(body)
