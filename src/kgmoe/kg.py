@@ -6,7 +6,6 @@ import math
 import re
 import struct
 from array import array
-from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -46,50 +45,78 @@ def _surface_keys(surfaces: list[str]) -> list[str]:
     return list(map(" ".join, map(str.split, lines)))
 
 
-@dataclass
-class Subgraph:
-    """Per-example concept neighborhood: nodes, the triples among them, seeds."""
+_TRIPLE = struct.Struct("=3i")   # one row of `KnowledgeGraph.triples`
 
-    nodes: set[int]
-    edges: list[tuple[int, int, int]]
-    seeds: set[int]
-    # Built on first use; a subgraph is not mutated after it is made.
-    _sorted_nodes: list[int] | None = field(default=None, init=False, repr=False, compare=False)
-    _messages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+def _sorted_ids(ids: set[int]) -> np.ndarray:
+    """The ids ascending, as an int64 array."""
+    out = np.fromiter(ids, np.int64, len(ids))
+    out.sort()
+    return out
+
+
+class Subgraph:
+    """Per-example concept neighborhood: nodes, the triples among them, seeds.
+
+    Held as `node_array`, the node ids ascending (int64; the row order of
+    every per-node array), and `edge_array`, the [m, 3] triple rows among them
+    in KG order; the views `edges` and `sorted_nodes()` are built on first
+    read.  Extraction passes both arrays; a hand-built subgraph passes `edges`.
+    A subgraph is not mutated after it is made.
+    """
+
+    def __init__(self, nodes: set[int], edges: list[tuple[int, int, int]] | None,
+                 seeds: set[int], node_array: np.ndarray | None = None,
+                 edge_array: np.ndarray | None = None):
+        self.nodes, self.seeds, self._edges = nodes, seeds, edges
+        self.node_array = _sorted_ids(nodes) if node_array is None else node_array
+        self.edge_array = (np.array(edges, dtype=np.int32).reshape(-1, 3)
+                           if edge_array is None else edge_array)
+        self._sorted_nodes: list[int] | None = None
+        self._messages: dict = {}
+
+    def __eq__(self, other):
+        return isinstance(other, Subgraph) and (
+            (self.nodes, self.edges, self.seeds) == (other.nodes, other.edges, other.seeds))
+
+    @property
+    def edges(self) -> list[tuple[int, int, int]]:
+        """The rows of `edge_array` as int tuples; the same list on every read."""
+        if self._edges is None:
+            self._edges = list(_TRIPLE.iter_unpack(self.edge_array))
+        return self._edges
 
     def sorted_nodes(self) -> list[int]:
-        """Node ids in ascending order, the row order of every per-node array.
+        """`node_array` as a list of int.
 
         The same list is returned on every call; callers must not mutate it.
         """
         if self._sorted_nodes is None:
-            self._sorted_nodes = sorted(self.nodes)
+            self._sorted_nodes = self.node_array.tolist()
         return self._sorted_nodes
 
     def message_arrays(self, n_relations: int
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Local (src, dst, rel) index arrays of the messages along the edges,
-        and each node's in-degree as a float divisor, at least 1.
+        """Local (src, dst, rel) int64 index arrays of the messages along the
+        edges, and each node's in-degree as a float divisor, at least 1.
 
-        Indices are rows of `sorted_nodes()`.  Edge by edge, a triple (h, r, t)
+        Indices are rows of `node_array`.  Edge by edge, a triple (h, r, t)
         sends h -> t under r, then t -> h under the inverse relation
         r + n_relations.  Built once per `n_relations` and kept.
         """
         arrays = self._messages.get(n_relations)
         if arrays is None:
-            row = {cid: i for i, cid in enumerate(self.sorted_nodes())}
-            hrt = np.array([(row[h], r, row[t]) for h, r, t in self.edges],
-                           dtype=np.int64).reshape(-1, 3)
-            h, r, t = hrt.T
-            dst = np.column_stack([t, h]).ravel()
-            divisor = np.maximum(np.bincount(dst, minlength=len(row)).astype(np.float64), 1.0)
-            arrays = (np.column_stack([h, t]).ravel(), dst,
-                      np.column_stack([r, r + n_relations]).ravel(), divisor)
+            ends = self.edge_array[:, ::2]
+            local = self.node_array.searchsorted(ends)
+            if not np.array_equal(self.node_array.take(local, mode="clip"), ends):
+                raise KeyError("an edge endpoint is not a node of the subgraph")
+            dst = local[:, ::-1].ravel()
+            divisor = np.maximum(np.bincount(dst, minlength=len(self.node_array))
+                                 .astype(np.float64), 1.0)
+            rel = self.edge_array[:, 1:2].astype(np.int64) + [0, n_relations]
+            arrays = (local.ravel(), dst, rel.ravel(), divisor)
             self._messages[n_relations] = arrays
         return arrays
-
-
-_TRIPLE = struct.Struct("=3i")   # one row of `KnowledgeGraph.triples`
 
 
 class KnowledgeGraph:
@@ -236,20 +263,19 @@ def _discover(seeds: set[int], kg: KnowledgeGraph, hops: int, limit: float) -> l
     ptr, nbr = kg._ptr, kg._nbr
     discovery = sorted(seeds)
     found = set(discovery)
-    frontier = discovery
+    start = 0   # the frontier is discovery[start:end]
     for _ in range(hops):
-        next_frontier: list[int] = []
-        for v in sorted(frontier):
+        end = len(discovery)
+        for v in sorted(discovery[start:end]):
             for u in nbr[ptr[v]:ptr[v + 1]]:
                 if u not in found:
                     if len(discovery) >= limit:
                         return discovery
                     found.add(u)
                     discovery.append(u)
-                    next_frontier.append(u)
-        if not next_frontier:
+        if len(discovery) == end:
             break
-        frontier = next_frontier
+        start = end
     return discovery
 
 
@@ -259,8 +285,9 @@ def _discover(seeds: set[int], kg: KnowledgeGraph, hops: int, limit: float) -> l
 _GATHER_MIN_NODES = 32
 
 
-def _edge_rows(nodes: set[int], kg: KnowledgeGraph) -> list[int] | np.ndarray:
-    """Sorted row indices of the triples with both endpoints in `nodes`.
+def _edge_rows(nodes: set[int], owner: np.ndarray, kg: KnowledgeGraph) -> list[int] | np.ndarray:
+    """Sorted row indices of the triples with both endpoints in `nodes`, whose
+    ids ascending are `owner`.
 
     Each such triple is read from the adjacency row of one endpoint: the lower
     id, unless the other endpoint is `top`, the node of highest degree
@@ -274,8 +301,6 @@ def _edge_rows(nodes: set[int], kg: KnowledgeGraph) -> list[int] | np.ndarray:
         kept = [tix[p] for v in nodes if v != top for p in range(ptr[v], ptr[v + 1])
                 if (u := nbr[p]) in nodes and (u > v or u == top)]
         return sorted(kept + loops)
-    owner = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
-    owner.sort()
     start, deg = kg.indptr[owner], kg._degree[owner]
     t = deg.argmax()
     top, deg[t] = owner[t], 0
@@ -311,5 +336,6 @@ def extract_subgraph(seed_ids, kg: KnowledgeGraph, hops: int = 2,
 
     discovery = _discover(seeds, kg, hops, math.inf if max_nodes is None else max_nodes)
     nodes = set(discovery[:max_nodes]) | seeds
-    rows = kg.triples.take(_edge_rows(nodes, kg), axis=0)
-    return Subgraph(nodes=nodes, edges=list(_TRIPLE.iter_unpack(rows)), seeds=seeds)
+    owner = _sorted_ids(nodes)
+    rows = kg.triples.take(_edge_rows(nodes, owner, kg), axis=0)
+    return Subgraph(nodes, None, seeds, owner, rows)

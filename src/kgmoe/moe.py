@@ -120,8 +120,10 @@ class Model:
     positions: np.ndarray
 
 
-def build_model(kg: KnowledgeGraph, vocab: Vocab, cfg: TrainConfig) -> Model:
-    rng = np.random.default_rng(sub_seed(cfg.seed, "init"))
+def build_model(kg: KnowledgeGraph, vocab: Vocab, cfg: TrainConfig, rng=None) -> Model:
+    """The model of cfg, its parameters drawn from the generator seeded by
+    cfg.seed, or from `rng` if one is given."""
+    rng = np.random.default_rng(sub_seed(cfg.seed, "init")) if rng is None else rng
     params = {}
     params.update(init_rgcn_params(rng, kg.num_concepts, kg.num_relations,
                                    cfg.d_model, cfg.rgcn_layers))
@@ -137,9 +139,13 @@ class ExampleContext:
     example_id: str
     x_ids: list[int]
     subgraph: Subgraph
-    node_ids: list[int]                      # subgraph.sorted_nodes()
     y_ids: list[list[int]]                   # per reference, EOS-terminated
     labels: list[np.ndarray]                 # per reference, over sorted nodes
+
+    @property
+    def node_ids(self) -> list[int]:
+        """`subgraph.sorted_nodes()`."""
+        return self.subgraph.sorted_nodes()
 
 
 def prepare_example(example, kg: KnowledgeGraph, vocab: Vocab, cfg: TrainConfig) -> ExampleContext:
@@ -152,8 +158,7 @@ def prepare_example(example, kg: KnowledgeGraph, vocab: Vocab, cfg: TrainConfig)
         ids = vocab.encode(ref)[: cfg.max_len - 1] + [EOS]
         y_ids.append(ids)
         labels.append(build_labels(subgraph, ref, kg))
-    return ExampleContext(example.id, x_ids, subgraph, subgraph.sorted_nodes(),
-                          y_ids, labels)
+    return ExampleContext(example.id, x_ids, subgraph, y_ids, labels)
 
 
 @dataclass
@@ -185,7 +190,7 @@ def select_concepts(ctx: ExampleContext, model: Model, n_experts: int = 1) -> li
     with T.no_grad():
         states = encode(ctx.subgraph, model.params, model.kg, cfg.rgcn_layers)
         for z in range(n_experts):
-            chosen = top_n(ctx.node_ids, score_concepts(states, model.params, z).data,
+            chosen = top_n(ctx.subgraph.node_array, score_concepts(states, model.params, z).data,
                            cfg.top_concepts, forbidden)
             if cfg.disjoint_rule:
                 forbidden.update(chosen)
@@ -207,7 +212,7 @@ def joint_losses(ctx: ExampleContext, ref_idx: int, experts, model: Model
         states = encode(ctx.subgraph, model.params, model.kg, cfg.rgcn_layers)
         p = score_concepts(states, model.params, z)
         concept_losses.append(T.reshape(concept_loss(p, ctx.labels[ref_idx]), (1,)))
-        chosen = top_n(ctx.node_ids, p.data, cfg.top_concepts)
+        chosen = top_n(ctx.subgraph.node_array, p.data, cfg.top_concepts)
         requests.append(generator_input(ctx, model, chosen, z))
     l_gen = generation_loss(requests, ctx.y_ids[ref_idx], model.params, model.vocab, cfg,
                             model.positions)

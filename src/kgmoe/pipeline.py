@@ -300,7 +300,8 @@ def load_model(cfg: RunConfig) -> Model:
     if meta.get("vocab_hash") and meta["vocab_hash"] != vocab.content_hash():
         raise ValueError(f"{path}: vocab hash {meta['vocab_hash']} differs from "
                          f"{vocab.content_hash()} of {cfg.vocab_path}")
-    model = build_model(kg, vocab, train_cfg)
+    # Only the names and shapes are read: every parameter is replaced below.
+    model = build_model(kg, vocab, train_cfg, rng=T.ShapeOnly())
     extra = sorted(set(params) - set(model.params))
     if extra:
         raise ValueError(f"{path}: unexpected parameter {extra[0]!r}")

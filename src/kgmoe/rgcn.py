@@ -31,7 +31,7 @@ def rgcn_layer(h: T.Tensor, h_rel: T.Tensor, subgraph: Subgraph, w_neighbor: T.T
                n_relations: int) -> tuple[T.Tensor, T.Tensor | None]:
     """One relational convolution layer; nodes without incoming edges aggregate zero.
 
-    h holds one row per node in `subgraph.sorted_nodes()` order and h_rel one
+    h holds one row per node in `subgraph.node_array` order and h_rel one
     row per relation, inverses in the second half; returns the next (h, h_rel).
     With w_rel None (a last layer, whose relation states nothing reads) the
     next h_rel is None.
@@ -46,8 +46,8 @@ def rgcn_layer(h: T.Tensor, h_rel: T.Tensor, subgraph: Subgraph, w_neighbor: T.T
 def encode(subgraph: Subgraph, params: dict[str, T.Tensor], kg: KnowledgeGraph,
            layers: int) -> T.Tensor:
     """Node states [n_nodes, d] after `layers` convolutions from the embedding
-    tables, one row per node in `subgraph.sorted_nodes()` order."""
-    h = T.embedding(params["rgcn.node_embed"], subgraph.sorted_nodes())
+    tables, one row per node in `subgraph.node_array` order."""
+    h = T.embedding(params["rgcn.node_embed"], subgraph.node_array)
     h_rel = params["rgcn.rel_embed"]
     for layer in range(layers):
         h, h_rel = rgcn_layer(

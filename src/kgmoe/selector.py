@@ -37,7 +37,10 @@ def score_concepts(h: T.Tensor, params: dict[str, T.Tensor],
 def build_labels(subgraph: Subgraph, reference: str, kg: KnowledgeGraph) -> np.ndarray:
     """Binary supervision over sorted subgraph nodes: positive iff grounded in y."""
     positives = ground_concepts(reference, kg) & subgraph.nodes
-    return np.array([1.0 if cid in positives else 0.0 for cid in subgraph.sorted_nodes()])
+    labels = np.zeros(len(subgraph.node_array))
+    found = np.fromiter(positives, np.int64, len(positives))
+    labels[subgraph.node_array.searchsorted(found)] = 1.0
+    return labels
 
 
 def concept_loss(p: T.Tensor, labels: np.ndarray) -> T.Tensor:

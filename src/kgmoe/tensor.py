@@ -650,7 +650,7 @@ def load_checkpoint(path):
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: malformed checkpoint JSON: {err}") from None
     version = payload.get("version") if isinstance(payload, dict) else None
-    if version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
     entries, meta = payload.get("params", {}), payload.get("meta", {})
     for key, value in (("params", entries), ("meta", meta)):
@@ -701,6 +701,16 @@ def glorot_init(rng: np.random.Generator, shape) -> Tensor:
     fan_in, fan_out = shape[-2], shape[-1]
     std = math.sqrt(2.0 / (fan_in + fan_out))
     return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+
+
+class ShapeOnly:
+    """Stand-in for the numpy Generator of the init functions that draws
+    nothing: each draw is a read-only zero-stride view of the asked shape."""
+
+    def uniform(self, low, high, size):
+        return np.broadcast_to(0.0, size)
+
+    normal = uniform
 
 
 def zeros_init(shape) -> Tensor:

@@ -1,5 +1,6 @@
 """Triple store, grounding and subgraph extraction against brute-force oracles."""
 
+import json
 import pickle
 import tracemalloc
 from itertools import groupby
@@ -9,9 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgmoe import kg as kgmod
-from kgmoe.kg import (KnowledgeGraph, extract_subgraph, ground_concepts, load_kg,
+from kgmoe.generator import Vocab
+from kgmoe.kg import (KnowledgeGraph, Subgraph, extract_subgraph, ground_concepts, load_kg,
                       norm_tokens, stem)
-from kgmoe.pipeline import make_synthetic_task, save_kg_tsv
+from kgmoe.moe import TrainConfig, prepare_example
+from kgmoe.pipeline import Example, make_synthetic_task, save_kg_tsv
+from kgmoe.selector import build_labels
 
 
 def build_kg(triples):
@@ -412,6 +416,69 @@ def test_both_edge_readers_match_brute_force(monkeypatch, gather_min):
                 assert guard.reads == len(edges)
                 # Python ints: the benchmark digest and JSON output encode them.
                 assert {type(x) for x in sub.nodes.union(*sub.edges)} <= {int}
+
+
+def oracle_message_arrays(nodes, edges, n_relations):
+    """Message arrays built directly from a row dict and a tuple list."""
+    row = {cid: i for i, cid in enumerate(sorted(nodes))}
+    hrt = np.array([(row[h], r, row[t]) for h, r, t in edges], dtype=np.int64).reshape(-1, 3)
+    h, r, t = hrt.T
+    dst = np.column_stack([t, h]).ravel()
+    divisor = np.maximum(np.bincount(dst, minlength=len(row)).astype(np.float64), 1.0)
+    return (np.column_stack([h, t]).ravel(), dst,
+            np.column_stack([r, r + n_relations]).ravel(), divisor)
+
+
+def oracle_labels(nodes, reference, kg):
+    positives = ground_concepts(reference, kg) & nodes
+    return np.array([1.0 if cid in positives else 0.0 for cid in sorted(nodes)])
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("gather_min", [0, 10**9])
+def test_subgraph_arrays_match_a_set_and_dict_oracle(monkeypatch, gather_min):
+    """Extracted and hand-built subgraphs give the node order, message arrays
+    and labels of a set/dict construction, and the JSON views hold Python ints."""
+    monkeypatch.setattr(kgmod, "_GATHER_MIN_NODES", gather_min)
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        kg, seeds = random_case(rng)
+        reference = " ".join(kg.concepts[c] for c in rng.choice(kg.num_concepts, 4))
+        for hops, cap in ((0, None), (1, 3), (2, None), (3, 8)):
+            nodes, edges = brute_force_subgraph(seeds, kg, hops=hops, max_nodes=cap)
+            extracted = extract_subgraph(seeds, kg, hops=hops, max_nodes=cap)
+            hand = Subgraph(nodes=set(nodes), edges=list(edges), seeds=set(seeds))
+            for sub in (extracted, hand):
+                for n_relations in (kg.num_relations, 7):
+                    assert_same_arrays(sub.message_arrays(n_relations),
+                                       oracle_message_arrays(nodes, edges, n_relations))
+                assert_same_arrays([build_labels(sub, reference, kg), sub.node_array],
+                                   [oracle_labels(nodes, reference, kg),
+                                    np.array(sorted(nodes), dtype=np.int64)])
+                assert sub.sorted_nodes() == sorted(nodes) and sub.edges == edges
+            assert np.array_equal(extracted.edge_array, hand.edge_array)
+
+        cfg = TrainConfig(n_experts=2, d_model=8, n_heads=2, max_len=16,
+                          subgraph_hops=2, max_subgraph_nodes=8)
+        text = " ".join(kg.concepts[c] for c in sorted(seeds))
+        ctx = prepare_example(Example("e", text, [reference]),
+                              kg, Vocab.build([text, reference], 2), cfg)
+        nodes, edges = brute_force_subgraph(ground_concepts(text, kg), kg, 2, 8)
+        # JSON has no encoder for numpy integers: the views must hold Python ints.
+        dumped = json.dumps([ctx.node_ids, ctx.subgraph.edges])
+        assert json.loads(dumped) == [sorted(nodes), [list(e) for e in edges]]
+        assert ctx.labels[0].tobytes() == oracle_labels(nodes, reference, kg).tobytes()
+
+
+def test_hand_built_edge_outside_the_nodes_raises():
+    sub = Subgraph(nodes={1, 2}, edges=[(1, 0, 3)], seeds=set())
+    with pytest.raises(KeyError, match="not a node"):
+        sub.message_arrays(1)
 
 
 class RowGuard:

@@ -378,3 +378,12 @@ def test_generator_input_reads_underscore_as_space_and_empty_surface_as_unk():
     assert UNK not in ice_cream and len(ice_cream) == 2
     assert inp.concept_token_ids == [ice_cream, [UNK]]
     assert inp.x_ids == ctx.x_ids and inp.expert == 1
+
+
+@pytest.mark.parametrize("expert_mode", ["embed", "prompt"])
+def test_shape_only_build_has_the_names_and_shapes_of_a_drawn_one(expert_mode):
+    cfg = tiny_config(expert_mode=expert_mode, rgcn_layers=2, n_encoder_layers=2)
+    drawn, _ = tiny_model(cfg)
+    shapes = build_model(drawn.kg, drawn.vocab, cfg, rng=T.ShapeOnly())
+    assert {n: p.shape for n, p in shapes.params.items()} == \
+        {n: p.shape for n, p in drawn.params.items()}

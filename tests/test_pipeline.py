@@ -426,6 +426,18 @@ def test_load_model_rejects_wrong_shape(trained_run, tmp_path):
         assert part in message
 
 
+def test_load_model_draws_no_parameters(trained_run, monkeypatch):
+    saved = json.loads(Path(trained_run.checkpoint_path).read_text())["params"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_model drew parameters that it then replaced")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    model = load_model(trained_run)
+    assert sorted(model.params) == sorted(saved)
+    for name, entry in saved.items():
+        assert model.params[name].data.tobytes() == base64.b64decode(entry["data"])
+
+
 def test_load_model_rejects_unexpected_parameter(trained_run, tmp_path):
     path = tmp_path / "checkpoint.json"
     _rewrite_checkpoint(path, lambda params: params.update(

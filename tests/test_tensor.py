@@ -776,6 +776,15 @@ def test_checkpoint_version_check(tmp_path):
         T.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("version, shown", [("true", "True"), ("2.0", r"2\.0")])
+def test_checkpoint_version_must_be_an_int(tmp_path, version, shown):
+    # true == 1 and 2.0 == 2 in Python, but neither is a checkpoint version
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"version": {version}, "params": {{}}}}')
+    with pytest.raises(ValueError, match=rf"bad\.json: unsupported checkpoint version {shown}"):
+        T.load_checkpoint(path)
+
+
 @pytest.mark.parametrize("body, message", [
     ('{"version": 1, "params": {', r"malformed checkpoint JSON"),
     ('{"version": 1, "params": {"w": {"data": [1.0]}}}', r"parameter 'w' needs 'shape' and 'data'"),
