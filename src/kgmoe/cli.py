@@ -60,8 +60,9 @@ def main(argv=None) -> int:
             save_dataset(args.dataset_out, examples)
             save_kg_tsv(args.kg_out, triples)
             print(f"wrote {len(examples)} examples and {len(triples)} triples")
-    except ValueError as err:
-        # Config, file and argument errors name their source: one line, exit status 1.
+    except (OSError, ValueError) as err:
+        # Config, file and argument errors, and files that cannot be opened, name
+        # their source: one line, exit status 1.
         raise SystemExit(str(err)) from None
     return 0
 

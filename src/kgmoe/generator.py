@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
+from .kg import undecodable
 
 if TYPE_CHECKING:
     from .moe import TrainConfig
@@ -87,8 +88,11 @@ class Vocab:
     def load(cls, path, n_experts: int) -> "Vocab":
         """Read a `save`d table, skipping blank lines.  After the special tokens
         the file must hold `<expert0>`, `<expert1>`, .. in order, and no token twice."""
-        with open(path, encoding="utf-8") as f:
-            numbered = [(n, tok) for n, line in enumerate(f, 1) if (tok := line.rstrip("\n"))]
+        try:
+            with open(path, encoding="utf-8") as f:
+                numbered = [(n, tok) for n, line in enumerate(f, 1) if (tok := line.rstrip("\n"))]
+        except UnicodeDecodeError as err:
+            raise undecodable(path, err) from None
         try:
             vocab = cls([tok for _, tok in numbered], n_experts)
         except ValueError as err:

@@ -224,17 +224,26 @@ def load_kg(path) -> KnowledgeGraph:
         # Line by line, so that no line outlives its parse.
         with open(path, encoding="utf-8-sig") as f:
             return KnowledgeGraph.from_triples(_parse_kg(path, f))
-    except UnicodeDecodeError:
-        with open(path, "rb") as f:
-            data = f.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            before = data[: e.start].decode("utf-8")
-            lineno = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
-            raise ValueError(f"{path}: undecodable KG line {lineno}: {e.reason} "
-                             f"(byte {data[e.start]:#04x})") from None
-        raise
+    except UnicodeDecodeError as err:
+        raise undecodable(path, err, "KG line") from None
+
+
+def undecodable(path, err: UnicodeDecodeError, what: str = "line") -> ValueError:
+    """The ValueError for a text file that `err` says is not UTF-8.
+
+    It names the file, the first undecodable line (lines end at \\n, \\r or
+    \\r\\n, as in text mode) and its byte.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = data[: e.start].decode("utf-8")
+        lineno = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        return ValueError(f"{path}: undecodable {what} {lineno}: {e.reason} "
+                          f"(byte {data[e.start]:#04x})")
+    return ValueError(f"{path}: {err}")     # the file changed since it was read
 
 
 def ground_concepts(text: str, kg: KnowledgeGraph) -> set[int]:

@@ -5,7 +5,8 @@ File formats:
   dataset   JSONL, one {"id", "input", "references": [...]} object per line
   kg        TSV head<TAB>relation<TAB>tail
   vocab     one token per line in id order
-  checkpoint versioned JSON parameter map (tensor_core format)
+  checkpoint version 3: a strict-JSON header line (version, meta, parameter
+            shapes), then the raw little-endian float64 bytes (tensor.py)
   generations JSONL, one {"id", "strategy", "expert", "output", "concepts"} per output
   metrics   JSON MetricReport
   training log JSONL, one {"epoch", "step", "expert_histogram", "mean_loss",
@@ -25,7 +26,7 @@ from . import tensor as T
 from .decoding import (GenerationBundle, decode_beam, decode_moe, decode_nucleus,
                        decode_truncated)
 from .generator import Vocab
-from .kg import KnowledgeGraph, extract_subgraph, ground_concepts, load_kg
+from .kg import KnowledgeGraph, extract_subgraph, ground_concepts, load_kg, undecodable
 from .metrics import MetricReport, evaluate_hypothesis_sets
 from .moe import (Model, TrainConfig, build_model, check_fields, field_kind, prepare_example,
                   sub_seed, train)
@@ -47,32 +48,35 @@ def _jsonl_objects(path, fields):
     """(line number, object) for each line of a JSONL file, blank lines skipped.
 
     `fields` maps each required key to its kind: str, list (of strings) or "id"
-    (a string, or an int read as its string form).  A line that is not a JSON
-    object, lacks a key or holds a value of another kind raises a ValueError
-    naming the file, the line and the key.
+    (a string, or an int read as its string form).  A line that is not UTF-8 or
+    not a JSON object, lacks a key or holds a value of another kind raises a
+    ValueError naming the file, the line and the key.
     """
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}: malformed JSON on line {lineno}: {err}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {lineno} is not a JSON object")
-            for key, kind in fields.items():
-                if key not in obj:
-                    raise ValueError(f"{path}: line {lineno} missing {key!r}")
-                value = obj[key]
-                if kind == "id" and type(value) is int:     # a bool is no id
-                    value = obj[key] = str(value)
-                if not (isinstance(value, list if kind is list else str) and
-                        (kind is not list or all(isinstance(v, str) for v in value))):
-                    raise ValueError(f"{path}: line {lineno}: {key!r} must be {_KINDS[kind]}, "
-                                     f"got {value!r}")
-            yield lineno, obj
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise ValueError(f"{path}: malformed JSON on line {lineno}: {err}") from None
+                if not isinstance(obj, dict):
+                    raise ValueError(f"{path}: line {lineno} is not a JSON object")
+                for key, kind in fields.items():
+                    if key not in obj:
+                        raise ValueError(f"{path}: line {lineno} missing {key!r}")
+                    value = obj[key]
+                    if kind == "id" and type(value) is int:     # a bool is no id
+                        value = obj[key] = str(value)
+                    if not (isinstance(value, list if kind is list else str) and
+                            (kind is not list or all(isinstance(v, str) for v in value))):
+                        raise ValueError(f"{path}: line {lineno}: {key!r} must be "
+                                         f"{_KINDS[kind]}, got {value!r}")
+                yield lineno, obj
+    except UnicodeDecodeError as err:
+        raise undecodable(path, err) from None
 
 
 def load_dataset(path) -> list[Example]:

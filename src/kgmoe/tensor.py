@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import functools
 import json
 import math
 import os
@@ -597,40 +598,41 @@ def _check_lr(lr: float) -> float:
     return lr
 
 
-CHECKPOINT_VERSION = 2     # load_checkpoint also reads version 1: data as a JSON float list
+CHECKPOINT_VERSION = 3     # load_checkpoint also reads versions 1 and 2: one JSON document
 
 
 def save_checkpoint(path, params: dict, meta: dict | None = None):
-    """Write parameters as a versioned strict-JSON map name -> (shape, data).
+    """Write parameters as a version-3 checkpoint: one header line, then raw bytes.
 
-    ``data`` is the base64 text of the parameter's C-order little-endian
-    float64 bytes, so load returns bit-identical data.  A NaN or infinity, in a
+    The header is one line of strict JSON, ``{"version": 3, "meta": ...,
+    "params": {name: {"shape": [...]}}}`` with names sorted, padded with spaces
+    so that the payload after its newline starts at a multiple of 8 bytes.  The
+    payload is each parameter's C-order little-endian float64 bytes, in name
+    order, so load returns bit-identical data.  A NaN or infinity, in a
     parameter or in meta, is refused with a ValueError naming the file (and the
-    parameter) before anything is written.  The JSON goes to a temporary file
-    beside ``path`` that is then renamed onto it, so a failed or interrupted
-    save never leaves a truncated checkpoint and keeps any old one intact.
+    parameter) before anything is written.  The file goes to a temporary file
+    beside ``path`` that is fsynced and then renamed onto it, so a failed or
+    interrupted save never leaves a truncated checkpoint and keeps any old one
+    intact.
     """
-    for name, p in sorted(params.items()):
+    items = sorted(params.items())
+    for name, p in items:
         if not np.isfinite(p.data).all():
             raise ValueError(f"{path}: parameter {name!r} holds a non-finite value; "
                              "a checkpoint stores finite floats only")
     try:
-        json.dumps(meta or {}, allow_nan=False)
+        header = json.dumps({"version": CHECKPOINT_VERSION, "meta": meta or {},
+                             "params": {name: {"shape": list(p.data.shape)} for name, p in items}},
+                            allow_nan=False)
     except ValueError as err:
         raise ValueError(f"{path}: checkpoint meta: {err}") from None
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "meta": meta or {},
-        "params": {
-            name: {"shape": list(p.data.shape),
-                   "data": base64.b64encode(p.data.astype("<f8", copy=False).tobytes()).decode()}
-            for name, p in sorted(params.items())
-        },
-    }
+    header += " " * (-(len(header) + 1) % 8) + "\n"     # ASCII: json.dumps escapes the rest
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(payload, f, allow_nan=False)
+        with open(tmp, "wb") as f:
+            f.write(header.encode("ascii"))
+            for _, p in items:
+                f.write(np.ascontiguousarray(p.data, "<f8"))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -640,40 +642,93 @@ def save_checkpoint(path, params: dict, meta: dict | None = None):
         raise
 
 
+def _json_object(path, pairs):
+    """object_pairs_hook of checkpoint JSON: a dict, refusing a repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"{path}: checkpoint JSON repeats key {key!r}")
+    return obj
+
+
+def _version(payload) -> int | None:
+    # true == 1 and 2.0 == 2 in Python, but neither is a checkpoint version
+    version = payload.get("version") if isinstance(payload, dict) else None
+    return version if type(version) is int else None
+
+
 def load_checkpoint(path):
-    """Read a checkpoint of version 1 or 2; returns (name->Tensor dict with
-    requires_grad, meta).  A bad file raises a ValueError naming it (and the
-    parameter at fault)."""
-    with open(path, encoding="utf-8") as f:
+    """Read a checkpoint of version 1, 2 or 3; returns (name->Tensor dict with
+    requires_grad, meta).
+
+    The file is read once.  If its first line is a version-3 header the rest is
+    the payload, and each parameter is a writable view of the one buffer (Adam
+    updates parameters in place); otherwise the whole file is a version-1 or -2
+    JSON document.  A bad file raises a ValueError naming it (and the parameter
+    at fault).
+    """
+    with open(path, "rb") as f:
+        data = bytearray(os.fstat(f.fileno()).st_size)
+        del data[f.readinto(data):]
+    hook = functools.partial(_json_object, path)
+    end = data.find(b"\n")
+    try:
+        payload = json.loads(data[:end].decode("utf-8"), object_pairs_hook=hook) if end >= 0 else None
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        payload = None
+    version = _version(payload)
+    if version != 3:
         try:
-            payload = json.load(f)
+            payload = json.loads(data.decode("utf-8"), object_pairs_hook=hook)
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: malformed checkpoint JSON: byte {err.start} is not "
+                             f"UTF-8 ({err.reason})") from None
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: malformed checkpoint JSON: {err}") from None
-    version = payload.get("version") if isinstance(payload, dict) else None
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
-        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+        version = _version(payload)
+        if version == 3:
+            raise ValueError(f"{path}: a version-3 header must be one line ended by a newline")
+        if version not in (1, 2):
+            shown = payload.get("version") if isinstance(payload, dict) else None
+            raise ValueError(f"{path}: unsupported checkpoint version {shown!r}")
     entries, meta = payload.get("params", {}), payload.get("meta", {})
     for key, value in (("params", entries), ("meta", meta)):
         if not isinstance(value, dict):
             raise ValueError(f"{path}: {key!r} must be an object, got {type(value).__name__}")
+    offset = end + 1      # where a version-3 payload starts
+    if version == 3:
+        if offset % 8:
+            raise ValueError(f"{path}: the payload starts at byte {offset}, "
+                             "not at a multiple of 8")
+        if list(entries) != sorted(entries):
+            raise ValueError(f"{path}: the header's parameters are not in name order")
+    need = ("shape",) if version == 3 else ("shape", "data")
     params = {}
     for name, entry in entries.items():
-        if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
-            raise ValueError(f"{path}: parameter {name!r} needs 'shape' and 'data'")
-        shape, data = entry["shape"], entry["data"]
+        if not isinstance(entry, dict) or not all(key in entry for key in need):
+            raise ValueError(f"{path}: parameter {name!r} needs " + " and ".join(map(repr, need)))
+        shape = entry["shape"]
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"{path}: parameter {name!r}: shape {shape!r} is not a list "
                              "of non-negative ints")
         try:
-            if version == 1:
-                arr = np.array(data, dtype=np.float64)
+            if version == 3:
+                size = 8 * math.prod(shape)
+                if offset + size > len(data):
+                    raise ValueError(f"the payload holds {len(data) - offset} of its "
+                                     f"{size} bytes")
+                arr = np.frombuffer(data, "<f8", size // 8, offset)
+                offset += size
+            elif version == 1:
+                arr = np.array(entry["data"], dtype=np.float64)
                 if arr.ndim != 1:
                     raise ValueError(f"data must be a flat list, got {arr.ndim} dimensions")
-            elif not isinstance(data, str):
-                raise ValueError(f"data must be a base64 string, got {type(data).__name__}")
+            elif not isinstance(text := entry["data"], str):
+                raise ValueError(f"data must be a base64 string, got {type(text).__name__}")
             else:
                 try:
-                    raw = base64.b64decode(data, validate=True)
+                    raw = base64.b64decode(text, validate=True)
                 except ValueError as err:
                     raise ValueError(f"data is not valid base64: {err}") from None
                 if len(raw) != 8 * math.prod(shape):
@@ -687,6 +742,8 @@ def load_checkpoint(path):
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
         params[name] = Tensor(arr, requires_grad=True)
+    if version == 3 and offset != len(data):
+        raise ValueError(f"{path}: {len(data) - offset} bytes follow the last parameter")
     return params, meta
 
 

@@ -90,6 +90,13 @@ def test_vocab_load_without_specials_names_file(tmp_path):
         Vocab.load(p, 1)
 
 
+def test_vocab_load_undecodable_byte_names_file_and_line(tmp_path):
+    p = tmp_path / "vocab.txt"
+    p.write_bytes(b"<pad>\n<bos>\n<eos>\n<unk>\n<expert0>\ncaf\xe9\n")
+    with pytest.raises(ValueError, match=r"vocab\.txt: undecodable line 6"):
+        Vocab.load(p, 1)
+
+
 def test_vocab_load_rejects_a_repeated_token_naming_both_lines(tmp_path):
     p = tmp_path / "vocab.txt"
     p.write_text("<pad>\n<bos>\n<eos>\n<unk>\n<expert0>\nfoo\nbar\nfoo\n")

@@ -1,7 +1,6 @@
 """File formats, synthetic task contracts, config parsing, end-to-end
 train -> generate -> evaluate round trip, and CLI subcommands."""
 
-import base64
 import dataclasses
 import json
 import os
@@ -47,6 +46,15 @@ def test_load_dataset_malformed_json_cites_line(tmp_path):
     p = tmp_path / "d.jsonl"
     p.write_text('{"id": "a", "input": "x", "references": ["y"]}\n{oops\n')
     with pytest.raises(ValueError, match="line 2"):
+        load_dataset(p)
+
+
+def test_load_dataset_undecodable_byte_names_file_and_line(tmp_path):
+    p = tmp_path / "d.jsonl"
+    p.write_bytes(b'{"id": "a", "input": "x", "references": ["y"]}\r\n'
+                  b'{"id": "b", "input": "x\xff", "references": ["y"]}\n')
+    with pytest.raises(ValueError, match=r"d\.jsonl: undecodable line 2: invalid start byte "
+                                         r"\(byte 0xff\)"):
         load_dataset(p)
 
 
@@ -399,24 +407,42 @@ def test_vocab_hash_mismatch_detected(trained_run, tmp_path):
 
 
 
+def _read_checkpoint(path):
+    """(header, name -> array) of a version-3 checkpoint: a JSON header line,
+    then each parameter's little-endian float64 bytes in name order."""
+    raw = path.read_bytes()
+    line, payload = raw.split(b"\n", 1)
+    header, arrays, offset = json.loads(line), {}, 0
+    for name, entry in header["params"].items():
+        n = int(np.prod(entry["shape"]))
+        arrays[name] = np.frombuffer(payload, "<f8", n, offset).reshape(entry["shape"])
+        offset += 8 * n
+    return header, arrays
+
+
+def _write_checkpoint(path, header, arrays):
+    """Write a version-3 checkpoint by hand, with the header's shapes taken from `arrays`."""
+    header = dict(header, params={name: {"shape": list(a.shape)}
+                                  for name, a in sorted(arrays.items())})
+    line = json.dumps(header)
+    line += " " * (-(len(line) + 1) % 8) + "\n"
+    path.write_bytes(line.encode() + b"".join(np.asarray(arrays[name], "<f8").tobytes()
+                                              for name in header["params"]))
+
+
 def _rewrite_checkpoint(path, edit):
-    payload = json.loads(path.read_text())
-    edit(payload["params"])
-    path.write_text(json.dumps(payload))
-
-
-def _zero_entry(shape):
-    """A zero-filled parameter entry in the version-2 checkpoint encoding."""
-    return {"shape": list(shape), "data": base64.b64encode(np.zeros(shape).tobytes()).decode()}
+    header, arrays = _read_checkpoint(path)
+    edit(arrays)
+    _write_checkpoint(path, header, arrays)
 
 
 def test_load_model_rejects_wrong_shape(trained_run, tmp_path):
     path = tmp_path / "checkpoint.json"
     name = "sel.expert_embed"
-    expected = tuple(json.loads(path.read_text())["params"][name]["shape"])
+    expected = tuple(_read_checkpoint(path)[0]["params"][name]["shape"])
 
     def shrink(params):
-        params[name] = _zero_entry([1, expected[1]])
+        params[name] = np.zeros([1, expected[1]])
     _rewrite_checkpoint(path, shrink)
     found = (1, expected[1])
     with pytest.raises(ValueError) as err:
@@ -427,30 +453,30 @@ def test_load_model_rejects_wrong_shape(trained_run, tmp_path):
 
 
 def test_load_model_draws_no_parameters(trained_run, monkeypatch):
-    saved = json.loads(Path(trained_run.checkpoint_path).read_text())["params"]
+    saved = _read_checkpoint(Path(trained_run.checkpoint_path))[1]
 
     def refuse(*args, **kwargs):
         raise AssertionError("load_model drew parameters that it then replaced")
     monkeypatch.setattr(np.random, "default_rng", refuse)
     model = load_model(trained_run)
     assert sorted(model.params) == sorted(saved)
-    for name, entry in saved.items():
-        assert model.params[name].data.tobytes() == base64.b64decode(entry["data"])
+    for name, array in saved.items():
+        assert model.params[name].data.tobytes() == array.tobytes()
 
 
 def test_load_model_rejects_unexpected_parameter(trained_run, tmp_path):
     path = tmp_path / "checkpoint.json"
     _rewrite_checkpoint(path, lambda params: params.update(
-        {"bogus.weight": _zero_entry([1])}))
+        {"bogus.weight": np.zeros(1)}))
     with pytest.raises(ValueError, match=r"checkpoint\.json: unexpected parameter 'bogus\.weight'"):
         load_model(trained_run)
 
 
 def test_load_model_rejects_a_list_meta(trained_run, tmp_path):
     path = tmp_path / "checkpoint.json"
-    payload = json.loads(path.read_text())
-    payload["meta"] = [payload["meta"]]
-    path.write_text(json.dumps(payload))
+    header, arrays = _read_checkpoint(path)
+    header["meta"] = [header["meta"]]
+    _write_checkpoint(path, header, arrays)
     with pytest.raises(ValueError, match=r"checkpoint\.json: 'meta' must be an object, got list"):
         load_model(trained_run)
 
@@ -460,9 +486,9 @@ def test_load_model_rejects_a_list_meta(trained_run, tmp_path):
                                        ({"n_experts": "3"}, "n_experts")])
 def test_load_model_rejects_bad_saved_train_config(trained_run, tmp_path, edit, key):
     path = tmp_path / "checkpoint.json"
-    payload = json.loads(path.read_text())
-    payload["meta"]["train_config"].update(edit)
-    path.write_text(json.dumps(payload))
+    header, arrays = _read_checkpoint(path)
+    header["meta"]["train_config"].update(edit)
+    _write_checkpoint(path, header, arrays)
     with pytest.raises(ValueError) as err:
         load_model(trained_run)
     assert str(path) in str(err.value) and key in str(err.value)
@@ -529,6 +555,14 @@ def test_evaluate_matches_int_generation_ids_to_dataset_ids(tmp_path):
     report = run_evaluate(run_config_in(tmp_path))
     assert report.config == {"K": 2, "strategy": "moe"}
     assert set(load_generations(tmp_path / "generations.jsonl")) == {"7", "8"}
+
+
+def test_load_generations_undecodable_byte_names_file_and_line(tmp_path):
+    p = tmp_path / "g.jsonl"
+    row = '{"id": "a", "strategy": "moe", "expert": 0, "output": "o", "concepts": []}\n'
+    p.write_bytes(row.encode() * 3 + b'{"id": "\xc3(", "strategy": "moe"}\n')
+    with pytest.raises(ValueError, match=r"g\.jsonl: undecodable line 4"):
+        load_generations(p)
 
 
 def test_load_generations_groups_by_id(tmp_path):
@@ -605,7 +639,7 @@ def test_cli_rejects_unknown_key():
 
 
 @pytest.mark.parametrize("case", ["synth-negative-inputs", "dataset-line-without-input",
-                                  "corrupt-v2-checkpoint"])
+                                  "corrupt-v2-checkpoint", "missing-kg", "missing-dataset"])
 def test_cli_input_errors_exit_with_one_line(tmp_path, case):
     save_kg_tsv(tmp_path / "kg.tsv", [("piano", "relatedto", "music")])
     (tmp_path / "bad.jsonl").write_text('{"id": "a", "references": ["x"]}\n')
@@ -617,6 +651,10 @@ def test_cli_input_errors_exit_with_one_line(tmp_path, case):
                                        "bad.jsonl: line 1 missing 'input'"),
         "corrupt-v2-checkpoint": (["generate", "--set", "checkpoint_path=ckpt.json"],
                                   "ckpt.json: parameter 'w': data is not valid base64"),
+        "missing-kg": (["subgraph", "--kg", "missing.tsv", "--text", "a piano"],
+                       "No such file or directory: 'missing.tsv'"),
+        "missing-dataset": (["evaluate", "--set", "dataset_path=missing.jsonl"],
+                            "No such file or directory: 'missing.jsonl'"),
     }[case]
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-m", "kgmoe.cli", *argv], cwd=tmp_path,

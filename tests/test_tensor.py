@@ -710,8 +710,13 @@ def test_checkpoint_round_trip_exact(tmp_path):
     }
     path = tmp_path / "ckpt.json"
     T.save_checkpoint(path, params, {"note": "x"})
-    payload = json.loads(path.read_text())
-    assert payload["version"] == 2 and list(payload["params"]) == sorted(params)
+    raw = path.read_bytes()
+    header = _v3_header(raw)
+    assert header["version"] == 3 and list(header["params"]) == sorted(params)
+    start = raw.index(b"\n") + 1
+    assert start % 8 == 0 and raw[:start - 1].rstrip(b" ").endswith(b"}")
+    assert raw[start:] == b"".join(params[name].data.astype("<f8").tobytes()
+                                   for name in sorted(params))
     loaded, meta = T.load_checkpoint(path)
     assert meta["note"] == "x"
     for name in params:
@@ -723,6 +728,38 @@ def test_checkpoint_round_trip_exact(tmp_path):
 def _b64(values) -> str:
     """Version-2 checkpoint data: base64 of little-endian float64 bytes."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def _v3_header(raw: bytes) -> dict:
+    """The JSON header line of a version-3 checkpoint file's bytes."""
+    return json.loads(raw[:raw.index(b"\n")])
+
+
+def _v3(header: str, *values, pad: bool = True) -> bytes:
+    """A hand-made version-3 file: the header text, padded to a multiple of 8
+    bytes when asked, a newline, then `values` as little-endian float64 bytes."""
+    if pad:
+        header += " " * (-(len(header) + 1) % 8)
+    return (header + "\n").encode() + np.asarray(values, dtype="<f8").tobytes()
+
+
+def test_checkpoint_v2_file_and_its_v3_resave_load_to_the_same_bits(tmp_path):
+    values = np.random.default_rng(9).normal(size=(3, 4)) * 1e-300
+    values[0, :2] = -0.0, np.finfo(np.float64).smallest_subnormal
+    v2 = tmp_path / "v2.json"
+    v2.write_text(json.dumps({"version": 2, "meta": {"note": "old"}, "params": {
+        "w": {"shape": [3, 4], "data": _b64(values)},
+        "s": {"shape": [], "data": _b64(-0.0)},
+        "e": {"shape": [0, 4], "data": ""}}}))
+    old, old_meta = T.load_checkpoint(v2)
+    T.save_checkpoint(tmp_path / "v3.json", old, old_meta)
+    assert _v3_header((tmp_path / "v3.json").read_bytes())["version"] == 3
+    new, new_meta = T.load_checkpoint(tmp_path / "v3.json")
+    assert new_meta == old_meta == {"note": "old"} and sorted(new) == ["e", "s", "w"]
+    for name in old:
+        assert new[name].shape == old[name].shape
+        assert new[name].data.tobytes() == old[name].data.tobytes()
+    assert new["w"].data.tobytes() == values.tobytes()
 
 
 def test_checkpoint_version_1_still_loads_to_the_same_bits(tmp_path):
@@ -759,10 +796,9 @@ def test_failing_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
     T.save_checkpoint(path, {"w": T.Tensor([1.0, 2.0])})
     before = path.read_bytes()
 
-    def dump_half_then_fail(obj, f, **kwargs):
-        f.write('{"version": 2, "params": {')
+    def fail_to_sync(fd):
         raise OSError("disk full")
-    monkeypatch.setattr(T.json, "dump", dump_half_then_fail)
+    monkeypatch.setattr(T.os, "fsync", fail_to_sync)
     with pytest.raises(OSError, match="disk full"):
         T.save_checkpoint(path, {"w": T.Tensor([3.0, 4.0])})
     assert path.read_bytes() == before
@@ -810,14 +846,50 @@ def test_checkpoint_version_must_be_an_int(tmp_path, version, shown):
     ('{"version": 2, "params": {"w": {"shape": [2], "data": "%s"}}}' % _b64([1.0]),
      r"parameter 'w': data holds 8 bytes, shape \[2\] needs 16"),
     ('{"version": 2, "params": {"w": {"shape": [2], "data": "%s"}}}' % _b64([1.0, math.nan]),
-     r"parameter 'w' holds a non-finite value")],
+     r"parameter 'w' holds a non-finite value"),
+    (_v3('{"version": 3, "params": {', 1.0), r"malformed checkpoint JSON"),
+    (_v3('{"version": 3, "params": {}}').rstrip(b"\n"),
+     r"a version-3 header must be one line ended by a newline"),
+    (_v3('{"version": 3, "params": {"w": {"shape": [2]}}}', 1.0),
+     r"parameter 'w': the payload holds 8 of its 16 bytes"),
+    (_v3('{"version": 3, "params": {"w": {"shape": [1]}}}', 1.0, 2.0),
+     r"8 bytes follow the last parameter"),
+    (_v3('{"version": 3, "params": {"w": {"shape": [2]}}}', 1.0, math.inf),
+     r"parameter 'w' holds a non-finite value"),
+    (_v3('{"version": 3, "params": {"w": {"shape": [-1]}}}', 1.0),
+     r"parameter 'w': shape \[-1\] is not a list of non-negative ints"),
+    (_v3('{"version": 3, "params": {"w": {"data": [1.0]}}}', 1.0),
+     r"parameter 'w' needs 'shape'$"),
+    (_v3('{"version": 3, "params": {"ww": {"shape": [1]}}}', 1.0, pad=False),
+     r"the payload starts at byte 49, not at a multiple of 8"),
+    (_v3('{"version": 3, "params": {"w": {"shape": [1]}, "b": {"shape": [1]}}}', 1.0, 2.0),
+     r"the header's parameters are not in name order"),
+    (_v3('{"version": 3, "params": []}'), r"'params' must be an object, got list"),
+    ('{"version": 2, "params": {"w": {"shape": [1], "data": "%s"}, '
+     '"w": {"shape": [1], "data": "%s"}}}' % (_b64([1.0]), _b64([3.0])),
+     r"checkpoint JSON repeats key 'w'"),
+    ('{"version": 1, "version": 1, "params": {}}', r"checkpoint JSON repeats key 'version'"),
+    ('{"version": 1, "params": {"w": {"shape": [1], "data": [1.0], "shape": [1]}}}',
+     r"checkpoint JSON repeats key 'shape'"),
+    (_v3('{"version": 3, "params": {"w": {"shape": [1]}, "w": {"shape": [1]}}}', 1.0, 2.0),
+     r"checkpoint JSON repeats key 'w'"),
+    (_v3('{"version": 3, "meta": {"k": 1, "k": 2}, "params": {}}'),
+     r"checkpoint JSON repeats key 'k'"),
+    (b'{"version": 1, "meta": {"note": "\xff"}, "params": {}}',
+     r"malformed checkpoint JSON: byte 33 is not UTF-8"),
+    (b'{"version": 2, "meta": {"note": "\xff"}, "params": {}}',
+     r"malformed checkpoint JSON: byte 33 is not UTF-8")],
     ids=["malformed-json", "no-shape", "no-data", "data-misfits-shape", "params-list",
          "meta-list", "negative-shape", "shape-not-list", "float-shape", "nested-data",
          "scalar-data", "v2-data-not-string", "v2-invalid-base64", "v2-byte-count",
-         "v2-non-finite"])
+         "v2-non-finite", "v3-header-not-json", "v3-header-not-ended", "v3-truncated-payload",
+         "v3-trailing-bytes", "v3-non-finite", "v3-bad-shape", "v3-no-shape",
+         "v3-unaligned-payload", "v3-names-out-of-order", "v3-params-list",
+         "v2-parameter-twice", "v1-version-twice", "v1-shape-twice", "v3-parameter-twice",
+         "v3-meta-key-twice", "v1-not-utf8", "v2-not-utf8"])
 def test_checkpoint_bad_entry_names_file_and_parameter(tmp_path, body, message):
     path = tmp_path / "bad.json"
-    path.write_text(body)
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
     with pytest.raises(ValueError, match=r"bad\.json: " + message):
         T.load_checkpoint(path)
 
