@@ -140,31 +140,31 @@ def decode_beam(ctx: ExampleContext, model: Model, beam: int,
     return GenerationBundle(ctx.example_id, "beam", entries)
 
 
+def _draw(dist: np.ndarray, rng: np.random.Generator, keep) -> int:
+    """Sample from the prefix `keep(ranked)` of `dist` ranked by probability (ties by
+    token id), renormalized: one `rng.random()`, and the token `rng.choice` would pick."""
+    order = np.argsort(-dist, kind="stable")
+    kept = keep(dist[order])
+    probs = kept / kept.sum()
+    if not (probs >= 0).all():          # NaN fails this too, as in `choice`
+        raise ValueError("probabilities are not non-negative")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(order[cdf.searchsorted(rng.random(), "right")])
+
+
 def truncated_pick(k: int):
     """Sample from the renormalized top-k of the distribution."""
     if k < 1:
         raise ValueError("k must be >= 1")
-
-    def pick(dist: np.ndarray, rng: np.random.Generator) -> int:
-        top = np.argsort(-dist, kind="stable")[: min(k, dist.size)]
-        probs = dist[top] / dist[top].sum()
-        return int(rng.choice(top, p=probs))
-    return pick
+    return lambda dist, rng: _draw(dist, rng, lambda ranked: ranked[:k])
 
 
 def nucleus_pick(p: float):
     """Sample from the smallest probability-mass prefix covering at least p."""
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
-
-    def pick(dist: np.ndarray, rng: np.random.Generator) -> int:
-        order = np.argsort(-dist, kind="stable")
-        cum = np.cumsum(dist[order])
-        cutoff = int(np.searchsorted(cum, p - 1e-12)) + 1
-        nucleus = order[:cutoff]
-        probs = dist[nucleus] / dist[nucleus].sum()
-        return int(rng.choice(nucleus, p=probs))
-    return pick
+    return lambda dist, rng: _draw(dist, rng, lambda r: r[: r.cumsum().searchsorted(p - 1e-12) + 1])
 
 
 def _decode_samples(ctx: ExampleContext, model: Model, strategy: str, pick,

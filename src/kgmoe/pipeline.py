@@ -357,10 +357,18 @@ def run_generate(cfg: RunConfig) -> list[GenerationBundle]:
 
 
 def load_generations(path) -> dict[str, dict]:
-    """Group a generations JSONL by example id, preserving file order."""
+    """Group a generations JSONL by example id, preserving file order.  The file
+    holds one strategy: a line with another than the first line's is refused."""
     grouped: dict[str, dict] = {}
     fields = {"id": "id", "strategy": str, "output": str, "concepts": list}
-    for _, obj in _jsonl_objects(path, fields):
+    first = None                    # (line, strategy) of the first line
+    for lineno, obj in _jsonl_objects(path, fields):
+        if first is None:
+            first = lineno, obj["strategy"]
+        elif obj["strategy"] != first[1]:
+            raise ValueError(f"{path}: line {lineno} has strategy {obj['strategy']!r}, "
+                             f"but line {first[0]} has {first[1]!r}; a generations file "
+                             "holds one strategy")
         entry = grouped.setdefault(obj["id"], {"strategy": obj["strategy"],
                                                "outputs": [], "concepts": []})
         entry["outputs"].append(obj["output"])

@@ -384,25 +384,34 @@ def test_samplers_reject_bad_sample_count(fn, kw, n_samples):
 
 # --- sampling pick rules ------------------------------------------------------
 
-class CaptureRng:
-    """Records the support and probabilities handed to rng.choice."""
+class FixedRng:
+    """Hands the pick a set uniform `u` and counts the draws it asks for."""
 
-    def __init__(self):
-        self.support = None
-        self.probs = None
+    def __init__(self, u):
+        self.u = u
+        self.calls = 0
 
-    def choice(self, support, p):
-        self.support = np.asarray(support)
-        self.probs = np.asarray(p)
-        return int(self.support[0])
+    def random(self):
+        self.calls += 1
+        return self.u
+
+
+def below(x):
+    return float(np.nextafter(x, 0.0))
+
+
+def assert_picks(pick, dist, cases):
+    """Each (u, token): the pick returns token for that uniform, drawing once."""
+    for u, token in cases:
+        rng = FixedRng(u)
+        assert pick(np.array(dist), rng) == token, u
+        assert rng.calls == 1
 
 
 def test_truncated_pick_renormalizes_top_k():
-    pick = D.truncated_pick(2)
-    rng = CaptureRng()
-    pick(np.array([0.5, 0.3, 0.2]), rng)
-    assert rng.support.tolist() == [0, 1]
-    assert np.allclose(rng.probs, [0.625, 0.375])
+    # top-2 of {0.5, 0.3, 0.2} renormalizes to [0.625, 0.375]: 0.625 separates 0 and 1
+    assert_picks(D.truncated_pick(2), [0.5, 0.3, 0.2],
+                 [(0.0, 0), (below(0.625), 0), (0.625, 1), (below(1.0), 1)])
 
 
 def test_truncated_pick_k1_is_greedy():
@@ -417,20 +426,13 @@ def test_truncated_pick_rejects_bad_k():
 
 def test_nucleus_pick_hand_case():
     # {0.5, 0.3, 0.2} at p=0.75 keeps {0, 1} renormalized to [0.625, 0.375]
-    pick = D.nucleus_pick(0.75)
-    rng = CaptureRng()
-    pick(np.array([0.5, 0.3, 0.2]), rng)
-    assert rng.support.tolist() == [0, 1]
-    assert np.allclose(rng.probs, [0.625, 0.375])
+    assert_picks(D.nucleus_pick(0.75), [0.5, 0.3, 0.2],
+                 [(0.0, 0), (below(0.625), 0), (0.625, 1), (below(1.0), 1)])
 
 
 def test_nucleus_minimal_prefix_property():
-    # cutoff is the smallest prefix whose mass reaches p
-    pick = D.nucleus_pick(0.5)
-    rng = CaptureRng()
-    pick(np.array([0.5, 0.3, 0.2]), rng)
-    assert rng.support.tolist() == [0]
-    assert np.allclose(rng.probs, [1.0])
+    # cutoff is the smallest prefix whose mass reaches p: at p=0.5 only token 0
+    assert_picks(D.nucleus_pick(0.5), [0.5, 0.3, 0.2], [(0.0, 0), (below(1.0), 0)])
 
 
 def test_nucleus_p_below_max_is_greedy():
@@ -439,10 +441,76 @@ def test_nucleus_p_below_max_is_greedy():
 
 
 def test_nucleus_p_one_keeps_everything():
-    pick = D.nucleus_pick(1.0)
-    rng = CaptureRng()
-    pick(np.array([0.5, 0.3, 0.2]), rng)
-    assert rng.support.tolist() == [0, 1, 2]
+    # the CDF [0.5, 0.8, 1.0] runs over tokens in probability order
+    assert_picks(D.nucleus_pick(1.0), [0.5, 0.3, 0.2],
+                 [(below(0.5), 0), (0.5, 1), (below(0.8), 1), (0.8, 2), (below(1.0), 2)])
+    assert_picks(D.nucleus_pick(1.0), [0.2, 0.5, 0.3],
+                 [(below(0.5), 1), (0.5, 2), (below(0.8), 2), (0.8, 0), (below(1.0), 0)])
+
+
+def test_picks_end_the_cdf_at_exactly_one():
+    # the running sum of ten renormalized 0.1s ends at 1 - 2**-53, below the largest
+    # uniform: only the CDF divided by its last entry, as `choice` divides, keeps it
+    dist = np.full(10, 0.1)
+    for pick in (D.truncated_pick(10), D.nucleus_pick(1.0)):
+        assert_picks(pick, dist, [(below(0.1), 0), (below(1.0), 9)])
+
+
+def choice_truncated(k):
+    """The earlier top-k pick, drawing with `Generator.choice`: the oracle."""
+    def pick(dist, rng):
+        top = np.argsort(-dist, kind="stable")[: min(k, dist.size)]
+        return int(rng.choice(top, p=dist[top] / dist[top].sum()))
+    return pick
+
+
+def choice_nucleus(p):
+    """The earlier nucleus pick, drawing with `Generator.choice`: the oracle."""
+    def pick(dist, rng):
+        order = np.argsort(-dist, kind="stable")
+        nucleus = order[: int(np.searchsorted(np.cumsum(dist[order]), p - 1e-12)) + 1]
+        return int(rng.choice(nucleus, p=dist[nucleus] / dist[nucleus].sum()))
+    return pick
+
+
+def oracle_case(g, i):
+    """A softmax row of 1-40 tokens, k and p, by kind: spread, tied (logits
+    rounded), uniform, very peaked, or k >= V with p = 1.0."""
+    V = int(g.integers(1, 41))
+    logits = g.normal(size=V) * (0.3, 3.0, 0.0, 40.0, 1.0)[i % 5]
+    if i % 5 == 1:
+        logits = np.round(logits)
+    dist = np.exp(logits - logits.max())
+    dist /= dist.sum()
+    if i % 5 == 4:
+        return dist, V + int(g.integers(0, 3)), 1.0
+    return dist, int(g.integers(1, V + 1)), float(g.uniform(1e-3, 1.0))
+
+
+def test_picks_match_generator_choice_oracle():
+    g = np.random.default_rng(20260)
+    kinds = {"tie": 0, "k>=V": 0, "p=1": 0, "one-token nucleus": 0}
+    for i in range(5000):
+        dist, k, p = oracle_case(g, i)
+        seed = int(g.integers(2**32))
+        for new, old in ((D.truncated_pick(k), choice_truncated(k)),
+                         (D.nucleus_pick(p), choice_nucleus(p))):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert [new(dist, a) for _ in range(3)] == [old(dist, b) for _ in range(3)], i
+            assert a.random() == b.random()     # the same number of draws
+        kinds["tie"] += len(np.unique(dist)) < dist.size
+        kinds["k>=V"] += k >= dist.size
+        kinds["p=1"] += p == 1.0
+        kinds["one-token nucleus"] += dist.max() >= p - 1e-12
+    assert min(kinds.values()) >= 200, kinds
+
+
+def test_picks_reject_an_all_nan_row():
+    dist = np.full(4, np.nan)
+    for pick in (D.truncated_pick(2), D.nucleus_pick(0.9),
+                 choice_truncated(2), choice_nucleus(0.9)):
+        with pytest.raises(ValueError):
+            pick(dist, np.random.default_rng(0))
 
 
 def test_nucleus_rejects_bad_p():

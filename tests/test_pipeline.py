@@ -557,6 +557,19 @@ def test_evaluate_matches_int_generation_ids_to_dataset_ids(tmp_path):
     assert set(load_generations(tmp_path / "generations.jsonl")) == {"7", "8"}
 
 
+def test_generations_file_of_two_strategies_is_refused(tmp_path):
+    # moe then beam outputs for the same two ids once evaluated as {"K": 6, "strategy": "moe"}
+    examples, triples = make_synthetic_task(0, 2, 3)
+    save_dataset(tmp_path / "dataset.jsonl", examples)
+    save_kg_tsv(tmp_path / "kg.tsv", triples)
+    rows = [{"id": ex.id, "strategy": strategy, "expert": z, "output": ex.references[z],
+             "concepts": []} for strategy in ("moe", "beam") for ex in examples for z in range(3)]
+    (tmp_path / "generations.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(ValueError, match=r"generations\.jsonl: line 7 has strategy 'beam', "
+                                         r"but line 1 has 'moe'"):
+        run_evaluate(run_config_in(tmp_path))
+
+
 def test_load_generations_undecodable_byte_names_file_and_line(tmp_path):
     p = tmp_path / "g.jsonl"
     row = '{"id": "a", "strategy": "moe", "expert": 0, "output": "o", "concepts": []}\n'

@@ -1,9 +1,14 @@
-"""`np.add.at` is called in src/ only inside `tensor._scatter_add`.
+"""Each guarded primitive is called in src/ only from its one home.
 
-A row scatter written as a 2-D `np.add.at` is several times slower than the
-flattened 1-D scatter `_scatter_add` runs, with the same sums, so every
-scatter goes through that helper.  No linter is installed, so this walks each
-file's syntax tree with `ast`, as `test_imports.py` does.
+- `np.add.at` only inside `tensor._scatter_add`: a row scatter written as a
+  2-D `np.add.at` is several times slower than the flattened 1-D scatter
+  `_scatter_add` runs, with the same sums.
+- no `.choice(` call at all: `Generator.choice` spends most of a sampling pick
+  on per-call checks, and `decoding._draw` makes the same draw from one
+  `rng.random()`.
+
+No linter is installed, so this walks each file's syntax tree with `ast`, as
+`test_imports.py` does.
 """
 
 import ast
@@ -13,20 +18,34 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
-ALLOWED = ("tensor.py", "_scatter_add")
 
 
-def add_at_calls(source: str) -> list[tuple[int, str | None]]:
-    """(line, enclosing function or None) of each `np.add.at` / `numpy.add.at` call."""
+def is_add_at(func: ast.expr) -> bool:
+    return (isinstance(func, ast.Attribute) and func.attr == "at"
+            and isinstance(func.value, ast.Attribute) and func.value.attr == "add"
+            and isinstance(func.value.value, ast.Name) and func.value.value.id in ("np", "numpy"))
+
+
+def is_choice(func: ast.expr) -> bool:
+    return isinstance(func, ast.Attribute) and func.attr == "choice"
+
+
+# primitive -> (matcher of the called expression, its one (file, function) home or None)
+HOMES = {
+    "np.add.at": (is_add_at, ("tensor.py", "_scatter_add")),
+    ".choice(": (is_choice, None),
+}
+
+
+def calls(source: str, primitive: str) -> list[tuple[int, str | None]]:
+    """(line, enclosing function or None) of each call of `primitive`."""
+    matches, _ = HOMES[primitive]
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "at" and isinstance(node.func.value, ast.Attribute)
-                and node.func.value.attr == "add" and isinstance(node.func.value.value, ast.Name)
-                and node.func.value.value.id in ("np", "numpy")):
+        if isinstance(node, ast.Call) and matches(node.func):
             found.append((node.lineno, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -35,12 +54,23 @@ def add_at_calls(source: str) -> list[tuple[int, str | None]]:
     return found
 
 
+def assert_only_at_home(path: Path, primitive: str):
+    _, home = HOMES[primitive]
+    stray = [line for line, func in calls(path.read_text(encoding="utf-8"), primitive)
+             if (path.name, func) != home]
+    where = f"outside {home[0][:-3]}.{home[1]}" if home else "under src/"
+    assert not stray, ", ".join(f"{path.name}:{line} calls {primitive} {where}"
+                                for line in stray)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_add_at_only_in_scatter_helper(path):
-    stray = [(line, func) for line, func in add_at_calls(path.read_text(encoding="utf-8"))
-             if (path.name, func) != ALLOWED]
-    assert not stray, ", ".join(f"{path.name}:{line} calls np.add.at outside "
-                                f"tensor._scatter_add" for line, _ in stray)
+    assert_only_at_home(path, "np.add.at")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_choice_call(path):
+    assert_only_at_home(path, ".choice(")
 
 
 def test_checker_finds_calls_and_their_functions():
@@ -53,5 +83,10 @@ def test_checker_finds_calls_and_their_functions():
         "        numpy.add.at(d, i, r)\n"
         "    np.add.reduce(d)\n"
         "np.add.at(d, i, r)\n"
+        "def pick(rng, a, p):\n"
+        "    rng.choice(a, p=p)\n"
+        "    choice(a)\n"
+        "np.random.default_rng(0).choice(3)\n"
     )
-    assert add_at_calls(source) == [(3, "_scatter_add"), (6, "inner"), (8, None)]
+    assert calls(source, "np.add.at") == [(3, "_scatter_add"), (6, "inner"), (8, None)]
+    assert calls(source, ".choice(") == [(10, "pick"), (12, None)]
