@@ -59,20 +59,17 @@ class Subgraph:
     """Per-example concept neighborhood: nodes, the triples among them, seeds.
 
     Held as `node_array`, the node ids ascending (int64; the row order of
-    every per-node array), and `edge_array`, the [m, 3] triple rows among them
-    in KG order; the views `edges` and `sorted_nodes()` are built on first
-    read.  Extraction passes both arrays; a hand-built subgraph passes `edges`.
-    A subgraph is not mutated after it is made.
+    every per-node array), and `edge_array`, the [m, 3] int32 triple rows
+    among them in KG order.  `edges` is any [m, 3] int array-like: extraction
+    passes KG rows, a hand-built subgraph (h, r, t) tuples.  A subgraph is not
+    mutated after it is made.
     """
 
-    def __init__(self, nodes: set[int], edges: list[tuple[int, int, int]] | None,
-                 seeds: set[int], node_array: np.ndarray | None = None,
-                 edge_array: np.ndarray | None = None):
-        self.nodes, self.seeds, self._edges = nodes, seeds, edges
+    def __init__(self, nodes: set[int], edges, seeds: set[int],
+                 node_array: np.ndarray | None = None):
+        self.nodes, self.seeds = nodes, seeds
         self.node_array = _sorted_ids(nodes) if node_array is None else node_array
-        self.edge_array = (np.array(edges, dtype=np.int32).reshape(-1, 3)
-                           if edge_array is None else edge_array)
-        self._sorted_nodes: list[int] | None = None
+        self.edge_array = np.ascontiguousarray(edges, dtype=np.int32).reshape(-1, 3)
         self._messages: dict = {}
 
     def __eq__(self, other):
@@ -81,19 +78,8 @@ class Subgraph:
 
     @property
     def edges(self) -> list[tuple[int, int, int]]:
-        """The rows of `edge_array` as int tuples; the same list on every read."""
-        if self._edges is None:
-            self._edges = list(_TRIPLE.iter_unpack(self.edge_array))
-        return self._edges
-
-    def sorted_nodes(self) -> list[int]:
-        """`node_array` as a list of int.
-
-        The same list is returned on every call; callers must not mutate it.
-        """
-        if self._sorted_nodes is None:
-            self._sorted_nodes = self.node_array.tolist()
-        return self._sorted_nodes
+        """The rows of `edge_array` as int tuples, in a new list on every read."""
+        return list(_TRIPLE.iter_unpack(self.edge_array))
 
     def message_arrays(self, n_relations: int
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -347,4 +333,4 @@ def extract_subgraph(seed_ids, kg: KnowledgeGraph, hops: int = 2,
     nodes = set(discovery[:max_nodes]) | seeds
     owner = _sorted_ids(nodes)
     rows = kg.triples.take(_edge_rows(nodes, owner, kg), axis=0)
-    return Subgraph(nodes, None, seeds, owner, rows)
+    return Subgraph(nodes, rows, seeds, owner)

@@ -144,8 +144,8 @@ class ExampleContext:
 
     @property
     def node_ids(self) -> list[int]:
-        """`subgraph.sorted_nodes()`."""
-        return self.subgraph.sorted_nodes()
+        """`subgraph.node_array` as a new list of int."""
+        return self.subgraph.node_array.tolist()
 
 
 def prepare_example(example, kg: KnowledgeGraph, vocab: Vocab, cfg: TrainConfig) -> ExampleContext:

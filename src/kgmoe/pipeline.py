@@ -322,6 +322,9 @@ def load_model(cfg: RunConfig) -> Model:
 def generate_bundles(model: Model, dataset: list[Example], cfg: RunConfig) -> list[GenerationBundle]:
     bundles = []
     n_out = model.cfg.n_experts if cfg.n_outputs is None else cfg.n_outputs
+    if cfg.strategy == "moe" and n_out != model.cfg.n_experts:
+        raise ValueError(f"strategy 'moe' writes one output per expert: n_outputs must be "
+                         f"the expert count {model.cfg.n_experts}, got {n_out}")
     for ex in dataset:
         ctx = prepare_example(ex, model.kg, model.vocab, model.cfg)
         if cfg.strategy == "moe":
@@ -413,7 +416,7 @@ def subgraph_json(kg: KnowledgeGraph, text: str, hops: int = TrainConfig.subgrap
     seeds = ground_concepts(text, kg)
     sub = extract_subgraph(seeds, kg, hops=hops, max_nodes=max_nodes)
     return json.dumps({
-        "nodes": [kg.concepts[c] for c in sub.sorted_nodes()],
+        "nodes": [kg.concepts[c] for c in sub.node_array.tolist()],
         "edges": [[kg.concepts[h], kg.relations[r], kg.concepts[t]]
                   for h, r, t in sub.edges],
         "seeds": [kg.concepts[c] for c in sorted(sub.seeds)],

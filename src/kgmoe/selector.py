@@ -25,13 +25,11 @@ def init_selector_params(rng: np.random.Generator, d: int, n_experts: int) -> di
     }
 
 
-def score_concepts(h: T.Tensor, params: dict[str, T.Tensor],
-                   expert: int | None = None) -> T.Tensor:
-    """Selection probability per subgraph node, as a [n_nodes] tensor in (0,1),
-    from node states h [n_nodes, d] (rows in the subgraph's sorted-node order)."""
-    shift = None if expert is None else (params["sel.expert_embed"], expert)
+def score_concepts(h: T.Tensor, params: dict[str, T.Tensor], expert: int) -> T.Tensor:
+    """Selection probability of each subgraph node under `expert`, as an [n_nodes]
+    tensor in (0,1), from node states h [n_nodes, d] in sorted-node order."""
     return T.sigmoid_mlp(h, params["sel.w1"], params["sel.b1"], params["sel.w2"],
-                         params["sel.b2"], shift)
+                         params["sel.b2"], (params["sel.expert_embed"], expert))
 
 
 def build_labels(subgraph: Subgraph, reference: str, kg: KnowledgeGraph) -> np.ndarray:

@@ -109,13 +109,11 @@ def _make(data, parents, backward):
 def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
-    if t.grad is None and g.shape == t.data.shape:
-        # 0.0 + g in a buffer of t.data's layout, as zeros_like then += writes it
-        # (-0.0 becomes +0.0); a view's layout would change later products' rounding
+    if t.grad is None:
+        # zeros_like(t.data) += g, g broadcast, written as g + 0.0 (-0.0 becomes
+        # +0.0); a view's layout would change later products' rounding
         t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
     else:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
         t.grad += g
     t._touched = None
 
@@ -444,17 +442,13 @@ def rgcn_conv(h_rel: Tensor, h: Tensor, w_neighbor: Tensor, w_self: Tensor,
 
 
 def sigmoid_mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                shift=None) -> Tensor:
+                shift: tuple[Tensor, int]) -> Tensor:
     """sigmoid(ReLU((h + shift) w1 + b1) w2 + b2) for the rows of h [n, d], as
-    an [n] tensor; w2 is [d_hidden, 1].  shift is None or (table, row), which
-    adds that table row to every row of h and scatters its gradient back."""
-    x = h.data
-    parents = (h, w1, b1, w2, b2)
-    if shift is not None:
-        table, row = shift
-        idx = _rows(table, [row])
-        x = x + table.data[idx]
-        parents += (table,)
+    an [n] tensor; w2 is [d_hidden, 1].  shift is (table, row), which adds
+    that table row to every row of h and scatters its gradient back."""
+    table, row = shift
+    idx = _rows(table, [row])
+    x = h.data + table.data[idx]
     pre = np.matmul(x, w1.data) + b1.data
     mask = pre > 0
     hidden = pre * mask
@@ -469,9 +463,8 @@ def sigmoid_mlp(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         _accum(w1, np.matmul(x.T, gpre))
         gx = np.matmul(gpre, w1.data.T)
         _accum(h, gx)
-        if shift is not None:
-            _scatter_rows(table, idx, _unbroadcast(gx, (1, x.shape[1])))
-    return _make(y.reshape(len(x)), parents, backward)
+        _scatter_rows(table, idx, _unbroadcast(gx, (1, x.shape[1])))
+    return _make(y.reshape(len(x)), (h, w1, b1, w2, b2, table), backward)
 
 
 def binary_cross_entropy(p: Tensor, labels: np.ndarray, eps: float) -> Tensor:

@@ -13,7 +13,7 @@ from kgmoe import kg as kgmod
 from kgmoe.generator import Vocab
 from kgmoe.kg import (KnowledgeGraph, Subgraph, extract_subgraph, ground_concepts, load_kg,
                       norm_tokens, stem)
-from kgmoe.moe import TrainConfig, prepare_example
+from kgmoe.moe import ExampleContext, TrainConfig, prepare_example
 from kgmoe.pipeline import Example, make_synthetic_task, save_kg_tsv
 from kgmoe.selector import build_labels
 
@@ -460,7 +460,7 @@ def test_subgraph_arrays_match_a_set_and_dict_oracle(monkeypatch, gather_min):
                 assert_same_arrays([build_labels(sub, reference, kg), sub.node_array],
                                    [oracle_labels(nodes, reference, kg),
                                     np.array(sorted(nodes), dtype=np.int64)])
-                assert sub.sorted_nodes() == sorted(nodes) and sub.edges == edges
+                assert sub.node_array.tolist() == sorted(nodes) and sub.edges == edges
             assert np.array_equal(extracted.edge_array, hand.edge_array)
 
         cfg = TrainConfig(n_experts=2, d_model=8, n_heads=2, max_len=16,
@@ -479,6 +479,30 @@ def test_hand_built_edge_outside_the_nodes_raises():
     sub = Subgraph(nodes={1, 2}, edges=[(1, 0, 3)], seeds=set())
     with pytest.raises(KeyError, match="not a node"):
         sub.message_arrays(1)
+
+
+@pytest.mark.parametrize("rows", [[(4, 0, 1), (1, 2, 9), (9, 1, 4)], []],
+                         ids=["edges", "no-edges"])
+def test_tuples_and_int_arrays_build_the_same_subgraph(rows):
+    """The one constructor takes tuples or an [m, 3] int array alike; `edges`
+    and `node_ids` are new lists on every read."""
+    built = [Subgraph(nodes={1, 4, 9}, edges=edges, seeds={4}) for edges in (
+        list(rows), np.array(rows, dtype=np.int32).reshape(-1, 3),
+        np.asfortranarray(np.array(rows, dtype=np.int64).reshape(-1, 3)))]
+    for sub in built:
+        assert sub == built[0]
+        assert sub.edge_array.dtype == np.int32 and sub.edge_array.flags.c_contiguous
+        assert sub.edge_array.shape == (len(rows), 3)
+        assert sub.edge_array.tobytes() == built[0].edge_array.tobytes()
+        assert_same_arrays(sub.message_arrays(3), built[0].message_arrays(3))
+
+        read = sub.edges
+        read.append((0, 0, 0))
+        assert sub.edges == rows and sub.edges is not sub.edges
+        ctx = ExampleContext("e", [], sub, [], [])
+        ids = ctx.node_ids
+        ids.append(0)
+        assert ctx.node_ids == [1, 4, 9]
 
 
 class RowGuard:

@@ -678,6 +678,20 @@ def test_cli_input_errors_exit_with_one_line(tmp_path, case):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("n_outputs", [1, 5])
+def test_cli_moe_with_other_output_count_exits_with_one_line(trained_run, tmp_path, n_outputs):
+    # moe writes one output per expert; the fixture's model has 2 experts
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-m", "kgmoe.cli", "generate",
+                           "--set", "strategy=moe", "--set", f"n_outputs={n_outputs}"],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert f"n_outputs must be the expert count 2, got {n_outputs}" in done.stderr
+    assert not (tmp_path / "generations.jsonl").exists()
+
+
 def test_subgraph_json_caps_nodes(tmp_path):
     kg = synthetic_kg([("hub", "r", f"n{i}") for i in range(10)])
     obj = json.loads(subgraph_json(kg, "the hub", hops=1, max_nodes=3))

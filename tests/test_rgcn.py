@@ -73,7 +73,7 @@ def test_single_neighbor_identity_weights_zero_relation():
     wn, ws, wr = identity_layer_params(d)
     h, _ = rgcn_layer(*states, sub, wn, ws, wr, kg.num_relations)
     # v aggregates exactly h_u (one incoming message), then ReLU(h_u + h_v)
-    got_v = h.data[sub.sorted_nodes().index(v)]
+    got_v = h.data[sub.node_array.tolist().index(v)]
     assert np.allclose(got_v, np.maximum(np.array([1.0, -2.0]) + np.array([0.5, 0.25]), 0))
 
 
@@ -86,7 +86,7 @@ def test_mean_of_equal_neighbors():
     states = make_states({a: h, b: h, v: [0.5, 0.5]}, np.zeros((2, d)))
     wn, ws, wr = identity_layer_params(d)
     out, _ = rgcn_layer(*states, sub, wn, ws, wr, kg.num_relations)
-    got_v = out.data[sub.sorted_nodes().index(v)]
+    got_v = out.data[sub.node_array.tolist().index(v)]
     assert np.allclose(got_v, np.array(h) + np.array([0.5, 0.5]))
 
 
@@ -117,7 +117,7 @@ def test_encode_zero_layers_returns_embedding_rows():
     rng = np.random.default_rng(0)
     params = init_rgcn_params(rng, kg.num_concepts, kg.num_relations, 4, 0)
     out = encode(sub, params, kg, 0)
-    assert np.array_equal(out.data, params["rgcn.node_embed"].data[sub.sorted_nodes()])
+    assert np.array_equal(out.data, params["rgcn.node_embed"].data[sub.node_array])
 
 
 def test_encode_zero_embeddings_zero_output():
@@ -138,7 +138,7 @@ def test_encode_composes_single_layers():
     params = init_rgcn_params(rng, kg.num_concepts, kg.num_relations, 4, 2)
     full = encode(sub, params, kg, 2)
 
-    h = T.embedding(params["rgcn.node_embed"], sub.sorted_nodes())
+    h = T.embedding(params["rgcn.node_embed"], sub.node_array)
     h_rel = params["rgcn.rel_embed"]
     for layer in range(2):
         h, h_rel = rgcn_layer(h, h_rel, sub,
@@ -158,8 +158,8 @@ def test_locality_edge_not_incident_does_not_change_node():
     out_small = encode(sub_small, params, kg, 1)
     out_big = encode(sub_big, params, kg, 1)
     for cid in (a, b):
-        assert np.allclose(out_small.data[sub_small.sorted_nodes().index(cid)],
-                           out_big.data[sub_big.sorted_nodes().index(cid)])
+        assert np.allclose(out_small.data[sub_small.node_array.tolist().index(cid)],
+                           out_big.data[sub_big.node_array.tolist().index(cid)])
 
 
 def test_relabeling_equivariance():

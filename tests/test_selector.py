@@ -26,7 +26,7 @@ def states_of(matrix):
 
 def test_zero_weights_give_half_probability():
     params = zeroed_selector(3)
-    p = score_concepts(states_of([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0]]), params)
+    p = score_concepts(states_of([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0]]), params, expert=0)
     assert np.allclose(p.data, 0.5)
 
 
@@ -36,7 +36,7 @@ def test_hand_built_mlp_evaluation():
     params["sel.w1"].data[:] = 2.0
     params["sel.w2"].data[:] = 3.0
     params["sel.b2"].data[:] = 1.0
-    p = score_concepts(states_of([[1.0], [-1.0]]), params)
+    p = score_concepts(states_of([[1.0], [-1.0]]), params, expert=0)
     expected = [1 / (1 + math.exp(-7.0)), 1 / (1 + math.exp(-1.0))]
     assert np.allclose(p.data, expected, atol=1e-12)
 
@@ -50,20 +50,11 @@ def test_expert_shift_changes_scores():
     assert np.abs(p0 - p1).max() > 1e-9
 
 
-def test_expert_none_matches_zero_expert_vector():
-    rng = np.random.default_rng(2)
-    params = init_selector_params(rng, 4, 2)
-    params["sel.expert_embed"].data[1] = 0.0
-    st = states_of(rng.normal(size=(3, 4)))
-    assert np.array_equal(score_concepts(st, params, expert=None).data,
-                          score_concepts(st, params, expert=1).data)
-
-
 def test_build_labels_marks_grounded_reference_concepts():
     kg = KnowledgeGraph.from_triples([("piano", "r", "music"), ("music", "r", "song")])
     sub = extract_subgraph({kg.concept_ids["piano"]}, kg, hops=2)
     labels = build_labels(sub, "a song about music", kg)
-    by_name = dict(zip([kg.concepts[c] for c in sub.sorted_nodes()], labels))
+    by_name = dict(zip([kg.concepts[c] for c in sub.node_array.tolist()], labels))
     assert by_name == {"piano": 0.0, "music": 1.0, "song": 1.0}
 
 

@@ -276,9 +276,8 @@ def chain_rgcn(h_rel, h, w_neighbor, w_self, messages):
     return relu(T.add(T.segment_mean(T.matmul(diff, w_neighbor), dst, h.shape[0]), self_term))
 
 
-def chain_sigmoid_mlp(h, w1, b1, w2, b2, shift=None):
-    if shift is not None:
-        h = T.add(h, T.embedding(shift[0], [shift[1]]))
+def chain_sigmoid_mlp(h, w1, b1, w2, b2, shift):
+    h = T.add(h, T.embedding(shift[0], [shift[1]]))
     hidden = relu(T.add(T.matmul(h, w1), b1))
     return T.reshape(sigmoid(T.add(T.matmul(hidden, w2), b2)), (h.shape[0],))
 
@@ -400,18 +399,15 @@ def test_rgcn_conv_matches_chain_bit_for_bit(edges):
     assert_layer_matches_finite_differences(T.rgcn_conv, arrays, (n, d), rng, messages)
 
 
-@pytest.mark.parametrize("shifted", [True, False], ids=["expert-shift", "no-shift"])
-def test_sigmoid_mlp_matches_chain_bit_for_bit(shifted):
+def test_sigmoid_mlp_matches_chain_bit_for_bit():
     rng = np.random.default_rng(92)
     n, d = 7, 6
     arrays = [rng.normal(size=(n, d)), rng.normal(size=(d, d)) / 2, 0.3 * rng.normal(size=d),
-              rng.normal(size=(d, 1)), 0.3 * rng.normal(size=1)]
-    if shifted:
-        arrays.append(rng.normal(size=(3, d)))
+              rng.normal(size=(d, 1)), 0.3 * rng.normal(size=1), rng.normal(size=(3, d))]
 
     def with_shift(layer):
-        def run(h, w1, b1, w2, b2, table=None):
-            return layer(h, w1, b1, w2, b2, None if table is None else (table, 2))
+        def run(h, w1, b1, w2, b2, table):
+            return layer(h, w1, b1, w2, b2, (table, 2))
         return run
     assert_layer_matches_chain(with_shift(T.sigmoid_mlp), with_shift(chain_sigmoid_mlp), arrays,
                                (n,), rng)
@@ -439,6 +435,19 @@ def test_broadcast_to_sums_gradient_back():
     assert np.array_equal(out.data, np.broadcast_to(a.data, (4, 2, 3)))
     mean_all(mul(out, T.constant(np.arange(24.0).reshape(4, 2, 3)))).backward()
     assert np.allclose(a.grad, np.arange(24.0).reshape(4, 2, 3).sum(axis=0) / 24, atol=1e-15)
+
+
+def test_first_gradient_broadcasts_as_zeros_plus_g():
+    # a [1, d] first gradient into an [n, d] tensor, -0.0 included: the grad
+    # is zeros + g bit for bit, -0.0 turned +0.0, in t.data's layout
+    g = np.array([[-0.0, 1.5, -2.25, 5e-324]])
+    for data in (np.ones((3, 4)), np.ones((4, 3)).T):
+        t = T.Tensor(data, requires_grad=True)
+        T._accum(t, g)
+        want = np.zeros_like(data)
+        want += g
+        assert _same_bits(t.grad, want) and t.grad.strides == want.strides
+        assert not np.signbit(t.grad[:, 0]).any()
 
 
 def test_attention_causal_mask_hides_future_positions():

@@ -1,10 +1,11 @@
-"""Every top-level function and class in src/kgmoe is referenced somewhere.
+"""Every top-level function and class in src/kgmoe, and every non-dunder
+method and property of a top-level class there, is referenced somewhere.
 
-A helper that nothing calls is deleted rather than kept.  A definition counts
-as referenced when src/, perfbench/ or demos/ names it (a name, an attribute,
-an import, or a string that is exactly the name, as `__all__` entries and the
-tracer's targets are) outside its own definition; tests do not count, and
-neither do docstrings.  No linter is installed, so this walks each file's
+A helper or view that nothing calls is deleted rather than kept.  A definition
+counts as referenced when src/, perfbench/ or demos/ names it (a name, an
+attribute, an import, or a string that is exactly the name, as `__all__`
+entries and the tracer's targets are) outside its own definition; tests do not
+count, and neither do docstrings.  No linter is installed, so this walks each file's
 syntax tree with `ast`, as `test_imports.py` does.
 """
 
@@ -34,15 +35,29 @@ def _references(node: ast.AST) -> set[str]:
     return names
 
 
+def _parts(tree: ast.Module):
+    """(class, node, references) of each top-level statement, class None, and of
+    each statement in the body of a top-level class; a class's own part holds
+    the references of its decorators and bases."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield None, node, set().union(*map(_references, node.decorator_list + node.bases))
+            yield from ((node, member, _references(member)) for member in node.body)
+        else:
+            yield None, node, _references(node)
+
+
 def unreferenced(sources: dict[str, str], defining) -> list[tuple[str, int, str]]:
-    """(file, line, name) of each top-level function or class of the defining
-    files that no source names outside that definition."""
-    tops = {key: [(node, _references(node)) for node in ast.parse(source).body]
-            for key, source in sources.items()}
-    return [(key, node.lineno, node.name) for key in sorted(defining) for node, _ in tops[key]
+    """(file, line, name) of each top-level function or class, and each
+    non-dunder method or property of a top-level class, of the defining files
+    that no source names outside that definition."""
+    parts = {key: list(_parts(ast.parse(source))) for key, source in sources.items()}
+    every = [part for key_parts in parts.values() for part in key_parts]
+    return [(key, node.lineno, node.name) for key in sorted(defining) for cls, node, _ in parts[key]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not any(node.name in refs for nodes in tops.values()
-                        for other, refs in nodes if other is not node)]
+            and not (cls and node.name.startswith("__") and node.name.endswith("__"))
+            and not any(node.name in refs for owner, other, refs in every
+                        if other is not node and owner is not node)]
 
 
 def test_every_definition_in_src_is_referenced():
@@ -67,13 +82,24 @@ def test_checker_flags_unreferenced_and_spares_calls_attributes_and_strings():
             "__all__ = ['in_all']\n"
             "def caller():\n"
             "    return used()\n"
-            "x = caller()\n"),
+            "x = caller()\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.by_sibling()\n"
+            "    def by_sibling(self):\n"
+            "        '''unused_view'''\n"
+            "    @property\n"
+            "    def size(self): return 0\n"
+            "    def unused_view(self):\n"
+            "        return self.unused_view()\n"
+            "    def __len__(self): return 0\n"),
         "b.py": (
             "'''only_in_a_docstring'''\n"
             "from a import imported\n"
             "import a\n"
             "TARGETS = [(a, 'Traced')]\n"
-            "a.by_attribute()\n"),
+            "a.by_attribute()\n"
+            "a.Box().size\n"),
     }
     assert unreferenced(sources, ["a.py"]) == [
-        ("a.py", 2, "recursive"), ("a.py", 7, "only_in_a_docstring")]
+        ("a.py", 2, "recursive"), ("a.py", 7, "only_in_a_docstring"), ("a.py", 21, "unused_view")]
