@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tensor as T
-from .kg import undecodable
+from .kg import text_lines
 
 if TYPE_CHECKING:
     from .moe import TrainConfig
@@ -88,11 +88,7 @@ class Vocab:
     def load(cls, path, n_experts: int) -> "Vocab":
         """Read a `save`d table, skipping blank lines.  After the special tokens
         the file must hold `<expert0>`, `<expert1>`, .. in order, and no token twice."""
-        try:
-            with open(path, encoding="utf-8") as f:
-                numbered = [(n, tok) for n, line in enumerate(f, 1) if (tok := line.rstrip("\n"))]
-        except UnicodeDecodeError as err:
-            raise undecodable(path, err) from None
+        numbered = [(n, tok) for n, line in text_lines(path) if (tok := line.rstrip("\n"))]
         try:
             vocab = cls([tok for _, tok in numbered], n_experts)
         except ValueError as err:

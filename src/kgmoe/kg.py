@@ -185,8 +185,8 @@ class KnowledgeGraph:
         return len(self.relations)
 
 
-def _parse_kg(path, lines):
-    for lineno, line in enumerate(lines, start=1):
+def _parse_kg(path, numbered):
+    for lineno, line in numbered:
         line = line.rstrip("\n")
         if not line:
             continue
@@ -206,15 +206,23 @@ def load_kg(path) -> KnowledgeGraph:
     first-seen order and a leading byte-order mark is dropped; a malformed or
     undecodable line raises with the file and the line number.
     """
+    # Line by line, so that no line outlives its parse.
+    return KnowledgeGraph.from_triples(_parse_kg(path, text_lines(path, "KG line")))
+
+
+def text_lines(path, what: str = "line"):
+    """(line number from 1, line) for each line of a UTF-8 text file, read
+    lazily in text mode (lines end at \\n, \\r or \\r\\n) with a leading
+    byte-order mark dropped.  An undecodable byte raises a ValueError naming
+    the file and its line, which the message calls `what`."""
     try:
-        # Line by line, so that no line outlives its parse.
         with open(path, encoding="utf-8-sig") as f:
-            return KnowledgeGraph.from_triples(_parse_kg(path, f))
+            yield from enumerate(f, start=1)
     except UnicodeDecodeError as err:
-        raise undecodable(path, err, "KG line") from None
+        raise _undecodable(path, err, what) from None
 
 
-def undecodable(path, err: UnicodeDecodeError, what: str = "line") -> ValueError:
+def _undecodable(path, err: UnicodeDecodeError, what: str) -> ValueError:
     """The ValueError for a text file that `err` says is not UTF-8.
 
     It names the file, the first undecodable line (lines end at \\n, \\r or

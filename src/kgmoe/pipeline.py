@@ -26,7 +26,7 @@ from . import tensor as T
 from .decoding import (GenerationBundle, decode_beam, decode_moe, decode_nucleus,
                        decode_truncated)
 from .generator import Vocab
-from .kg import KnowledgeGraph, extract_subgraph, ground_concepts, load_kg, undecodable
+from .kg import KnowledgeGraph, extract_subgraph, ground_concepts, load_kg, text_lines
 from .metrics import MetricReport, evaluate_hypothesis_sets
 from .moe import (Model, TrainConfig, build_model, check_fields, field_kind, prepare_example,
                   sub_seed, train)
@@ -45,38 +45,35 @@ _KINDS = {str: "a string", list: "a list of strings", "id": "a string or an inte
 
 
 def _jsonl_objects(path, fields):
-    """(line number, object) for each line of a JSONL file, blank lines skipped.
+    """(line number, object) for each line of a JSONL file read by
+    `kg.text_lines`, blank lines skipped.
 
     `fields` maps each required key to its kind: str, list (of strings) or "id"
     (a string, or an int read as its string form).  A line that is not UTF-8 or
     not a JSON object, lacks a key or holds a value of another kind raises a
     ValueError naming the file, the line and the key.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise ValueError(f"{path}: malformed JSON on line {lineno}: {err}") from None
-                if not isinstance(obj, dict):
-                    raise ValueError(f"{path}: line {lineno} is not a JSON object")
-                for key, kind in fields.items():
-                    if key not in obj:
-                        raise ValueError(f"{path}: line {lineno} missing {key!r}")
-                    value = obj[key]
-                    if kind == "id" and type(value) is int:     # a bool is no id
-                        value = obj[key] = str(value)
-                    if not (isinstance(value, list if kind is list else str) and
-                            (kind is not list or all(isinstance(v, str) for v in value))):
-                        raise ValueError(f"{path}: line {lineno}: {key!r} must be "
-                                         f"{_KINDS[kind]}, got {value!r}")
-                yield lineno, obj
-    except UnicodeDecodeError as err:
-        raise undecodable(path, err) from None
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: malformed JSON on line {lineno}: {err}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: line {lineno} is not a JSON object")
+        for key, kind in fields.items():
+            if key not in obj:
+                raise ValueError(f"{path}: line {lineno} missing {key!r}")
+            value = obj[key]
+            if kind == "id" and type(value) is int:     # a bool is no id
+                value = obj[key] = str(value)
+            if not (isinstance(value, list if kind is list else str) and
+                    (kind is not list or all(isinstance(v, str) for v in value))):
+                raise ValueError(f"{path}: line {lineno}: {key!r} must be "
+                                 f"{_KINDS[kind]}, got {value!r}")
+        yield lineno, obj
 
 
 def load_dataset(path) -> list[Example]:
@@ -265,11 +262,10 @@ def load_run_config(path=None, overrides=()) -> RunConfig:
     (the CLI's --set items), validated once as a whole by `apply_overrides`."""
     settings = []
     if path is not None:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    settings.append((line, f"{path}: line {lineno}"))
+        for lineno, line in text_lines(path):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                settings.append((line, f"{path}: line {lineno}"))
     settings += [(item, f"--set {item}") for item in overrides]
     return apply_overrides(RunConfig(), settings)
 

@@ -8,7 +8,6 @@ scalar loss walks the recorded graph in reverse topological order and fills
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import functools
 import json
@@ -591,7 +590,7 @@ def _check_lr(lr: float) -> float:
     return lr
 
 
-CHECKPOINT_VERSION = 3     # load_checkpoint also reads versions 1 and 2: one JSON document
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path, params: dict, meta: dict | None = None):
@@ -645,97 +644,73 @@ def _json_object(path, pairs):
     return obj
 
 
-def _version(payload) -> int | None:
-    # true == 1 and 2.0 == 2 in Python, but neither is a checkpoint version
-    version = payload.get("version") if isinstance(payload, dict) else None
-    return version if type(version) is int else None
+def _finite_number(path, text: str) -> float:
+    """parse_float and parse_constant hook of checkpoint JSON: strict JSON has
+    no NaN or infinity, so refuse those literals and a float64 overflow."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: checkpoint JSON number {text} is not a finite float64")
+    return value
 
 
 def load_checkpoint(path):
-    """Read a checkpoint of version 1, 2 or 3; returns (name->Tensor dict with
+    """Read a version-3 checkpoint; returns (name->Tensor dict with
     requires_grad, meta).
 
-    The file is read once.  If its first line is a version-3 header the rest is
-    the payload, and each parameter is a writable view of the one buffer (Adam
-    updates parameters in place); otherwise the whole file is a version-1 or -2
-    JSON document.  A bad file raises a ValueError naming it (and the parameter
-    at fault).
+    The file is read once; its first line is the header and the rest the
+    payload, and each parameter is a writable view of the one buffer (Adam
+    updates parameters in place).  A bad file, one of another version
+    included, raises a ValueError naming it (and the parameter at fault).
     """
     with open(path, "rb") as f:
         data = bytearray(os.fstat(f.fileno()).st_size)
         del data[f.readinto(data):]
-    hook = functools.partial(_json_object, path)
     end = data.find(b"\n")
+    finite = functools.partial(_finite_number, path)
     try:
-        payload = json.loads(data[:end].decode("utf-8"), object_pairs_hook=hook) if end >= 0 else None
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        payload = None
-    version = _version(payload)
-    if version != 3:
-        try:
-            payload = json.loads(data.decode("utf-8"), object_pairs_hook=hook)
-        except UnicodeDecodeError as err:
-            raise ValueError(f"{path}: malformed checkpoint JSON: byte {err.start} is not "
-                             f"UTF-8 ({err.reason})") from None
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: malformed checkpoint JSON: {err}") from None
-        version = _version(payload)
-        if version == 3:
-            raise ValueError(f"{path}: a version-3 header must be one line ended by a newline")
-        if version not in (1, 2):
-            shown = payload.get("version") if isinstance(payload, dict) else None
-            raise ValueError(f"{path}: unsupported checkpoint version {shown!r}")
-    entries, meta = payload.get("params", {}), payload.get("meta", {})
+        header = json.loads(data[:end if end >= 0 else len(data)].decode("utf-8"),
+                            object_pairs_hook=functools.partial(_json_object, path),
+                            parse_float=finite, parse_constant=finite)
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: malformed checkpoint JSON: byte {err.start} is not "
+                         f"UTF-8 ({err.reason})") from None
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: malformed checkpoint JSON: {err}") from None
+    # 3.0 == 3 in Python, but only the int is a checkpoint version
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != CHECKPOINT_VERSION or type(version) is not int:
+        raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+    if end < 0:
+        raise ValueError(f"{path}: a version-3 header must be one line ended by a newline")
+    entries, meta = header.get("params", {}), header.get("meta", {})
     for key, value in (("params", entries), ("meta", meta)):
         if not isinstance(value, dict):
             raise ValueError(f"{path}: {key!r} must be an object, got {type(value).__name__}")
-    offset = end + 1      # where a version-3 payload starts
-    if version == 3:
-        if offset % 8:
-            raise ValueError(f"{path}: the payload starts at byte {offset}, "
-                             "not at a multiple of 8")
-        if list(entries) != sorted(entries):
-            raise ValueError(f"{path}: the header's parameters are not in name order")
-    need = ("shape",) if version == 3 else ("shape", "data")
+    offset = end + 1      # where the payload starts
+    if offset % 8:
+        raise ValueError(f"{path}: the payload starts at byte {offset}, not at a multiple of 8")
+    if list(entries) != sorted(entries):
+        raise ValueError(f"{path}: the header's parameters are not in name order")
     params = {}
     for name, entry in entries.items():
-        if not isinstance(entry, dict) or not all(key in entry for key in need):
-            raise ValueError(f"{path}: parameter {name!r} needs " + " and ".join(map(repr, need)))
+        if not isinstance(entry, dict) or "shape" not in entry:
+            raise ValueError(f"{path}: parameter {name!r} needs 'shape'")
         shape = entry["shape"]
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"{path}: parameter {name!r}: shape {shape!r} is not a list "
                              "of non-negative ints")
+        size = 8 * math.prod(shape)
         try:
-            if version == 3:
-                size = 8 * math.prod(shape)
-                if offset + size > len(data):
-                    raise ValueError(f"the payload holds {len(data) - offset} of its "
-                                     f"{size} bytes")
-                arr = np.frombuffer(data, "<f8", size // 8, offset)
-                offset += size
-            elif version == 1:
-                arr = np.array(entry["data"], dtype=np.float64)
-                if arr.ndim != 1:
-                    raise ValueError(f"data must be a flat list, got {arr.ndim} dimensions")
-            elif not isinstance(text := entry["data"], str):
-                raise ValueError(f"data must be a base64 string, got {type(text).__name__}")
-            else:
-                try:
-                    raw = base64.b64decode(text, validate=True)
-                except ValueError as err:
-                    raise ValueError(f"data is not valid base64: {err}") from None
-                if len(raw) != 8 * math.prod(shape):
-                    raise ValueError(f"data holds {len(raw)} bytes, shape {shape} needs "
-                                     f"{8 * math.prod(shape)}")
-                # an owned, writable copy: Adam updates parameters in place
-                arr = np.frombuffer(raw, "<f8").astype(np.float64)
-            arr = arr.reshape(shape)
-        except (TypeError, ValueError) as err:
+            if offset + size > len(data):
+                raise ValueError(f"the payload holds {len(data) - offset} of its {size} bytes")
+            arr = np.frombuffer(data, "<f8", size // 8, offset).reshape(shape)
+        except ValueError as err:
             raise ValueError(f"{path}: parameter {name!r}: {err}") from None
+        offset += size
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
         params[name] = Tensor(arr, requires_grad=True)
-    if version == 3 and offset != len(data):
+    if offset != len(data):
         raise ValueError(f"{path}: {len(data) - offset} bytes follow the last parameter")
     return params, meta
 

@@ -1,6 +1,7 @@
 """Transformer generator: memory layout, concept permutation invariance,
 causal masking, loss semantics, trainability and vocabulary determinism."""
 
+import codecs
 import dataclasses
 import math
 
@@ -95,6 +96,15 @@ def test_vocab_load_undecodable_byte_names_file_and_line(tmp_path):
     p.write_bytes(b"<pad>\n<bos>\n<eos>\n<unk>\n<expert0>\ncaf\xe9\n")
     with pytest.raises(ValueError, match=r"vocab\.txt: undecodable line 6"):
         Vocab.load(p, 1)
+
+
+def test_vocab_load_drops_leading_bom(tmp_path):
+    body = "<pad>\n<bos>\n<eos>\n<unk>\n<expert0>\ncafé\n".encode()
+    (tmp_path / "plain.txt").write_bytes(body)
+    (tmp_path / "bom.txt").write_bytes(codecs.BOM_UTF8 + body)
+    loaded = Vocab.load(tmp_path / "bom.txt", 1)
+    assert loaded.tokens[0] == "<pad>"
+    assert loaded.tokens == Vocab.load(tmp_path / "plain.txt", 1).tokens
 
 
 def test_vocab_load_rejects_a_repeated_token_naming_both_lines(tmp_path):

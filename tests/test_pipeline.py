@@ -1,6 +1,7 @@
 """File formats, synthetic task contracts, config parsing, end-to-end
 train -> generate -> evaluate round trip, and CLI subcommands."""
 
+import codecs
 import dataclasses
 import json
 import os
@@ -56,6 +57,13 @@ def test_load_dataset_undecodable_byte_names_file_and_line(tmp_path):
     with pytest.raises(ValueError, match=r"d\.jsonl: undecodable line 2: invalid start byte "
                                          r"\(byte 0xff\)"):
         load_dataset(p)
+
+
+def test_load_dataset_drops_leading_bom(tmp_path):
+    body = b'{"id": "a", "input": "x", "references": ["y"]}\n'
+    (tmp_path / "plain.jsonl").write_bytes(body)
+    (tmp_path / "bom.jsonl").write_bytes(codecs.BOM_UTF8 + body)
+    assert load_dataset(tmp_path / "bom.jsonl") == load_dataset(tmp_path / "plain.jsonl")
 
 
 def test_load_dataset_missing_key(tmp_path):
@@ -276,6 +284,22 @@ def test_load_run_config_bad_run_key_names_line_and_key(tmp_path):
     p.write_text("strategy = nucleus\nsample_p = 1.5\n")
     with pytest.raises(ValueError, match=r"line 2: .*sample_p"):
         load_run_config(p)
+
+
+def test_load_run_config_undecodable_byte_names_file_and_line(tmp_path):
+    p = tmp_path / "run.cfg"
+    p.write_bytes(b"seed = 7\r\nstrategy = beam\xff\n")
+    with pytest.raises(ValueError, match=r"run\.cfg: undecodable line 2: invalid start byte "
+                                         r"\(byte 0xff\)"):
+        load_run_config(p)
+
+
+def test_load_run_config_drops_leading_bom(tmp_path):
+    body = b"seed = 7\nstrategy = beam\n"
+    (tmp_path / "plain.cfg").write_bytes(body)
+    (tmp_path / "bom.cfg").write_bytes(codecs.BOM_UTF8 + body)
+    cfg = load_run_config(tmp_path / "bom.cfg")
+    assert cfg == load_run_config(tmp_path / "plain.cfg") and cfg.train.seed == 7
 
 
 def test_apply_override_coerces_by_field_type():
@@ -652,18 +676,23 @@ def test_cli_rejects_unknown_key():
 
 
 @pytest.mark.parametrize("case", ["synth-negative-inputs", "dataset-line-without-input",
-                                  "corrupt-v2-checkpoint", "missing-kg", "missing-dataset"])
+                                  "corrupt-v3-checkpoint", "undecodable-config", "missing-kg",
+                                  "missing-dataset"])
 def test_cli_input_errors_exit_with_one_line(tmp_path, case):
     save_kg_tsv(tmp_path / "kg.tsv", [("piano", "relatedto", "music")])
     (tmp_path / "bad.jsonl").write_text('{"id": "a", "references": ["x"]}\n')
-    (tmp_path / "ckpt.json").write_text(
-        '{"version": 2, "params": {"w": {"shape": [1], "data": "AAA*"}}}')
+    # a 48-byte header line needing 16 payload bytes, followed by 8
+    (tmp_path / "ckpt.json").write_bytes(
+        b'{"version": 3, "params": {"w": {"shape": [2]}}}\n' + bytes(8))
+    (tmp_path / "bad.cfg").write_bytes(b"seed = 1\nstrategy = beam\xff\n")
     argv, named = {
         "synth-negative-inputs": (["synth", "--n-inputs", "-3"], "n_inputs"),
         "dataset-line-without-input": (["evaluate", "--set", "dataset_path=bad.jsonl"],
                                        "bad.jsonl: line 1 missing 'input'"),
-        "corrupt-v2-checkpoint": (["generate", "--set", "checkpoint_path=ckpt.json"],
-                                  "ckpt.json: parameter 'w': data is not valid base64"),
+        "corrupt-v3-checkpoint": (["generate", "--set", "checkpoint_path=ckpt.json"],
+                                  "ckpt.json: parameter 'w': the payload holds 8 of its 16 bytes"),
+        "undecodable-config": (["generate", "--config", "bad.cfg"],
+                               "bad.cfg: undecodable line 2"),
         "missing-kg": (["subgraph", "--kg", "missing.tsv", "--text", "a piano"],
                        "No such file or directory: 'missing.tsv'"),
         "missing-dataset": (["evaluate", "--set", "dataset_path=missing.jsonl"],

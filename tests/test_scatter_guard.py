@@ -6,6 +6,9 @@
 - no `.choice(` call at all: `Generator.choice` spends most of a sampling pick
   on per-call checks, and `decoding._draw` makes the same draw from one
   `rng.random()`.
+- `open(...)` with no mode, a text-mode read, only inside `kg.text_lines`:
+  that one reader drops a byte-order mark and names the file and line of an
+  undecodable byte, for every text loader.
 
 No linter is installed, so this walks each file's syntax tree with `ast`, as
 `test_imports.py` does.
@@ -20,20 +23,28 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
 
 
-def is_add_at(func: ast.expr) -> bool:
+def is_add_at(call: ast.Call) -> bool:
+    func = call.func
     return (isinstance(func, ast.Attribute) and func.attr == "at"
             and isinstance(func.value, ast.Attribute) and func.value.attr == "add"
             and isinstance(func.value.value, ast.Name) and func.value.value.id in ("np", "numpy"))
 
 
-def is_choice(func: ast.expr) -> bool:
-    return isinstance(func, ast.Attribute) and func.attr == "choice"
+def is_choice(call: ast.Call) -> bool:
+    return isinstance(call.func, ast.Attribute) and call.func.attr == "choice"
 
 
-# primitive -> (matcher of the called expression, its one (file, function) home or None)
+def is_text_read(call: ast.Call) -> bool:
+    """open(...) without a mode, positional or keyword."""
+    return (isinstance(call.func, ast.Name) and call.func.id == "open" and len(call.args) < 2
+            and all(k.arg != "mode" for k in call.keywords))
+
+
+# primitive -> (matcher of the call, its one (file, function) home or None)
 HOMES = {
     "np.add.at": (is_add_at, ("tensor.py", "_scatter_add")),
     ".choice(": (is_choice, None),
+    "open(": (is_text_read, ("kg.py", "text_lines")),
 }
 
 
@@ -45,7 +56,7 @@ def calls(source: str, primitive: str) -> list[tuple[int, str | None]]:
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call) and matches(node.func):
+        if isinstance(node, ast.Call) and matches(node):
             found.append((node.lineno, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -73,6 +84,11 @@ def test_no_choice_call(path):
     assert_only_at_home(path, ".choice(")
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_text_reads_only_in_text_lines(path):
+    assert_only_at_home(path, "open(")
+
+
 def test_checker_finds_calls_and_their_functions():
     source = (
         "import numpy as np\n"
@@ -87,6 +103,11 @@ def test_checker_finds_calls_and_their_functions():
         "    rng.choice(a, p=p)\n"
         "    choice(a)\n"
         "np.random.default_rng(0).choice(3)\n"
+        "def text_lines(path):\n"
+        "    open(path, encoding='utf-8-sig')\n"
+        "    open(path, 'rb')\n"
+        "    open(path, mode='w')\n"
     )
     assert calls(source, "np.add.at") == [(3, "_scatter_add"), (6, "inner"), (8, None)]
     assert calls(source, ".choice(") == [(10, "pick"), (12, None)]
+    assert calls(source, "open(") == [(14, "text_lines")]
