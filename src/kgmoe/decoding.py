@@ -46,13 +46,11 @@ def _memory(ctx: ExampleContext, model: Model,
     [J, s, d] for J."""
     inps = [generator_input(ctx, model, concepts, z) for z, concepts in selections]
     with T.no_grad():
-        memory = generator.encode_inputs(inps, model.params, model.vocab, model.cfg,
-                                         model.positions)
+        memory = generator.encode_inputs(inps, model.params, model.vocab, model.cfg)
     return memory if len(inps) > 1 else T.constant(memory.data[0])
 
 
-def _search(memory: T.Tensor, expands, model: Model, width: int,
-            length_normalize: bool = False) -> list[list[list[int]]]:
+def _search(memory: T.Tensor, expands, model: Model, width: int) -> list[list[list[int]]]:
     """For each search j, the token ids of its best `width` hypotheses, best
     first, over a memory [s, d] shared by every search or [J, s, d], one each.
 
@@ -60,8 +58,8 @@ def _search(memory: T.Tensor, expands, model: Model, width: int,
     distributions of every live hypothesis in one `memory_next_dist` call,
     and extends each hypothesis by the (token, log-probability) pairs of
     `expands[j](dist)`; a rule with one continuation may score it 0.
-    Candidates are ranked by score (summed log-probability, per token if
-    `length_normalize`), then by token ids; one that ends in EOS is finished.
+    Candidates are ranked by score per token (summed log-probability over the
+    length), then by token ids; one that ends in EOS is finished.
     A search stops once `width` of its hypotheses are finished or none is
     live; all stop at the maximum decode length.  At step i every live
     hypothesis holds i tokens, so no prefix needs padding.  The decoder cache
@@ -72,7 +70,7 @@ def _search(memory: T.Tensor, expands, model: Model, width: int,
     """
     def rank(hyp):
         ids, logp, _ = hyp
-        return -(logp / len(ids) if length_normalize else logp), ids
+        return -(logp / len(ids)), ids
 
     live = [[([], 0.0, 0)] for _ in expands]
     finished: list[list[tuple[list[int], float, int]]] = [[] for _ in expands]
@@ -81,7 +79,7 @@ def _search(memory: T.Tensor, expands, model: Model, width: int,
     for _ in range(min(MAX_DECODE_LEN, model.cfg.max_len - 1)):
         rows = enumerate(memory_next_dist(
             memory, [ids for j in active for ids, _, _ in live[j]],
-            model.params, model.cfg, model.positions, cache))
+            model.params, model.cfg, cache))
         for j in active:
             # zip reads live[j] first, so it takes exactly one row per hypothesis
             candidates = [(ids + [tok], logp + step, row)
@@ -120,8 +118,7 @@ def decode_moe(ctx: ExampleContext, model: Model) -> GenerationBundle:
     return GenerationBundle(ctx.example_id, "moe", sorted(entries, key=lambda e: e.expert))
 
 
-def decode_beam(ctx: ExampleContext, model: Model, beam: int,
-                length_normalize: bool = True) -> GenerationBundle:
+def decode_beam(ctx: ExampleContext, model: Model, beam: int) -> GenerationBundle:
     """Length-normalized beam search on expert 0; returns the top `beam` finished
     hypotheses (used as the no-MoE ablation decoder)."""
     if beam < 1:
@@ -133,8 +130,7 @@ def decode_beam(ctx: ExampleContext, model: Model, beam: int,
         return [(int(tok), float(logs[tok])) for tok in np.argsort(-logs, kind="stable")[:beam]]
 
     surfaces = [model.kg.concepts[c] for c in concepts]
-    [hyps] = _search(_memory(ctx, model, [(0, concepts)]), [top], model, beam,
-                     length_normalize)
+    [hyps] = _search(_memory(ctx, model, [(0, concepts)]), [top], model, beam)
     entries = [GenerationEntry(i, model.vocab.decode(ids), surfaces)
                for i, ids in enumerate(hyps)]
     return GenerationBundle(ctx.example_id, "beam", entries)

@@ -2,7 +2,9 @@
 
 The encoder memory is [expert prefix token?] + input tokens + concept tokens.
 Positional encodings are applied to the input sequence only, so the concept
-block is order-free and cross-attention over it is permutation invariant.
+block is order-free and cross-attention over it is permutation invariant.  They
+are fixed sinusoids (Vaswani et al. 2017), read from one cached read-only
+table per `(cfg.max_len, cfg.d_model)`; no caller passes them.
 Expert conditioning is either an added per-expert embedding ("embed" mode) or a
 reserved prefix token ("prompt" mode).  The shape, the expert count and the
 expert mode are read from the model's `TrainConfig`, passed as `cfg`.
@@ -119,13 +121,16 @@ class GeneratorInput:
     expert: int
 
 
+@functools.lru_cache(maxsize=None)
 def sinusoidal_positions(max_len: int, d: int) -> np.ndarray:
+    """Shared read-only sinusoidal encodings [max_len, d] (Vaswani et al. 2017)."""
     pos = np.arange(max_len)[:, None]
     i = np.arange(d)[None, :]
     angles = pos / np.power(10000.0, (2 * (i // 2)) / d)
     enc = np.zeros((max_len, d))
     enc[:, 0::2] = np.sin(angles[:, 0::2])
     enc[:, 1::2] = np.cos(angles[:, 1::2])
+    enc.flags.writeable = False
     return enc
 
 
@@ -222,7 +227,7 @@ def _concept_embeddings(inps: list[GeneratorInput], n_concepts: int, params) -> 
 
 
 def encode_inputs(inps: list[GeneratorInput], params: dict[str, T.Tensor], vocab: Vocab,
-                  cfg: TrainConfig, positions: np.ndarray) -> T.Tensor:
+                  cfg: TrainConfig) -> T.Tensor:
     """Encoder memory [K, s, d] of K requests, each over [prefix?] + x + concepts
     with positions only on x.  The requests share x_ids and the concept count;
     the input embedding is computed once and every concept surface goes
@@ -238,7 +243,7 @@ def encode_inputs(inps: list[GeneratorInput], params: dict[str, T.Tensor], vocab
             raise ValueError(f"invalid expert id {z} for {cfg.n_experts} experts")
 
     x_emb = T.add(T.embedding(params["gen.tok_embed"], x_ids),
-                  T.constant(positions[: len(x_ids)]))
+                  T.constant(sinusoidal_positions(cfg.max_len, cfg.d_model)[: len(x_ids)]))
     parts = [T.broadcast_to(x_emb, (len(inps),) + x_emb.shape)]
     if n_concepts:
         parts.append(_concept_embeddings(inps, n_concepts, params))
@@ -266,7 +271,7 @@ def _causal_mask(max_len: int) -> np.ndarray:
 
 
 def decoder_logits(memory: T.Tensor, dec_ids, params, cfg: TrainConfig,
-                   positions: np.ndarray, cache: DecoderCache | None = None) -> T.Tensor:
+                   cache: DecoderCache | None = None) -> T.Tensor:
     """Logits [..., t, vocab] for the next token at each position of dec_ids
     [t] or [H, t], over a memory [..., s, d].  A 1-D dec_ids keeps the stream
     [t, d] until the first cross-attention, so layer 0's self-attention runs
@@ -285,7 +290,7 @@ def decoder_logits(memory: T.Tensor, dec_ids, params, cfg: TrainConfig,
     if start + t > cfg.max_len:
         raise ValueError(f"decoder length {start + t} exceeds max_len {cfg.max_len}")
     stream = T.add(T.embedding(params["gen.tok_embed"], dec_ids),
-                   T.constant(positions[start:start + t]))
+                   T.constant(sinusoidal_positions(cfg.max_len, cfg.d_model)[start:start + t]))
     mask = _causal_mask(cfg.max_len)[start:start + t, :start + t]
     for layer in range(cfg.n_decoder_layers):
         p = f"gen.dec{layer}"
@@ -305,21 +310,20 @@ def decoder_logits(memory: T.Tensor, dec_ids, params, cfg: TrainConfig,
 
 
 def generation_loss(inps: list[GeneratorInput], y_ids: list[int], params, vocab: Vocab,
-                    cfg: TrainConfig, positions: np.ndarray) -> T.Tensor:
+                    cfg: TrainConfig) -> T.Tensor:
     """Teacher-forced mean token NLL of y (which must end with EOS) under each
     of K requests that share x_ids and the concept count: a [K] tensor from one
     encoder pass and one decoder pass."""
     if not y_ids or y_ids[-1] != EOS:
         raise ValueError("target sequence must end with EOS")
-    memory = encode_inputs(inps, params, vocab, cfg, positions)
+    memory = encode_inputs(inps, params, vocab, cfg)
     dec_in = [BOS] + list(y_ids[:-1])
-    logits = decoder_logits(memory, dec_in, params, cfg, positions)
+    logits = decoder_logits(memory, dec_in, params, cfg)
     return T.softmax_cross_entropy(logits, y_ids)
 
 
 def memory_next_dist(memory: T.Tensor, prefixes: list[list[int]], params,
-                     cfg: TrainConfig, positions: np.ndarray,
-                     cache: DecoderCache | None = None) -> np.ndarray:
+                     cfg: TrainConfig, cache: DecoderCache | None = None) -> np.ndarray:
     """Next-token distributions [H, vocab] of H prefixes of one length, from one
     decoder call over an encoder memory [s, d] shared by every prefix or
     [H, s, d], one per prefix.  Row h equals a one-prefix call bit for bit.
@@ -341,7 +345,7 @@ def memory_next_dist(memory: T.Tensor, prefixes: list[list[int]], params,
                          f"for prefixes of length {lengths[0]}")
     dec_ids = [[BOS, *p][cache.length:] for p in prefixes]
     with T.no_grad():
-        logits = decoder_logits(memory, dec_ids, params, cfg, positions, cache).data[:, -1]
+        logits = decoder_logits(memory, dec_ids, params, cfg, cache).data[:, -1]
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)

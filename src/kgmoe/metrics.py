@@ -66,10 +66,11 @@ def sentence_bleu(candidate: str, references: list[str], max_n: int = 4) -> floa
     return 100.0 * bp * math.exp(log_prec / max_n)
 
 
-def corpus_bleu(candidates: list[str], references: list[list[str]], max_n: int = 4) -> float:
-    """Standard (unsmoothed) corpus-level BLEU, 0-100."""
+def corpus_bleu(candidates: list[str], references: list[list[str]]) -> float:
+    """Standard (unsmoothed) corpus-level BLEU-4, 0-100."""
     if not references:
         raise ValueError("empty reference list")
+    max_n = 4
     matched = [0] * max_n
     total = [0] * max_n
     cand_len_sum, ref_len_sum = 0, 0

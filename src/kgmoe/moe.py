@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .generator import (EOS, UNK, GeneratorInput, Vocab, generation_loss,
-                        init_generator_params, sinusoidal_positions)
+                        init_generator_params)
 from .kg import KnowledgeGraph, Subgraph, extract_subgraph, ground_concepts
 from .rgcn import encode, init_rgcn_params
 from .selector import (build_labels, concept_loss, init_selector_params,
@@ -117,7 +117,6 @@ class Model:
     vocab: Vocab
     kg: KnowledgeGraph
     cfg: TrainConfig
-    positions: np.ndarray
 
 
 def build_model(kg: KnowledgeGraph, vocab: Vocab, cfg: TrainConfig, rng=None) -> Model:
@@ -129,7 +128,7 @@ def build_model(kg: KnowledgeGraph, vocab: Vocab, cfg: TrainConfig, rng=None) ->
                                    cfg.d_model, cfg.rgcn_layers))
     params.update(init_selector_params(rng, cfg.d_model, cfg.n_experts))
     params.update(init_generator_params(rng, len(vocab), cfg))
-    return Model(params, vocab, kg, cfg, sinusoidal_positions(cfg.max_len, cfg.d_model))
+    return Model(params, vocab, kg, cfg)
 
 
 @dataclass
@@ -214,8 +213,7 @@ def joint_losses(ctx: ExampleContext, ref_idx: int, experts, model: Model
         concept_losses.append(T.reshape(concept_loss(p, ctx.labels[ref_idx]), (1,)))
         chosen = top_n(ctx.subgraph.node_array, p.data, cfg.top_concepts)
         requests.append(generator_input(ctx, model, chosen, z))
-    l_gen = generation_loss(requests, ctx.y_ids[ref_idx], model.params, model.vocab, cfg,
-                            model.positions)
+    l_gen = generation_loss(requests, ctx.y_ids[ref_idx], model.params, model.vocab, cfg)
     l_concept = T.concat(concept_losses)
     return T.add(l_gen, T.scale(l_concept, cfg.concept_weight)), l_gen, l_concept
 

@@ -392,6 +392,9 @@ def run_evaluate(cfg: RunConfig) -> MetricReport:
             raise ValueError(f"{cfg.generations_path}: example {ex.id!r} has "
                              f"{len(entry['outputs'])} outputs, expected "
                              f"{len(hypothesis_sets[0])} like the first example")
+        if len(entry["outputs"]) < 2:       # self-BLEU compares pairs of outputs
+            raise ValueError(f"{cfg.generations_path}: example {ex.id!r} has 1 output; "
+                             "evaluate needs at least 2 per example")
         hypothesis_sets.append(entry["outputs"])
         references.append(ex.references)
         concept_sets.append([ground_concepts(out, kg) for out in entry["outputs"]])

@@ -298,7 +298,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, n_heads: int, mask=None
     return out.swapaxes(-3, -2).reshape(out.shape[:-3] + (tq, d)), backward
 
 
-def _norm(x: np.ndarray, gain: Tensor, bias: Tensor, eps: float = 1e-5):
+def _norm(x: np.ndarray, gain: Tensor, bias: Tensor):
     """Layer norm of x over its last axis, scaled and shifted: (output,
     backward), where backward(g) accumulates the gain and bias gradients and
     returns x's."""
@@ -306,7 +306,7 @@ def _norm(x: np.ndarray, gain: Tensor, bias: Tensor, eps: float = 1e-5):
     d = x.shape[-1]
     centred = x - np.add.reduce(x, axis=-1, keepdims=True) / d
     var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = centred * inv
 
     def backward(g):
@@ -319,9 +319,9 @@ def _norm(x: np.ndarray, gain: Tensor, bias: Tensor, eps: float = 1e-5):
     return xhat * gain.data + bias.data, backward
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    out, norm_backward = _norm(x.data, gain, bias, eps)
+    out, norm_backward = _norm(x.data, gain, bias)
 
     def backward(g):
         _accum(x, norm_backward(g))
@@ -528,18 +528,10 @@ class Adam:
     instead of the whole table.
     """
 
-    def __init__(self, params: dict, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        b1, b2 = betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ValueError(f"Adam betas must lie in [0, 1), got {betas}")
-        if not (math.isfinite(eps) and eps > 0):
-            raise ValueError(f"Adam eps must be finite and > 0, got {eps}")
+    def __init__(self, params: dict, lr: float = 1e-3, weight_decay: float = 0.0):
         _check_lr(lr)
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = b1, b2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
@@ -554,9 +546,10 @@ class Adam:
 
     def step(self, lr: float | None = None):
         lr = self.lr if lr is None else _check_lr(lr)
+        b1, b2, eps = 0.9, 0.999, 1e-8      # Kingma & Ba's constants
         self.t += 1
-        c1 = 1 - self.b1 ** self.t
-        c2 = 1 - self.b2 ** self.t
+        c1 = 1 - b1 ** self.t
+        c2 = 1 - b2 ** self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
@@ -576,11 +569,11 @@ class Adam:
                 if not live.all():
                     rows = np.flatnonzero(live)
                     g = g[rows]
-            m = self.b1 * self.m[k][rows] + (1 - self.b1) * g
-            v = self.b2 * self.v[k][rows] + (1 - self.b2) * g * g
+            m = b1 * self.m[k][rows] + (1 - b1) * g
+            v = b2 * self.v[k][rows] + (1 - b2) * g * g
             self.m[k][rows] = m
             self.v[k][rows] = v
-            p.data[rows] -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data[rows] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def _check_lr(lr: float) -> float:
@@ -718,8 +711,8 @@ def load_checkpoint(path):
 # ---------------------------------------------------------------------------
 # init helpers
 
-def uniform_init(rng: np.random.Generator, shape, scale: float = 0.05) -> Tensor:
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+def uniform_init(rng: np.random.Generator, shape) -> Tensor:
+    return Tensor(rng.uniform(-0.05, 0.05, size=shape), requires_grad=True)
 
 
 def glorot_init(rng: np.random.Generator, shape) -> Tensor:

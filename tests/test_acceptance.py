@@ -1,7 +1,7 @@
-"""Acceptance suite: eleven end-to-end criteria, one pass/fail line each.
+"""Acceptance suite: twelve end-to-end criteria, one pass/fail line each.
 
-Criteria 5 and 9 share one trained expert-mixture model and one identically
-trained single-expert model on the synthetic one-to-many task.
+Criteria 5, 8, 9 and 12 share one trained expert-mixture model and one
+identically trained single-expert model on the synthetic one-to-many task.
 """
 
 import math
@@ -11,7 +11,7 @@ import pytest
 
 from kgmoe import metrics as M
 from kgmoe import tensor as T
-from kgmoe.decoding import decode_beam, decode_moe
+from kgmoe.decoding import decode_beam, decode_moe, decode_nucleus, decode_truncated
 from kgmoe.generator import GeneratorInput, Vocab, generation_loss
 from kgmoe.kg import KnowledgeGraph, extract_subgraph, ground_concepts
 from kgmoe.moe import (TrainConfig, build_model, e_step, epoch_unit_order,
@@ -33,7 +33,7 @@ def report(number: int, name: str, ok: bool):
 
 
 # ---------------------------------------------------------------------------
-# shared synthetic-task training runs (criteria 5, 8, 9)
+# shared synthetic-task training runs (criteria 5, 8, 9, 12)
 
 SPECIALIZE_BASE = dict(d_model=48, n_heads=4, n_encoder_layers=1,
                        n_decoder_layers=1, d_ff=96, max_len=32, rgcn_layers=1,
@@ -198,14 +198,13 @@ def test_criterion_6_concept_permutation_invariance():
     concepts = generator_input(ctx, model, ctx.node_ids[:4], 0).concept_token_ids
     y = ctx.y_ids[0]
     base = generation_loss([GeneratorInput(ctx.x_ids, concepts, 0)], y, model.params,
-                           model.vocab, cfg, model.positions).item()
+                           model.vocab, cfg).item()
     rng = np.random.default_rng(61)
     worst = 0.0
     for _ in range(50):
         perm = rng.permutation(len(concepts)).tolist()
         got = generation_loss([GeneratorInput(ctx.x_ids, [concepts[i] for i in perm], 0)],
-                              y, model.params, model.vocab, cfg,
-                              model.positions).item()
+                              y, model.params, model.vocab, cfg).item()
         worst = max(worst, abs(got - base))
     report(6, "concept permutation invariance", worst < 1e-9)
 
@@ -358,3 +357,38 @@ def test_criterion_11_pipeline_determinism(tmp_path):
         run_evaluate(cfg)
         reports.append((d / "metrics.json").read_bytes())
     report(11, "pipeline determinism", reports[0] == reports[1])
+
+
+# ---------------------------------------------------------------------------
+# 12. the paper's claim: the mixture beats sampling on quality and diversity
+
+def test_criterion_12_moe_beats_sampling(specialization_runs):
+    """In both expert modes the K = 3 mixture beats top-k and nucleus sampling
+    of the K = 1 model (3 samples each, `generate`'s default k, p and seed) on
+    best-of-K BLEU-4 and ROUGE-L, self-BLEU-4 and Uni.C (distinct KG concepts
+    grounded in an input's outputs).  Sampling wins distinct-2 and entropy-4
+    on this task, so those are not asserted.  The margins hold for sampling
+    seeds 0-2, whose closest gaps were 17.1, 9.4, 11.4 and 0.17."""
+    examples, kg, prompt_model, _, k1_model, _ = specialization_runs
+    embed_model, _ = train(examples, kg, TrainConfig(n_experts=3, **dict(
+        SPECIALIZE_BASE, expert_mode="embed")))
+    k, p, seed = RunConfig.sample_k, RunConfig.sample_p, k1_model.cfg.seed
+
+    def scores(model, decode):
+        sets = []
+        for ex in examples:
+            ctx = prepare_example(ex, kg, model.vocab, model.cfg)
+            sets.append([e.output for e in decode(ctx, model).entries])
+        rep = M.evaluate_hypothesis_sets(sets, [ex.references for ex in examples],
+                                         [[ground_concepts(h, kg) for h in hs] for hs in sets])
+        return rep.bleu4, rep.rouge_l, rep.self_bleu4, rep.unique_concepts
+
+    samplers = [scores(k1_model, lambda c, m: decode_truncated(c, m, k, seed, n_samples=3)),
+                scores(k1_model, lambda c, m: decode_nucleus(c, m, p, seed, n_samples=3))]
+    ok = True
+    for model in (prompt_model, embed_model):
+        b4, rl, sb4, unic = scores(model, decode_moe)
+        for s_b4, s_rl, s_sb4, s_unic in samplers:
+            ok &= (b4 - s_b4 >= 10.0 and rl - s_rl >= 5.0 and s_sb4 - sb4 >= 10.0
+                   and unic > s_unic)
+    report(12, "mixture beats sampling", ok)

@@ -40,7 +40,7 @@ class FixedLM:
         self.step_dists = step_dists          # list of {token_id: prob}
         self.forced_eos_at = forced_eos_at
 
-    def __call__(self, memory, prefixes, params, cfg, positions, cache=None):
+    def __call__(self, memory, prefixes, params, cfg, cache=None):
         return np.stack([self.row(prefix) for prefix in prefixes])
 
     def row(self, prefix_ids):
@@ -77,9 +77,9 @@ def patched_lm(monkeypatch, model, step_dists, forced_eos_at):
     return lm
 
 
-def beam_oracle(lm, beam, length_normalize):
-    key = (lambda s: s[1] / len(s[0])) if length_normalize else (lambda s: s[1])
-    ranked = sorted(lm.enumerate_finished(), key=lambda s: (-key(s), s[0]))
+def beam_oracle(lm, beam):
+    """The `beam` finished sequences of highest log-probability per token."""
+    ranked = sorted(lm.enumerate_finished(), key=lambda s: (-(s[1] / len(s[0])), s[0]))
     return [seq for seq, _ in ranked[:beam]]
 
 
@@ -125,25 +125,12 @@ def test_beam_matches_exhaustive_oracle_length_normalized(monkeypatch):
     a, b = hand_tokens(model)
     step = {EOS: 0.3, a: 0.5, b: 0.2}
     lm = patched_lm(monkeypatch, model, [step, step], forced_eos_at=2)
-    bundle = D.decode_beam(ctx, model, beam=4, length_normalize=True)
-    expected = beam_oracle(lm, 4, length_normalize=True)
+    bundle = D.decode_beam(ctx, model, beam=4)
+    expected = beam_oracle(lm, 4)
     got = [e.output for e in bundle.entries]
     assert got == [model.vocab.decode(seq) for seq in expected]
     # with these probabilities normalization prefers the longest sequence
     assert got[0] == model.vocab.decode([a, a, EOS])
-
-
-def test_beam_matches_exhaustive_oracle_unnormalized(monkeypatch):
-    model, ctx = tiny_setup()
-    a, b = hand_tokens(model)
-    step = {EOS: 0.3, a: 0.5, b: 0.2}
-    lm = patched_lm(monkeypatch, model, [step, step], forced_eos_at=2)
-    bundle = D.decode_beam(ctx, model, beam=4, length_normalize=False)
-    expected = beam_oracle(lm, 4, length_normalize=False)
-    got = [e.output for e in bundle.entries]
-    assert got == [model.vocab.decode(seq) for seq in expected]
-    # raw log-probability prefers stopping immediately
-    assert got[0] == ""
 
 
 def test_greedy_on_hand_lm_takes_argmax_path(monkeypatch):
@@ -171,7 +158,7 @@ class MemoryLM:
         self.tokens = tokens
         self.calls = 0
 
-    def __call__(self, memory, prefixes, params, cfg, positions, cache=None):
+    def __call__(self, memory, prefixes, params, cfg, cache=None):
         assert len({len(p) for p in prefixes}) == 1
         if cache is None or cache.rows is None:
             keys = memory.data[..., 0, 0]
@@ -242,11 +229,11 @@ def greedy_per_expert(ctx, model):
     outputs = []
     for z, concepts in enumerate(D.select_concepts(ctx, model, model.cfg.n_experts)):
         memory = D.T.constant(D.generator.encode_inputs(
-            [D.generator_input(ctx, model, concepts, z)], model.params, model.vocab, model.cfg,
-            model.positions).data[0])
+            [D.generator_input(ctx, model, concepts, z)], model.params, model.vocab,
+            model.cfg).data[0])
         ids = []
         while len(ids) < max_decode_len(model) and EOS not in ids:
-            [dist] = D.memory_next_dist(memory, [ids], model.params, model.cfg, model.positions)
+            [dist] = D.memory_next_dist(memory, [ids], model.params, model.cfg)
             ids.append(int(np.argmax(dist)))
         outputs.append((model.vocab.decode(ids), len(concepts)))
     return outputs
@@ -304,7 +291,6 @@ def test_moe_makes_one_rgcn_encode_per_bundle(monkeypatch, disjoint):
 CACHED_DECODERS = {
     "moe": lambda ctx, model: D.decode_moe(ctx, model),
     "beam": lambda ctx, model: D.decode_beam(ctx, model, beam=3),
-    "beam-raw": lambda ctx, model: D.decode_beam(ctx, model, beam=3, length_normalize=False),
     "topk": lambda ctx, model: D.decode_truncated(ctx, model, k=3, seed=2, n_samples=3),
     "nucleus": lambda ctx, model: D.decode_nucleus(ctx, model, p=0.9, seed=2, n_samples=3),
 }
@@ -318,12 +304,12 @@ def uncached(monkeypatch):
     keys and values."""
     full = D.memory_next_dist
 
-    def step(memory, prefixes, params, cfg, positions, cache):
+    def step(memory, prefixes, params, cfg, cache):
         if memory.data.ndim == 3:
             if cache.rows is not None:
                 memory = D.T.constant(cache.kv["memory"][0])
             cache.kv["memory"], cache.rows = (memory.data,), len(prefixes)
-        return full(memory, prefixes, params, cfg, positions)
+        return full(memory, prefixes, params, cfg)
     monkeypatch.setattr(D, "memory_next_dist", step)
 
 

@@ -677,10 +677,15 @@ def test_cli_rejects_unknown_key():
 
 @pytest.mark.parametrize("case", ["synth-negative-inputs", "dataset-line-without-input",
                                   "corrupt-v3-checkpoint", "undecodable-config", "missing-kg",
-                                  "missing-dataset"])
+                                  "missing-dataset", "evaluate-one-output"])
 def test_cli_input_errors_exit_with_one_line(tmp_path, case):
     save_kg_tsv(tmp_path / "kg.tsv", [("piano", "relatedto", "music")])
     (tmp_path / "bad.jsonl").write_text('{"id": "a", "references": ["x"]}\n')
+    # as `generate --set strategy=beam --set n_outputs=1` writes: one output per example
+    (tmp_path / "one.jsonl").write_text(
+        '{"id": "ex0000", "input": "a piano", "references": ["piano music"]}\n')
+    (tmp_path / "beam1.jsonl").write_text('{"id": "ex0000", "strategy": "beam", "expert": 0, '
+                                          '"output": "piano music", "concepts": ["piano"]}\n')
     # a 48-byte header line needing 16 payload bytes, followed by 8
     (tmp_path / "ckpt.json").write_bytes(
         b'{"version": 3, "params": {"w": {"shape": [2]}}}\n' + bytes(8))
@@ -697,6 +702,10 @@ def test_cli_input_errors_exit_with_one_line(tmp_path, case):
                        "No such file or directory: 'missing.tsv'"),
         "missing-dataset": (["evaluate", "--set", "dataset_path=missing.jsonl"],
                             "No such file or directory: 'missing.jsonl'"),
+        "evaluate-one-output": (["evaluate", "--set", "dataset_path=one.jsonl",
+                                 "--set", "generations_path=beam1.jsonl"],
+                                "beam1.jsonl: example 'ex0000' has 1 output; "
+                                "evaluate needs at least 2 per example"),
     }[case]
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-m", "kgmoe.cli", *argv], cwd=tmp_path,
