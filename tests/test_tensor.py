@@ -691,7 +691,8 @@ def test_adam_touched_rows_match_dense_oracle_through_embedding(weight_decay):
             assert _same_bits(buf[8], np.zeros(3))
 
 
-@pytest.mark.parametrize("kwargs", [dict(lr=-1e-3), dict(lr=float("inf"))])
+@pytest.mark.parametrize("kwargs", [dict(lr=float("nan")), dict(lr=-float("inf")), dict(lr=-1e-3),
+                                    dict(lr=float("inf"))])
 def test_adam_rejects_settings_that_break_row_skipping(kwargs):
     p = T.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError, match="Adam"):
