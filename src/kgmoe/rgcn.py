@@ -16,7 +16,7 @@ from .kg import KnowledgeGraph, Subgraph
 def init_rgcn_params(rng: np.random.Generator, n_concepts: int, n_relations: int,
                      d: int, layers: int) -> dict[str, T.Tensor]:
     params = {
-        "rgcn.node_embed": T.uniform_init(rng, (max(n_concepts, 1), d)),
+        "rgcn.node_embed": T.uniform_table(rng, (max(n_concepts, 1), d)),
         "rgcn.rel_embed": T.uniform_init(rng, (max(2 * n_relations, 1), d)),
     }
     for layer in range(layers):

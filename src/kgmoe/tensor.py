@@ -51,7 +51,11 @@ class Tensor:
         return self.data.shape
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+    def drawn(self, idx) -> np.ndarray:
+        """The data, whose rows idx at least hold their values (see `DrawnTable`)."""
+        return self.data
 
     def item(self) -> float:
         """The value of a one-element tensor of any shape."""
@@ -121,8 +125,8 @@ def _rows(table: Tensor, ids) -> np.ndarray:
     """ids as an int64 index array into table's rows, range-checked."""
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (np.minimum.reduce(idx, axis=None) < 0
-                     or np.maximum.reduce(idx, axis=None) >= table.data.shape[0]):
-        raise IndexError(f"embedding index out of range for table of {table.data.shape[0]} rows")
+                     or np.maximum.reduce(idx, axis=None) >= table.shape[0]):
+        raise IndexError(f"embedding index out of range for table of {table.shape[0]} rows")
     return idx
 
 
@@ -133,7 +137,7 @@ def _scatter_rows(table: Tensor, idx: np.ndarray, g: np.ndarray):
     if not table.requires_grad:
         return
     if table.grad is None:
-        table.grad = np.zeros(table.data.shape)
+        table.grad = np.zeros(table.shape)
         table._touched = (table.grad, [])
     if table._touched is not None:
         table._touched[1].append(idx)
@@ -235,7 +239,7 @@ def embedding(table: Tensor, ids) -> Tensor:
 
     def backward(g):
         _scatter_rows(table, idx, g)
-    return _make(table.data[idx], (table,), backward)
+    return _make(table.drawn(idx)[idx], (table,), backward)
 
 
 def segment_mean(x: Tensor, seg_ids, num_segments: int) -> Tensor:
@@ -534,10 +538,10 @@ class Adam:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
-        self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
-        self.live = {k: np.zeros(p.data.shape[0], dtype=bool)
-                     for k, p in params.items() if p.data.ndim >= 2}
+        self.m = {k: np.zeros(p.shape) for k, p in params.items()}
+        self.v = {k: np.zeros(p.shape) for k, p in params.items()}
+        self.live = {k: np.zeros(p.shape[0], dtype=bool)
+                     for k, p in params.items() if len(p.shape) >= 2}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -573,7 +577,8 @@ class Adam:
             v = b2 * self.v[k][rows] + (1 - b2) * g * g
             self.m[k][rows] = m
             self.v[k][rows] = v
-            p.data[rows] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            data = p.data if rows is ... else p.drawn(rows)
+            data[rows] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def _check_lr(lr: float) -> float:
@@ -713,6 +718,88 @@ def load_checkpoint(path):
 
 def uniform_init(rng: np.random.Generator, shape) -> Tensor:
     return Tensor(rng.uniform(-0.05, 0.05, size=shape), requires_grad=True)
+
+
+class DrawnTable(Tensor):
+    """``uniform_init(rng, shape)`` whose rows are drawn on first read, ``BLOCK``
+    rows at a time, into a buffer from ``np.zeros`` (pages never drawn are never
+    written).
+
+    numpy's ``Generator.uniform`` takes one 64-bit PCG64 output per float64 (a
+    rule numpy does not document; ``tests/test_drawn_table.py`` pins it), so row
+    r is what the generator at the table's start draws once advanced by r times
+    the row width, and the live generator, advanced past the table, goes on
+    with the draws that follow the eager one.  ``drawn(idx)`` draws the blocks
+    that ids idx fall in, or the whole table at once when they are most of it;
+    ``shape`` draws nothing; any other read of ``data`` draws the whole table,
+    and assigning ``data`` ends the laziness.
+    """
+
+    __slots__ = ("_buf", "_start", "_undrawn")
+    BLOCK = 4096
+
+    def __init__(self, rng: np.random.Generator, shape):
+        super().__init__(np.zeros(shape), requires_grad=True)
+        bits = rng.bit_generator
+        self._start = before = bits.state
+        # advance drops a buffered 32-bit half-draw, which a uniform draw keeps
+        bits.advance(math.prod(shape))
+        bits.state = {**bits.state, "has_uint32": before["has_uint32"],
+                      "uinteger": before["uinteger"]}
+        self._undrawn = np.ones(-(-shape[0] // self.BLOCK), dtype=bool)
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._undrawn is not None:
+            self.drawn(np.flatnonzero(self._undrawn) * self.BLOCK)
+        return self._buf
+
+    @data.setter
+    def data(self, value):
+        self._buf = value
+        self._undrawn = None
+
+    @property
+    def shape(self):
+        return self._buf.shape
+
+    def drawn(self, idx) -> np.ndarray:
+        if self._undrawn is None:
+            return self._buf
+        hit = np.zeros_like(self._undrawn)
+        hit[np.asarray(idx) // self.BLOCK] = True
+        todo = np.flatnonzero(hit & self._undrawn)
+        n, B = len(self._buf), self.BLOCK
+        if 2 * len(todo) > len(self._undrawn):
+            # most of the table: one draw into a new buffer costs what the eager
+            # draw does, where block by block would also copy every row
+            fresh = self._eager(0, n)
+            for b in np.flatnonzero(~self._undrawn).tolist():
+                fresh[b * B:(b + 1) * B] = self._buf[b * B:(b + 1) * B]
+            self.data = fresh
+        else:
+            for b in todo.tolist():
+                self._buf[b * B:(b + 1) * B] = self._eager(b * B, min((b + 1) * B, n))
+                self._undrawn[b] = False
+            if not self._undrawn.any():
+                self._undrawn = None
+        return self._buf
+
+    def _eager(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of the eager draw."""
+        width = self._buf.shape[1:]
+        bits = np.random.PCG64()
+        bits.state = self._start
+        bits.advance(lo * math.prod(width))
+        return np.random.Generator(bits).uniform(-0.05, 0.05, (hi - lo, *width))
+
+
+def uniform_table(rng: np.random.Generator, shape) -> Tensor:
+    """``uniform_init(rng, shape)``, as a `DrawnTable` when rng is a numpy
+    Generator on PCG64, the one bit generator whose jump-ahead it relies on."""
+    if type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
+        return DrawnTable(rng, shape)
+    return uniform_init(rng, shape)
 
 
 def glorot_init(rng: np.random.Generator, shape) -> Tensor:

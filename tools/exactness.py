@@ -1,0 +1,130 @@
+"""Exactness evidence in one command: sha256 digests of what training and
+decoding produce on fixed synthetic tasks.
+
+    python3 tools/exactness.py                  # print one JSON object of digests
+    python3 tools/exactness.py --compare TREE   # ...and list the keys where TREE differs
+    python3 tools/exactness.py --tiny           # a seconds-long configuration
+
+Each task is ``make_synthetic_task(3, 30, 3, kg_size)`` trained by ``moe.train``
+at acceptance criterion 5's model shape (model seed 0), once in prompt mode and
+once in embed mode with the disjoint rule at ``top_concepts`` 9:
+
+- ``diverse-decode``: the 30-input task, 15 epochs, all 30 inputs decoded;
+- ``large-kg``: the same task grown to a 200,000-triple KG, its first 4 inputs
+  trained for 3 epochs, the first 16 inputs decoded.
+
+For each task and mode the digests are ``params`` (names, shapes and float64
+bytes), ``log`` (the training log) and one key per decoder (``moe``, ``beam``
+at width 3, ``truncated`` at k 5 and ``nucleus`` at p 0.9, each sampler
+drawing 3 outputs at seed 3): 24 keys, named ``task/mode/what``.
+
+The digests are computed in a child process whose BLAS pools are fixed at one
+thread, since a matrix product may round differently on more threads.
+``--compare TREE`` runs the same child on the sources under ``TREE/src`` (a
+checkout of another commit, say), prints ``{"keys": n, "differ": [...]}`` and
+exits with status 1 if any key differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Acceptance criterion 5's model shape; embed mode swaps in EMBED.
+SHAPE = dict(n_experts=3, d_model=48, n_heads=4, n_encoder_layers=1, n_decoder_layers=1,
+             d_ff=96, max_len=32, rgcn_layers=1, top_concepts=5, learning_rate=3e-3,
+             batch_size=8, expert_mode="prompt", seed=0)
+EMBED = dict(expert_mode="embed", disjoint_rule=True, top_concepts=9)
+TASK_SEED = 3
+DECODE_SEED = 3
+
+# task -> (KG size, training inputs, epochs, decoded inputs); None: the smallest KG
+TASKS = {"diverse-decode": (None, 30, 15, 30), "large-kg": (200_000, 4, 3, 16)}
+TINY = {"diverse-decode": (None, 3, 1, 2), "large-kg": (10_000, 2, 1, 2)}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digests(tiny: bool) -> dict[str, str]:
+    """Every key's digest, computed with the kgmoe on sys.path."""
+    import numpy as np
+
+    from kgmoe import decoding
+    from kgmoe.generator import Vocab
+    from kgmoe.moe import TrainConfig, prepare_example, train
+    from kgmoe.pipeline import make_synthetic_task, synthetic_kg
+
+    decoders = {
+        "moe": decoding.decode_moe,
+        "beam": lambda c, m: decoding.decode_beam(c, m, 3),
+        "truncated": lambda c, m: decoding.decode_truncated(c, m, 5, DECODE_SEED, 3),
+        "nucleus": lambda c, m: decoding.decode_nucleus(c, m, 0.9, DECODE_SEED, 3),
+    }
+    out = {}
+    for task, (kg_size, n_train, epochs, n_decode) in (TINY if tiny else TASKS).items():
+        examples, triples = make_synthetic_task(TASK_SEED, 30, 3, kg_size)
+        kg = synthetic_kg(triples)
+        vocab = Vocab.build([t for ex in examples for t in (ex.input, *ex.references)], 3)
+        for mode, extra in (("prompt", {}), ("embed", EMBED)):
+            cfg = TrainConfig(**{**SHAPE, **extra, "epochs": epochs})
+            model, log = train(examples[:n_train], kg, cfg, vocab)
+            params = hashlib.sha256()
+            for name, p in sorted(model.params.items()):
+                params.update(f"{name}{list(p.shape)}".encode())
+                params.update(np.ascontiguousarray(p.data, "<f8").tobytes())
+            key = f"{task}/{mode}"
+            out[f"{key}/params"] = params.hexdigest()
+            out[f"{key}/log"] = _sha(json.dumps(log, sort_keys=True).encode())
+            contexts = [prepare_example(ex, kg, vocab, cfg) for ex in examples[:n_decode]]
+            for name, decode in decoders.items():
+                bundles = [decode(c, model) for c in contexts]
+                record = [[b.example_id, [dataclasses.asdict(e) for e in b.entries]]
+                          for b in bundles]
+                out[f"{key}/{name}"] = _sha(json.dumps(record, sort_keys=True).encode())
+    return out
+
+
+def digests(tree: Path, tiny: bool) -> dict[str, str]:
+    """The digests of the sources under tree/src, from a one-thread child process."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    args = [sys.executable, str(Path(__file__).resolve()), "--child"] + ["--tiny"] * tiny
+    done = subprocess.run(args, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"exactness run on {tree} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--compare", metavar="TREE", type=Path,
+                        help="also run on TREE/src and list the keys that differ")
+    parser.add_argument("--tiny", action="store_true", help="a seconds-long configuration")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        print(json.dumps(_digests(args.tiny), sort_keys=True))
+        return 0
+    ours = digests(ROOT, args.tiny)
+    print(json.dumps(ours, sort_keys=True))
+    if args.compare is None:
+        return 0
+    theirs = digests(args.compare.resolve(), args.tiny)
+    differ = sorted(k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k))
+    print(json.dumps({"keys": len(ours.keys() | theirs.keys()), "differ": differ}))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
