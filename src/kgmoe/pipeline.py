@@ -355,13 +355,16 @@ def run_generate(cfg: RunConfig) -> list[GenerationBundle]:
     return bundles
 
 
-def load_generations(path) -> dict[str, dict]:
+def load_generations(path, ids) -> dict[str, dict]:
     """Group a generations JSONL by example id, preserving file order.  The file
-    holds one strategy: a line with another than the first line's is refused."""
+    holds one strategy: a line with another than the first line's is refused,
+    and so is a line whose id is not in ids (the dataset's)."""
     grouped: dict[str, dict] = {}
     fields = {"id": "id", "strategy": str, "output": str, "concepts": list}
     first = None                    # (line, strategy) of the first line
     for lineno, obj in _jsonl_objects(path, fields):
+        if obj["id"] not in ids:
+            raise ValueError(f"{path}: line {lineno}: id {obj['id']!r} is not in the dataset")
         if first is None:
             first = lineno, obj["strategy"]
         elif obj["strategy"] != first[1]:
@@ -379,7 +382,7 @@ def run_evaluate(cfg: RunConfig) -> MetricReport:
     """Score a generations file against the dataset; no model weights needed."""
     dataset = load_dataset(cfg.dataset_path)
     kg = load_kg(cfg.kg_path)
-    grouped = load_generations(cfg.generations_path)
+    grouped = load_generations(cfg.generations_path, {ex.id for ex in dataset})
 
     hypothesis_sets, references, concept_sets = [], [], []
     strategy = None

@@ -721,77 +721,55 @@ def uniform_init(rng: np.random.Generator, shape) -> Tensor:
 
 
 class DrawnTable(Tensor):
-    """``uniform_init(rng, shape)`` whose rows are drawn on first read, ``BLOCK``
-    rows at a time, into a buffer from ``np.zeros`` (pages never drawn are never
-    written).
+    """``uniform_init(rng, shape)`` whose rows are drawn on first read, as a
+    prefix, into a buffer from ``np.zeros`` (pages never drawn are never written).
 
     numpy's ``Generator.uniform`` takes one 64-bit PCG64 output per float64 (a
-    rule numpy does not document; ``tests/test_drawn_table.py`` pins it), so row
-    r is what the generator at the table's start draws once advanced by r times
-    the row width, and the live generator, advanced past the table, goes on
-    with the draws that follow the eager one.  ``drawn(idx)`` draws the blocks
-    that ids idx fall in, or the whole table at once when they are most of it;
-    ``shape`` draws nothing; any other read of ``data`` draws the whole table,
-    and assigning ``data`` ends the laziness.
+    rule numpy does not document; ``tests/test_drawn_table.py`` pins it), so a
+    copy of the generator at the table's start draws the eager rows in
+    consecutive runs, and the live generator, advanced past the table, goes on
+    with the draws that follow the eager one.  ``drawn(idx)`` draws the rows
+    from the count drawn so far up to the highest id; ``shape`` draws nothing;
+    any other read of ``data`` draws the whole table, and assigning ``data``
+    ends the laziness.
     """
 
-    __slots__ = ("_buf", "_start", "_undrawn")
-    BLOCK = 4096
+    __slots__ = ("_buf", "_copy", "_rows")
 
     def __init__(self, rng: np.random.Generator, shape):
         super().__init__(np.zeros(shape), requires_grad=True)
         bits = rng.bit_generator
-        self._start = before = bits.state
+        self._copy = np.random.Generator(np.random.PCG64())
+        self._copy.bit_generator.state = before = bits.state
+        self._rows = 0
         # advance drops a buffered 32-bit half-draw, which a uniform draw keeps
         bits.advance(math.prod(shape))
         bits.state = {**bits.state, "has_uint32": before["has_uint32"],
                       "uinteger": before["uinteger"]}
-        self._undrawn = np.ones(-(-shape[0] // self.BLOCK), dtype=bool)
 
     @property
     def data(self) -> np.ndarray:
-        if self._undrawn is not None:
-            self.drawn(np.flatnonzero(self._undrawn) * self.BLOCK)
-        return self._buf
+        return self.drawn([len(self._buf) - 1])
 
     @data.setter
     def data(self, value):
-        self._buf = value
-        self._undrawn = None
+        self._buf, self._rows = value, len(value)
 
     @property
     def shape(self):
         return self._buf.shape
 
     def drawn(self, idx) -> np.ndarray:
-        if self._undrawn is None:
-            return self._buf
-        hit = np.zeros_like(self._undrawn)
-        hit[np.asarray(idx) // self.BLOCK] = True
-        todo = np.flatnonzero(hit & self._undrawn)
-        n, B = len(self._buf), self.BLOCK
-        if 2 * len(todo) > len(self._undrawn):
-            # most of the table: one draw into a new buffer costs what the eager
-            # draw does, where block by block would also copy every row
-            fresh = self._eager(0, n)
-            for b in np.flatnonzero(~self._undrawn).tolist():
-                fresh[b * B:(b + 1) * B] = self._buf[b * B:(b + 1) * B]
-            self.data = fresh
-        else:
-            for b in todo.tolist():
-                self._buf[b * B:(b + 1) * B] = self._eager(b * B, min((b + 1) * B, n))
-                self._undrawn[b] = False
-            if not self._undrawn.any():
-                self._undrawn = None
+        n, lo = len(self._buf), self._rows
+        hi = int(np.max(idx, initial=-1)) + 1
+        if lo == 0 and 2 * hi > n:
+            # most of an undrawn table: one draw is the buffer, where drawing
+            # into the zeros would also copy every row
+            self.data = self._copy.uniform(-0.05, 0.05, self._buf.shape)
+        elif hi > lo:
+            self._buf[lo:hi] = self._copy.uniform(-0.05, 0.05, (hi - lo, *self._buf.shape[1:]))
+            self._rows = hi
         return self._buf
-
-    def _eager(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of the eager draw."""
-        width = self._buf.shape[1:]
-        bits = np.random.PCG64()
-        bits.state = self._start
-        bits.advance(lo * math.prod(width))
-        return np.random.Generator(bits).uniform(-0.05, 0.05, (hi - lo, *width))
 
 
 def uniform_table(rng: np.random.Generator, shape) -> Tensor:

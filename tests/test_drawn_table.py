@@ -1,7 +1,7 @@
-"""The concept table drawn on demand (`tensor.DrawnTable`): every block, the
-draws after it, and every reader outside the row paths see the values of the
-eager ``rng.uniform`` draw, bit for bit, and training and decoding draw only
-the blocks they read."""
+"""The concept table drawn on demand (`tensor.DrawnTable`): every drawn prefix,
+the draws after the table, and every reader outside the row paths see the
+values of the eager ``rng.uniform`` draw, bit for bit, and training and
+decoding draw only the prefix they read."""
 
 import numpy as np
 import pytest
@@ -12,18 +12,18 @@ from kgmoe.generator import Vocab
 from kgmoe.moe import TrainConfig, build_model, prepare_example, train
 from kgmoe.pipeline import make_synthetic_task, synthetic_kg
 
-BLOCK = T.DrawnTable.BLOCK
+ROWS = 2 * 4096 + 17
 
 
 def _bits(a) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
-def test_every_block_and_the_draws_after_it_match_the_eager_draw():
-    """numpy's Generator.uniform takes one 64-bit PCG64 output per float64, so a
-    copy advanced by r * width draws row r.  numpy does not document this; if
-    a numpy release changes it, this test is the one that says so."""
-    shape = (2 * BLOCK + 17, 3)
+def test_a_rising_series_of_reads_and_the_draws_after_it_match_the_eager_draw():
+    """numpy's Generator.uniform takes one 64-bit PCG64 output per float64, so
+    rows drawn in consecutive runs are the eager rows.  numpy does not document
+    this; if a numpy release changes it, this test is the one that says so."""
+    shape = (ROWS, 3)
     lazy_rng, eager_rng = np.random.default_rng(41), np.random.default_rng(41)
     # a float32 draw leaves half of a 64-bit output buffered; the table keeps it
     assert _bits(lazy_rng.random(dtype=np.float32)) == _bits(eager_rng.random(dtype=np.float32))
@@ -31,18 +31,16 @@ def test_every_block_and_the_draws_after_it_match_the_eager_draw():
     eager = eager_rng.uniform(-0.05, 0.05, size=shape)
     assert type(table) is T.DrawnTable and table.shape == shape
 
-    drawn = set()
-    for block in np.random.default_rng(42).permutation(3).tolist():
-        rows = np.arange(block * BLOCK, min((block + 1) * BLOCK, shape[0]))
-        buf = table.drawn(rows[-1:])         # one id draws its whole block
-        drawn.add(block)
-        for b in range(3):
-            lo, hi = b * BLOCK, min((b + 1) * BLOCK, shape[0])
-            want = eager[lo:hi] if b in drawn else np.zeros((hi - lo, 3))
-            assert _bits(buf[lo:hi]) == _bits(want), (
-                f"block {b} after drawing {sorted(drawn)}: numpy's uniform no longer "
-                "takes one PCG64 output per float64")
-    assert table._undrawn is None
+    # (ids read, rows drawn after the read); [3] is below the drawn prefix
+    reads = [([5], 6), ([3], 6), ([4096, 17], 4097), ([4097, 4200, 300], 4201),
+             ([ROWS - 1, 0], ROWS)]
+    for ids, rows in reads:
+        buf = table.drawn(np.array(ids))
+        assert table._rows == rows, (ids, table._rows)
+        assert _bits(buf[:rows]) == _bits(eager[:rows]), (
+            f"the prefix after reading {ids}: numpy's uniform no longer takes one "
+            "PCG64 output per float64")
+        assert not buf[rows:].any()
     assert _bits(table.data) == _bits(eager)
     for draw in (lambda g: g.random(dtype=np.float32), lambda g: g.uniform(size=5),
                  lambda g: g.normal(0.0, 0.3, size=(4, 4))):
@@ -50,14 +48,19 @@ def test_every_block_and_the_draws_after_it_match_the_eager_draw():
             "the generator after the table does not continue the eager stream"
 
 
-def test_a_read_of_most_blocks_draws_the_rest_and_keeps_the_drawn_rows():
-    shape = (2 * BLOCK + 17, 3)
-    table = T.uniform_table(np.random.default_rng(43), shape)
+def test_a_first_read_past_half_draws_the_whole_table_in_one_call():
+    shape = (ROWS, 3)
     eager = np.random.default_rng(43).uniform(-0.05, 0.05, size=shape)
-    table.drawn([5])[5] = 7.0            # block 0 drawn, then updated as Adam would
-    assert table._undrawn.tolist() == [False, True, True]
-    buf = table.drawn([BLOCK, 2 * BLOCK])     # 2 of 3 blocks: the whole table at once
-    assert table._undrawn is None and table.data is buf
+    table = T.uniform_table(np.random.default_rng(43), shape)
+    zeros = table._buf
+    buf = table.drawn([ROWS // 2 + 1])
+    assert buf is not zeros and table.data is buf and table._rows == ROWS
+    assert _bits(buf) == _bits(eager)
+
+    table = T.uniform_table(np.random.default_rng(43), shape)
+    table.drawn([5])[5] = 7.0            # a short prefix drawn, then updated as Adam would
+    buf = table.drawn([ROWS - 1])        # past half, but not the first read: no redraw
+    assert table.data is buf and table._rows == ROWS
     eager[5] = 7.0
     assert _bits(buf) == _bits(eager)
 
@@ -71,22 +74,22 @@ def test_only_a_numpy_pcg64_generator_draws_on_demand():
 
 
 def _table():
-    return T.uniform_table(np.random.default_rng(5), (3 * BLOCK, 2))
+    return T.uniform_table(np.random.default_rng(5), (ROWS, 2))
 
 
 def test_an_out_of_range_id_raises_before_drawing():
     table = _table()
-    for ids in ([0, 3 * BLOCK], [-1]):
+    for ids in ([0, ROWS], [-1]):
         with pytest.raises(IndexError, match="out of range"):
             T.embedding(table, ids)
-    assert repr(table) == f"Tensor(shape={(3 * BLOCK, 2)}, requires_grad=True)"
-    assert table._undrawn.all()
+    assert repr(table) == f"Tensor(shape={(ROWS, 2)}, requires_grad=True)"
+    assert table._rows == 0
 
 
 def test_writes_through_data_act_as_on_a_plain_tensor():
     table = _table()
     table.data[:] = 0.0
-    assert not T.embedding(table, [0, BLOCK, 2 * BLOCK]).data.any()
+    assert not T.embedding(table, [0, 4096, ROWS - 1]).data.any()
     assert not table.data.any()
 
     other = np.arange(8.0).reshape(4, 2)
@@ -98,7 +101,7 @@ def test_writes_through_data_act_as_on_a_plain_tensor():
         T.embedding(table, [4])
 
 
-def _task(n_inputs=8, kg_size=3 * BLOCK):
+def _task(n_inputs=8, kg_size=3 * 4096):
     examples, triples = make_synthetic_task(7, n_inputs, 3, kg_size)
     vocab = Vocab.build([t for ex in examples for t in (ex.input, *ex.references)], 3)
     return examples, synthetic_kg(triples), vocab
@@ -138,25 +141,27 @@ def test_adam_with_weight_decay_gives_the_eager_bits(eager):
     lazy, lazy_log = train(examples, kg, cfg, vocab)
     dense, dense_log = eager(lambda: train(examples, kg, cfg, vocab))
     assert len(lazy_log) == 3 and lazy_log == dense_log
-    assert lazy.params["rgcn.node_embed"]._undrawn is None     # weight decay reads every row
+    table = lazy.params["rgcn.node_embed"]
+    assert table._rows == table.shape[0]          # weight decay reads every row
     for name, p in dense.params.items():
         assert _bits(lazy.params[name].data) == _bits(p.data), name
 
 
-def test_training_and_decoding_leave_blocks_undrawn(eager):
+def test_training_and_decoding_draw_exactly_the_prefix_they_read(eager):
     """The hot path reads the table's rows through `drawn` only: an epoch of
-    training and two decoders leave blocks no subgraph reaches undrawn.  A
-    `.data` read slipped into training or decoding draws them all."""
-    examples, kg, vocab = _task(n_inputs=4, kg_size=6 * BLOCK)
+    training and two decoders draw the rows up to the highest node id a
+    subgraph holds, and no further.  A `.data` read slipped into training or
+    decoding draws them all."""
+    examples, kg, vocab = _task(n_inputs=4, kg_size=6 * 4096)
     cfg = _config()
     model, log = train(examples, kg, cfg, vocab)
     contexts = [prepare_example(ex, kg, vocab, cfg) for ex in examples]
     bundles = [(decoding.decode_moe(c, model), decoding.decode_truncated(c, model, 5, 3, 3))
                for c in contexts]
     table = model.params["rgcn.node_embed"]
-    assert type(table) is T.DrawnTable and table._undrawn is not None
-    reached = np.unique(np.concatenate([c.subgraph.node_array for c in contexts]) // BLOCK)
-    assert table._undrawn.sum() == len(table._undrawn) - len(reached) > 0
+    reached = 1 + max(int(c.subgraph.node_array.max()) for c in contexts)
+    assert type(table) is T.DrawnTable
+    assert table._rows == reached < table.shape[0]
 
     dense, dense_log = eager(lambda: train(examples, kg, cfg, vocab))
     assert log == dense_log

@@ -418,7 +418,8 @@ def test_evaluate_is_decoupled_from_weights(trained_run, tmp_path):
 def test_evaluate_rejects_unmatched_generations(trained_run, tmp_path):
     (tmp_path / "generations.jsonl").write_text(
         '{"id": "nope", "strategy": "moe", "expert": 0, "output": "x", "concepts": []}\n')
-    with pytest.raises(ValueError, match="no generations matched"):
+    with pytest.raises(ValueError,
+                       match=r"generations\.jsonl: line 1: id 'nope' is not in the dataset"):
         run_evaluate(trained_run)
 
 
@@ -526,7 +527,7 @@ def test_load_generations_missing_field_names_line_and_key(tmp_path, missing):
     del rows[1][missing]
     p.write_text("".join(json.dumps(r) + "\n" for r in rows))
     with pytest.raises(ValueError, match=rf"g\.jsonl: line 2 missing '{missing}'"):
-        load_generations(p)
+        load_generations(p, {"a"})
 
 
 @pytest.mark.parametrize("edit, key", [
@@ -542,7 +543,7 @@ def test_load_generations_rejects_mistyped_field_naming_file_line_and_key(tmp_pa
     rows[1].update(edit)
     p.write_text("".join(json.dumps(r) + "\n" for r in rows))
     with pytest.raises(ValueError, match=rf"g\.jsonl: line 2: {key}"):
-        load_generations(p)
+        load_generations(p, {"a"})
 
 
 def test_evaluate_rejects_uneven_output_counts(tmp_path):
@@ -564,7 +565,7 @@ def test_load_generations_rejects_id_that_is_not_string_or_int(tmp_path, bad_id)
             for i in ("a", bad_id)]
     p.write_text("".join(json.dumps(r) + "\n" for r in rows))
     with pytest.raises(ValueError, match=r"g\.jsonl: line 2: 'id' must be a string or an integer"):
-        load_generations(p)
+        load_generations(p, {"a"})
 
 
 def test_evaluate_matches_int_generation_ids_to_dataset_ids(tmp_path):
@@ -578,7 +579,7 @@ def test_evaluate_matches_int_generation_ids_to_dataset_ids(tmp_path):
     (tmp_path / "generations.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
     report = run_evaluate(run_config_in(tmp_path))
     assert report.config == {"K": 2, "strategy": "moe"}
-    assert set(load_generations(tmp_path / "generations.jsonl")) == {"7", "8"}
+    assert set(load_generations(tmp_path / "generations.jsonl", {"7", "8"})) == {"7", "8"}
 
 
 def test_generations_file_of_two_strategies_is_refused(tmp_path):
@@ -599,7 +600,7 @@ def test_load_generations_undecodable_byte_names_file_and_line(tmp_path):
     row = '{"id": "a", "strategy": "moe", "expert": 0, "output": "o", "concepts": []}\n'
     p.write_bytes(row.encode() * 3 + b'{"id": "\xc3(", "strategy": "moe"}\n')
     with pytest.raises(ValueError, match=r"g\.jsonl: undecodable line 4"):
-        load_generations(p)
+        load_generations(p, {"a"})
 
 
 def test_load_generations_groups_by_id(tmp_path):
@@ -607,7 +608,7 @@ def test_load_generations_groups_by_id(tmp_path):
     rows = [{"id": "a", "strategy": "moe", "expert": z, "output": f"o{z}", "concepts": []}
             for z in range(2)]
     p.write_text("".join(json.dumps(r) + "\n" for r in rows))
-    grouped = load_generations(p)
+    grouped = load_generations(p, {"a"})
     assert grouped["a"]["outputs"] == ["o0", "o1"]
 
 
@@ -677,7 +678,8 @@ def test_cli_rejects_unknown_key():
 
 @pytest.mark.parametrize("case", ["synth-negative-inputs", "dataset-line-without-input",
                                   "corrupt-v3-checkpoint", "undecodable-config", "missing-kg",
-                                  "missing-dataset", "evaluate-one-output"])
+                                  "missing-dataset", "evaluate-one-output",
+                                  "evaluate-unknown-id"])
 def test_cli_input_errors_exit_with_one_line(tmp_path, case):
     save_kg_tsv(tmp_path / "kg.tsv", [("piano", "relatedto", "music")])
     (tmp_path / "bad.jsonl").write_text('{"id": "a", "references": ["x"]}\n')
@@ -686,6 +688,10 @@ def test_cli_input_errors_exit_with_one_line(tmp_path, case):
         '{"id": "ex0000", "input": "a piano", "references": ["piano music"]}\n')
     (tmp_path / "beam1.jsonl").write_text('{"id": "ex0000", "strategy": "beam", "expert": 0, '
                                           '"output": "piano music", "concepts": ["piano"]}\n')
+    # two outputs each for ex0000 and an id the dataset does not hold
+    (tmp_path / "zzz.jsonl").write_text("".join(
+        f'{{"id": "{i}", "strategy": "beam", "expert": 0, "output": "piano", "concepts": []}}\n'
+        for i in ("ex0000", "ex0000", "zzz", "zzz")))
     # a 48-byte header line needing 16 payload bytes, followed by 8
     (tmp_path / "ckpt.json").write_bytes(
         b'{"version": 3, "params": {"w": {"shape": [2]}}}\n' + bytes(8))
@@ -706,6 +712,9 @@ def test_cli_input_errors_exit_with_one_line(tmp_path, case):
                                  "--set", "generations_path=beam1.jsonl"],
                                 "beam1.jsonl: example 'ex0000' has 1 output; "
                                 "evaluate needs at least 2 per example"),
+        "evaluate-unknown-id": (["evaluate", "--set", "dataset_path=one.jsonl",
+                                 "--set", "generations_path=zzz.jsonl"],
+                                "zzz.jsonl: line 3: id 'zzz' is not in the dataset"),
     }[case]
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run([sys.executable, "-m", "kgmoe.cli", *argv], cwd=tmp_path,

@@ -11,12 +11,15 @@ once in embed mode with the disjoint rule at ``top_concepts`` 9:
 
 - ``diverse-decode``: the 30-input task, 15 epochs, all 30 inputs decoded;
 - ``large-kg``: the same task grown to a 200,000-triple KG, its first 4 inputs
-  trained for 3 epochs, the first 16 inputs decoded.
+  trained for 3 epochs, the first 16 inputs decoded;
+- ``diverse-decode-deep``: the ``diverse-decode`` run at 2 encoder, 2 decoder
+  and 2 R-GCN layers, which adds the relation projection ``w_rel``, the dense
+  ``rgcn.rel_embed`` gradient and stacked generator blocks.
 
 For each task and mode the digests are ``params`` (names, shapes and float64
 bytes), ``log`` (the training log) and one key per decoder (``moe``, ``beam``
 at width 3, ``truncated`` at k 5 and ``nucleus`` at p 0.9, each sampler
-drawing 3 outputs at seed 3): 24 keys, named ``task/mode/what``.
+drawing 3 outputs at seed 3): 36 keys, named ``task/mode/what``.
 
 The digests are computed in a child process whose BLAS pools are fixed at one
 thread, since a matrix product may round differently on more threads.
@@ -46,9 +49,14 @@ EMBED = dict(expert_mode="embed", disjoint_rule=True, top_concepts=9)
 TASK_SEED = 3
 DECODE_SEED = 3
 
-# task -> (KG size, training inputs, epochs, decoded inputs); None: the smallest KG
-TASKS = {"diverse-decode": (None, 30, 15, 30), "large-kg": (200_000, 4, 3, 16)}
-TINY = {"diverse-decode": (None, 3, 1, 2), "large-kg": (10_000, 2, 1, 2)}
+DEEP = dict(n_encoder_layers=2, n_decoder_layers=2, rgcn_layers=2)
+
+# task -> (KG size, training inputs, epochs, decoded inputs, shape changes);
+# None: the smallest KG
+TASKS = {"diverse-decode": (None, 30, 15, 30, {}), "large-kg": (200_000, 4, 3, 16, {}),
+         "diverse-decode-deep": (None, 30, 15, 30, DEEP)}
+TINY = {"diverse-decode": (None, 3, 1, 2, {}), "large-kg": (10_000, 2, 1, 2, {}),
+        "diverse-decode-deep": (None, 3, 1, 2, DEEP)}
 
 
 def _sha(data: bytes) -> str:
@@ -71,12 +79,12 @@ def _digests(tiny: bool) -> dict[str, str]:
         "nucleus": lambda c, m: decoding.decode_nucleus(c, m, 0.9, DECODE_SEED, 3),
     }
     out = {}
-    for task, (kg_size, n_train, epochs, n_decode) in (TINY if tiny else TASKS).items():
+    for task, (kg_size, n_train, epochs, n_decode, shape) in (TINY if tiny else TASKS).items():
         examples, triples = make_synthetic_task(TASK_SEED, 30, 3, kg_size)
         kg = synthetic_kg(triples)
         vocab = Vocab.build([t for ex in examples for t in (ex.input, *ex.references)], 3)
         for mode, extra in (("prompt", {}), ("embed", EMBED)):
-            cfg = TrainConfig(**{**SHAPE, **extra, "epochs": epochs})
+            cfg = TrainConfig(**{**SHAPE, **shape, **extra, "epochs": epochs})
             model, log = train(examples[:n_train], kg, cfg, vocab)
             params = hashlib.sha256()
             for name, p in sorted(model.params.items()):
