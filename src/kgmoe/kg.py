@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
+import io
+import json
 import math
+import operator
+import os
 import re
 import struct
 from array import array
 from itertools import repeat
 
 import numpy as np
+
+from .tensor import replace_file
 
 # Suffixes tried longest-first; a rule only applies if the stem keeps >= 3 chars.
 _SUFFIXES = ("ing", "es", "ed", "s")
@@ -112,69 +121,49 @@ class KnowledgeGraph:
     adjacency covers both directions in CSR form: the entries of concept v are
     positions `indptr[v]:indptr[v + 1]` of `neighbours` (the other endpoint)
     and `triple_index` (the row of `triples`), in triple order.  A self-loop
-    is stored once.  Build one with `from_triples`.
+    is stored once.  Build one with `from_triples` or `load_kg`.
     """
 
-    def __init__(self, concept_ids: dict[str, int], relation_ids: dict[str, int],
-                 triples: np.ndarray):
-        """Index id triples whose ids follow the insertion order of the two maps.
-
-        A repeated triple is dropped, keeping its first occurrence.
-        """
-        self.concept_ids = concept_ids
-        self.concepts = list(concept_ids)
-        self.relation_ids = relation_ids
-        self.relations = list(relation_ids)
-        n_c = len(self.concepts)
-        key = (triples[:, 0].astype(np.int64) * len(self.relations) + triples[:, 1]) * n_c
-        _, first = np.unique(key + triples[:, 2], return_index=True)
-        if len(first) < len(triples):
-            triples = triples[np.sort(first)]
-        self.triples = triples
-        # Entry 2i is triple i seen from its head, 2i + 1 from its tail; a stable
-        # sort by row then leaves every row in triple order.
-        h, t = triples[:, 0], triples[:, 2]
-        rows = np.column_stack([h, t]).ravel()
-        once = np.ones(len(rows), dtype=bool)
-        once[1::2] = h != t
-        rows = rows[once]
-        order = np.argsort(rows, kind="stable")
-        self.neighbours = np.column_stack([t, h]).ravel()[once][order]
-        self.triple_index = np.arange(len(triples), dtype=np.int32).repeat(2)[once][order]
-        self.indptr = np.zeros(n_c + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_c), out=self.indptr[1:])
-        for a in (self.triples, self.neighbours, self.triple_index, self.indptr):
+    def __init__(self, concepts: list[str], relations: list[str], triples: np.ndarray,
+                 indptr: np.ndarray, neighbours: np.ndarray, triple_index: np.ndarray,
+                 keys: list[str], max_surface_len: int):
+        """Take the columns that `_columns` computes, as they are; `keys` holds
+        each concept's grounding key."""
+        self.concepts = concepts
+        self.relations = relations
+        self.relation_ids = {r: i for i, r in enumerate(relations)}
+        self.triples, self.indptr = triples, indptr
+        self.neighbours, self.triple_index = neighbours, triple_index
+        for a in (triples, neighbours, triple_index, indptr):
             a.flags.writeable = False
-        self._degree = np.diff(self.indptr)
+        self._degree = np.diff(indptr)
         # Small extractions read through memoryviews, which index to Python ints.
         self._ptr, self._nbr, self._tix, self._deg = map(memoryview, (
-            self.indptr, self.neighbours, self.triple_index, self._degree))
+            indptr, neighbours, triple_index, self._degree))
         self._loops: dict[int, list[int]] = {}
-        for i in np.flatnonzero(h == t).tolist():
+        h = triples[:, 0]
+        for i in np.flatnonzero(h == triples[:, 2]).tolist():
             self._loops.setdefault(int(h[i]), []).append(i)
-        keys = _surface_keys(self.concepts)
         # The first concept with a key owns it.
-        self._surface_index = dict(zip(reversed(keys), reversed(concept_ids.values())))
-        self._max_surface_len = max(map(str.count, keys, repeat(" ")), default=-1) + 1
+        self._surface_index = dict(zip(reversed(keys), reversed(range(len(keys)))))
+        self._max_surface_len = max_surface_len
 
     @classmethod
     def from_triples(cls, surface_triples) -> KnowledgeGraph:
         """Build the graph of (head, relation, tail) surface triples, taken in order.
 
         Ids are assigned in first-seen order: head, then relation, then tail.
+        A repeated triple is dropped, keeping its first occurrence.
         """
-        concept_ids: dict[str, int] = {}
-        relation_ids: dict[str, int] = {}
-        ids = array("i")
-        for h, r, t in surface_triples:
-            ids.extend((concept_ids.setdefault(h, len(concept_ids)),
-                        relation_ids.setdefault(r, len(relation_ids)),
-                        concept_ids.setdefault(t, len(concept_ids))))
-        return cls(concept_ids, relation_ids, np.frombuffer(ids, dtype=np.int32).reshape(-1, 3))
+        return cls(*_columns(*_ids(surface_triples)))
+
+    @functools.cached_property
+    def concept_ids(self) -> dict[str, int]:
+        return {c: i for i, c in enumerate(self.concepts)}
 
     def __reduce__(self):
         # Memoryviews do not pickle; a copy is rebuilt from the id triples.
-        return KnowledgeGraph, (self.concept_ids, self.relation_ids, self.triples)
+        return _from_ids, (self.concept_ids, self.relation_ids, self.triples)
 
     @property
     def num_concepts(self) -> int:
@@ -183,6 +172,49 @@ class KnowledgeGraph:
     @property
     def num_relations(self) -> int:
         return len(self.relations)
+
+
+def _ids(surface_triples) -> tuple[dict[str, int], dict[str, int], np.ndarray]:
+    """The concept and relation id maps, in first-seen order, and the [n, 3]
+    int32 id triples of the surface triples."""
+    concept_ids: dict[str, int] = {}
+    relation_ids: dict[str, int] = {}
+    ids = array("i")
+    for h, r, t in surface_triples:
+        ids.extend((concept_ids.setdefault(h, len(concept_ids)),
+                    relation_ids.setdefault(r, len(relation_ids)),
+                    concept_ids.setdefault(t, len(concept_ids))))
+    return concept_ids, relation_ids, np.frombuffer(ids, dtype=np.int32).reshape(-1, 3)
+
+
+def _columns(concept_ids: dict[str, int], relation_ids: dict[str, int], triples: np.ndarray):
+    """The `KnowledgeGraph` arguments for id triples whose ids follow the
+    insertion order of the two maps, a repeated triple dropped."""
+    concepts, relations = list(concept_ids), list(relation_ids)
+    n_c = len(concepts)
+    key = (triples[:, 0].astype(np.int64) * len(relations) + triples[:, 1]) * n_c
+    _, first = np.unique(key + triples[:, 2], return_index=True)
+    if len(first) < len(triples):
+        triples = triples[np.sort(first)]
+    # Entry 2i is triple i seen from its head, 2i + 1 from its tail; a stable
+    # sort by row then leaves every row in triple order.
+    h, t = triples[:, 0], triples[:, 2]
+    rows = np.column_stack([h, t]).ravel()
+    once = np.ones(len(rows), dtype=bool)
+    once[1::2] = h != t
+    rows = rows[once]
+    order = np.argsort(rows, kind="stable")
+    neighbours = np.column_stack([t, h]).ravel()[once][order]
+    triple_index = np.arange(len(triples), dtype=np.int32).repeat(2)[once][order]
+    indptr = np.zeros(n_c + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_c), out=indptr[1:])
+    keys = _surface_keys(concepts)
+    max_surface_len = max(map(str.count, keys, repeat(" ")), default=-1) + 1
+    return concepts, relations, triples, indptr, neighbours, triple_index, keys, max_surface_len
+
+
+def _from_ids(concept_ids, relation_ids, triples) -> KnowledgeGraph:
+    return KnowledgeGraph(*_columns(concept_ids, relation_ids, triples))
 
 
 def _parse_kg(path, numbered):
@@ -205,31 +237,130 @@ def load_kg(path) -> KnowledgeGraph:
     Fields are stripped and blank lines skipped.  Ids are assigned in
     first-seen order and a leading byte-order mark is dropped; a malformed or
     undecodable line raises with the file and the line number.
-    """
-    # Line by line, so that no line outlives its parse.
-    return KnowledgeGraph.from_triples(_parse_kg(path, text_lines(path, "KG line")))
 
-
-def text_lines(path, what: str = "line"):
-    """(line number from 1, line) for each line of a UTF-8 text file, read
-    lazily in text mode (lines end at \\n, \\r or \\r\\n) with a leading
-    byte-order mark dropped.  An undecodable byte raises a ValueError naming
-    the file and its line, which the message calls `what`."""
-    try:
-        with open(path, encoding="utf-8-sig") as f:
-            yield from enumerate(f, start=1)
-    except UnicodeDecodeError as err:
-        raise _undecodable(path, err, what) from None
-
-
-def _undecodable(path, err: UnicodeDecodeError, what: str) -> ValueError:
-    """The ValueError for a text file that `err` says is not UTF-8.
-
-    It names the file, the first undecodable line (lines end at \\n, \\r or
-    \\r\\n, as in text mode) and its byte.
+    The columns are kept in a sidecar, ``<path>.kgcache``, that a later load
+    reads instead of parsing when its header matches the TSV's bytes and this
+    module's source (see `_read_cache`).  Any other sidecar is a miss: the TSV
+    is parsed and the sidecar rewritten if it can be.  Deleting it is safe.
     """
     with open(path, "rb") as f:
         data = f.read()
+    cache = f"{os.fspath(path)}.kgcache"
+    header = {"version": _CACHE_VERSION, "tsv_sha256": hashlib.sha256(data).hexdigest(),
+              "code_sha256": _code_sha256()}
+    columns = _read_cache(cache, header)
+    if columns is None:
+        columns = _columns(*_ids(_parse_kg(path, text_lines(path, "KG line", data))))
+        with contextlib.suppress(OSError):
+            _write_cache(cache, header, columns)
+    return KnowledgeGraph(*columns)
+
+
+# The sidecar: one line of strict JSON, padded with spaces so that the payload
+# after its newline starts at a multiple of 8 bytes, then these arrays' raw
+# little-endian bytes in this order, each padded with zeros to a multiple of 8.
+# A text is its strings' UTF-8, each ended by a newline (no concept, relation
+# or grounding key holds one); `keys` are the grounding keys that differ from
+# their concept's surface, at rows `key_rows`.
+_CACHE_VERSION = 1
+_CACHE_ARRAYS = (("triples", "<i4", 2), ("indptr", "<i8", 1), ("neighbours", "<i4", 1),
+                 ("triple_index", "<i4", 1), ("concepts", "|u1", 1), ("relations", "|u1", 1),
+                 ("key_rows", "<i4", 1), ("keys", "|u1", 1), ("max_surface_len", "<i8", 0))
+
+
+@functools.cache
+def _code_sha256() -> str:
+    """The sha256 of this module's source, from which the sidecar's columns derive."""
+    with open(__file__, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def _text(strings: list[str]) -> np.ndarray:
+    """The strings' UTF-8, each ended by a newline, as a byte array."""
+    return np.frombuffer("\n".join([*strings, ""]).encode("utf-8"), np.uint8)
+
+
+def _write_cache(cache: str, header: dict, columns):
+    """Write the sidecar of `columns`, whose TSV and code `header` names."""
+    concepts, relations, triples, indptr, neighbours, triple_index, keys, longest = columns
+    key_rows = np.flatnonzero(np.fromiter(map(operator.ne, keys, concepts), bool, len(keys)))
+    arrays = (triples, indptr, neighbours, triple_index, _text(concepts), _text(relations),
+              key_rows, _text([keys[i] for i in key_rows.tolist()]), np.array(longest))
+    chunks, payload = [], hashlib.sha256()
+    for a, (_, dtype, _) in zip(arrays, _CACHE_ARRAYS):
+        raw = np.ascontiguousarray(a, dtype)
+        for chunk in (raw, bytes(-raw.nbytes % 8)):
+            payload.update(chunk)
+            chunks.append(chunk)
+    line = json.dumps({**header, "payload_sha256": payload.hexdigest(),
+                       "arrays": [[name, dtype, list(a.shape)]
+                                  for a, (name, dtype, _) in zip(arrays, _CACHE_ARRAYS)]})
+    line += " " * (-(len(line) + 1) % 8) + "\n"     # ASCII: json.dumps escapes the rest
+    replace_file(cache, [line.encode("ascii"), *chunks], fsync=False)
+
+
+def _read_cache(cache: str, header: dict):
+    """The columns stored in the sidecar, or None if it is missing or
+    unreadable, or if its header differs from `header` (another TSV, another
+    version of this module) or from its payload (a truncated or corrupt file;
+    a torn write is one, so writes need no fsync)."""
+    try:
+        with open(cache, "rb") as f:
+            data = f.read()
+        end = data.index(b"\n") + 1
+        stored = json.loads(data[:end])
+        if (end % 8 or {k: stored[k] for k in header} != header or stored["payload_sha256"]
+                != hashlib.sha256(memoryview(data)[end:]).hexdigest()):
+            return None
+        arrays, offset = [], end
+        for (name, dtype, shape), want in zip(stored["arrays"], _CACHE_ARRAYS, strict=True):
+            if ((name, dtype, len(shape)) != want
+                    or not all(type(n) is int and n >= 0 for n in shape)):
+                return None
+            count = math.prod(shape)
+            arrays.append(np.frombuffer(data, dtype, count, offset).reshape(shape))
+            offset += -(-count * np.dtype(dtype).itemsize // 8) * 8
+        triples, indptr, neighbours, triple_index, concepts, relations, key_rows, keys, longest \
+            = arrays
+        concepts, relations, keys = (str(a, "utf-8").split("\n")[:-1]
+                                     for a in (concepts, relations, keys))
+        key_rows = key_rows.tolist()
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+        return None
+    if (offset != len(data) or triples.shape[1] != 3 or len(concepts) + 1 != len(indptr)
+            or len(key_rows) != len(keys) or not all(0 <= i < len(concepts) for i in key_rows)):
+        return None
+    surface_keys = concepts.copy()
+    for i, key in zip(key_rows, keys):
+        surface_keys[i] = key
+    return (concepts, relations, triples, indptr, neighbours, triple_index, surface_keys,
+            int(longest))
+
+
+def text_lines(path, what: str = "line", data: bytes | None = None):
+    """(line number from 1, line) for each line of a UTF-8 text file, read
+    lazily in text mode (lines end at \\n, \\r or \\r\\n) with a leading
+    byte-order mark dropped.  An undecodable byte raises a ValueError naming
+    the file and its line, which the message calls `what`.  Given `data`, the
+    file's bytes already read, the lines are those of `data`."""
+    try:
+        with (open(path, encoding="utf-8-sig") if data is None
+              else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")) as f:
+            yield from enumerate(f, start=1)
+    except UnicodeDecodeError as err:
+        raise _undecodable(path, err, what, data) from None
+
+
+def _undecodable(path, err: UnicodeDecodeError, what: str, data: bytes | None) -> ValueError:
+    """The ValueError for a text file that `err` says is not UTF-8.
+
+    It names the file, the first undecodable line (lines end at \\n, \\r or
+    \\r\\n, as in text mode) and its byte.  `data` is the file's bytes, or
+    None to read them.
+    """
+    if data is None:
+        with open(path, "rb") as f:
+            data = f.read()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as e:

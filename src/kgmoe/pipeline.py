@@ -100,6 +100,19 @@ def save_dataset(path, examples: list[Example]):
 
 
 def save_kg_tsv(path, triples: list[tuple[str, str, str]]):
+    """Write the triples as a TSV that `load_kg` reads back as these triples.
+
+    A field that would not read back as itself (empty, holding a tab, a line
+    break or surrounding whitespace, or a byte-order mark that opens the file)
+    is refused with a ValueError naming the triple's index and the field,
+    before anything is written.
+    """
+    for i, triple in enumerate(triples):
+        for name, text in zip(("head", "relation", "tail"), triple):
+            if (not text or text != text.strip() or "\t" in text or "\n" in text
+                    or "\r" in text or (i == 0 and name == "head" and text[0] == "\ufeff")):
+                raise ValueError(f"{path}: triple {i}: the {name} {text!r} would not load "
+                                 "back as itself")
     with open(path, "w", encoding="utf-8") as f:
         for h, r, t in triples:
             f.write(f"{h}\t{r}\t{t}\n")

@@ -617,14 +617,22 @@ def save_checkpoint(path, params: dict, meta: dict | None = None):
     except ValueError as err:
         raise ValueError(f"{path}: checkpoint meta: {err}") from None
     header += " " * (-(len(header) + 1) % 8) + "\n"     # ASCII: json.dumps escapes the rest
+    replace_file(path, [header.encode("ascii"),
+                        *(np.ascontiguousarray(p.data, "<f8") for _, p in items)], fsync=True)
+
+
+def replace_file(path, chunks, fsync: bool):
+    """Write the byte chunks to a temporary file beside ``path`` (fsynced if
+    ``fsync``) and rename it onto ``path``, so a failed or interrupted write
+    never leaves a truncated file and keeps any old one intact."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(header.encode("ascii"))
-            for _, p in items:
-                f.write(np.ascontiguousarray(p.data, "<f8"))
-            f.flush()
-            os.fsync(f.fileno())
+            for chunk in chunks:
+                f.write(chunk)
+            if fsync:
+                f.flush()
+                os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -14,7 +14,7 @@ def test_two_runs_of_the_same_sources_give_equal_digests():
                            "--compare", str(ROOT)], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     digests, verdict = map(json.loads, done.stdout.splitlines())
-    assert len(digests) == 36 and all(len(d) == 64 for d in digests.values())
+    assert len(digests) == 39 and all(len(d) == 64 for d in digests.values())
     assert {key.split("/")[-1] for key in digests} == {
-        "params", "log", "moe", "beam", "truncated", "nucleus"}
-    assert verdict == {"keys": 36, "differ": []}
+        "params", "log", "moe", "beam", "truncated", "nucleus", "kg"}
+    assert verdict == {"keys": 39, "differ": []}

@@ -1,9 +1,14 @@
 """Triple store, grounding and subgraph extraction against brute-force oracles."""
 
+import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,8 @@ from kgmoe.kg import (KnowledgeGraph, Subgraph, extract_subgraph, ground_concept
 from kgmoe.moe import ExampleContext, TrainConfig, prepare_example
 from kgmoe.pipeline import Example, make_synthetic_task, save_kg_tsv
 from kgmoe.selector import build_labels
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def build_kg(triples):
@@ -83,9 +90,10 @@ def test_load_dedupes(tmp_path):
 
 def test_load_malformed_line_cites_line_number(tmp_path):
     p = tmp_path / "kg.tsv"
-    p.write_text("a\tr1\n")
-    with pytest.raises(ValueError, match="line 1"):
+    p.write_text("a\tr1\tb\na\tr1\n")
+    with pytest.raises(ValueError, match="line 2"):
         load_kg(p)
+    assert not sidecar(p).exists()
 
 
 def test_load_empty_file_is_valid_empty_graph(tmp_path):
@@ -154,31 +162,182 @@ def random_tsv(rng):
     return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
 
 
-def test_load_matches_naive_reference_on_random_tsvs(tmp_path):
+def sidecar(path):
+    return path.with_name(path.name + ".kgcache")
+
+
+def count_parses(monkeypatch) -> list:
+    """A list that gains an entry each time `load_kg` parses a TSV."""
+    calls, parse = [], kgmod._parse_kg
+    monkeypatch.setattr(kgmod, "_parse_kg", lambda *args: calls.append(args) or parse(*args))
+    return calls
+
+
+def assert_same_kg(got, want):
+    """Every field a load builds: surfaces, triples, CSR, loop table, surface index."""
+    assert got.concepts == want.concepts and got.relations == want.relations
+    assert got.relation_ids == want.relation_ids and got.concept_ids == want.concept_ids
+    for name in ("triples", "indptr", "neighbours", "triple_index"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+    assert got._loops == want._loops and got._max_surface_len == want._max_surface_len
+    assert list(got._surface_index.items()) == list(want._surface_index.items())
+
+
+def test_load_matches_naive_reference_on_random_tsvs(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     p = tmp_path / "kg.tsv"
+    parses = count_parses(monkeypatch)
     seen_dup = seen_loop = 0
     for _ in range(200):
         p.write_bytes(random_tsv(rng))
+        sidecar(p).unlink(missing_ok=True)
         concepts, relations, triples, adjacency = naive_load(p)
-        kg = load_kg(p)
-        assert kg.concepts == concepts and kg.relations == relations
-        assert triple_tuples(kg) == triples
-        assert kg.triples.dtype == np.int32 and kg.triples.shape == (len(triples), 3)
-        for v, row in adjacency.items():
-            a, b = kg.indptr[v], kg.indptr[v + 1]
-            assert list(zip(kg.neighbours[a:b].tolist(), kg.triple_index[a:b].tolist())) == row
-        assert kg.indptr[-1] == len(kg.neighbours) == len(kg.triple_index)
+        for warm in (False, True):     # the first load parses and writes the sidecar
+            before = len(parses)
+            kg = load_kg(p)
+            assert len(parses) == before + (not warm) and sidecar(p).is_file()
+            assert kg.concepts == concepts and kg.relations == relations
+            assert kg.concept_ids == {c: i for i, c in enumerate(concepts)}
+            assert triple_tuples(kg) == triples
+            assert kg.triples.dtype == np.int32 and kg.triples.shape == (len(triples), 3)
+            for v, row in adjacency.items():
+                a, b = kg.indptr[v], kg.indptr[v + 1]
+                assert list(zip(kg.neighbours[a:b].tolist(),
+                                kg.triple_index[a:b].tolist())) == row
+            assert kg.indptr[-1] == len(kg.neighbours) == len(kg.triple_index)
+            assert_same_kg(kg, KnowledgeGraph.from_triples(
+                [(concepts[h], relations[r], concepts[t]) for h, r, t in triples]))
         seen_dup += len(triples) < sum(1 for line in p.read_text().splitlines() if line.strip())
         seen_loop += any(h == t for h, _r, t in triples)
     assert seen_dup and seen_loop
 
+
+def test_sidecar_layout(tmp_path):
+    p = tmp_path / "kg.tsv"
+    p.write_text("Pianos\tr\tice_cream\nb\tr\tb\n")
+    load_kg(p)
+    data = sidecar(p).read_bytes()
+    end = data.index(b"\n") + 1
+    header = json.loads(data[:end])
+    assert end % 8 == 0 and data[:end].isascii()
+    assert header["version"] == 1 and header["code_sha256"] == kgmod._code_sha256()
+    assert header["tsv_sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
+    assert [name for name, _, _ in header["arrays"]] == [
+        "triples", "indptr", "neighbours", "triple_index", "concepts", "relations",
+        "key_rows", "keys", "max_surface_len"]
+    shapes = {name: shape for name, _, shape in header["arrays"]}
+    assert shapes["triples"] == [2, 3] and shapes["key_rows"] == [2]
+    offset = end + sum(-(-np.dtype(dtype).itemsize * int(np.prod(shape)) // 8) * 8
+                       for _, dtype, shape in header["arrays"][:7])
+    assert data[offset:offset + 16] == b"piano\nice cream\n"
+    assert np.frombuffer(data[-8:], "<i8").tolist() == [2]     # the longest key, in words
+
+
+def test_edited_tsv_is_parsed_again_and_its_sidecar_rewritten(tmp_path, monkeypatch):
+    p = tmp_path / "kg.tsv"
+    p.write_text("a\tr\tb\n")
+    parses = count_parses(monkeypatch)
+    assert load_kg(p).concepts == ["a", "b"]
+    stat = p.stat()
+    p.write_text("a\tr\tc\n")                          # same size, same times
+    os.utime(p, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert load_kg(p).concepts == ["a", "c"] and len(parses) == 2
+    assert load_kg(p).concepts == ["a", "c"] and len(parses) == 2
+
+
+def rewrite_header(path, **changes):
+    """Change header fields of a sidecar, keeping its length and its payload."""
+    data = path.read_bytes()
+    end = data.index(b"\n")
+    line = json.dumps({**json.loads(data[:end]), **changes}).encode()
+    assert len(line) <= end
+    path.write_bytes(line + b" " * (end - len(line)) + data[end:])
+
+
+def reshape_triples(path):
+    """Give the triples a shape of the same size but not [n, 3]."""
+    data = path.read_bytes()
+    arrays = json.loads(data[:data.index(b"\n")])["arrays"]
+    arrays[0][2] = [1, arrays[0][2][0] * 3]
+    rewrite_header(path, arrays=arrays)
+
+
+def flip_last_payload_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def foreign_sidecar(path):
+    """Put another TSV's sidecar at `path`."""
+    other = path.with_name("other.tsv")
+    other.write_text("x\tr\ty\n")
+    load_kg(other)
+    sidecar(other).replace(path)
+
+
+BAD_SIDECARS = {
+    "truncated": lambda p: p.write_bytes(p.read_bytes()[:-9]),
+    "header-only": lambda p: p.write_bytes(p.read_bytes().split(b"\n")[0] + b"\n"),
+    "payload-byte-flipped": flip_last_payload_byte,
+    "wrong-version": lambda p: rewrite_header(p, version=2),
+    "garbage-header": lambda p: p.write_bytes(b"\x00\xff{[" * 16 + p.read_bytes()),
+    "deep-json-header": lambda p: p.write_bytes(b"[" * 100_000 + b"\n"),
+    "json-list-header": lambda p: p.write_bytes(b"[1, 2, 3]\n"),
+    "bad-array-entry": lambda p: rewrite_header(p, arrays=[["triples", "<i4", [-1]]]),
+    "triples-reshaped": reshape_triples,
+    "empty": lambda p: p.write_bytes(b""),
+}
+
+
+@pytest.mark.parametrize("spoil", [*BAD_SIDECARS.values(), foreign_sidecar, "other-code"],
+                         ids=[*BAD_SIDECARS, "foreign", "other-code"])
+def test_bad_sidecar_is_a_miss(tmp_path, monkeypatch, spoil):
+    p = tmp_path / "kg.tsv"
+    p.write_text("a\tr\tb\nb\tq\tc\nc\tr\tc\n")
+    want = load_kg(p)
+    if spoil == "other-code":       # as if kg.py changed since the sidecar was written
+        monkeypatch.setattr(kgmod, "_code_sha256", lambda: "0" * 64)
+    else:
+        spoil(sidecar(p))
+    parses = count_parses(monkeypatch)
+    assert_same_kg(load_kg(p), want)
+    assert len(parses) == 1                         # parsed again, and the sidecar rewritten
+    assert_same_kg(load_kg(p), want)
+    assert len(parses) == 1
+
+
+def test_directory_at_the_sidecar_path_still_loads(tmp_path, monkeypatch):
+    p = tmp_path / "kg.tsv"
+    p.write_text("a\tr\tb\n")
+    sidecar(p).mkdir()
+    parses = count_parses(monkeypatch)
+    for _ in range(2):
+        assert load_kg(p).concepts == ["a", "b"]
+    assert len(parses) == 2
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["kg.tsv", "kg.tsv.kgcache"]
+
+
+def test_two_processes_cold_loading_one_tsv_leave_a_valid_sidecar(tmp_path, monkeypatch):
+    _, triples = make_synthetic_task(seed=0, n_inputs=30, k_modes=3, kg_size=20_000)
+    p = tmp_path / "kg.tsv"
+    save_kg_tsv(p, triples)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys; from kgmoe.kg import load_kg; load_kg(sys.argv[1])"
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(p)], env=env) for _ in range(2)]
+    assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+    parses = count_parses(monkeypatch)
+    assert_same_kg(load_kg(p), KnowledgeGraph.from_triples(triples))
+    assert not parses
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["kg.tsv", "kg.tsv.kgcache"]
 
 def test_load_undecodable_byte_names_file_and_line(tmp_path):
     p = tmp_path / "kg.tsv"
     p.write_bytes(b"a\tr\tb\r\nc\tr\td\xff\n")
     with pytest.raises(ValueError, match=r"kg\.tsv: undecodable KG line 2"):
         load_kg(p)
+    assert not sidecar(p).exists()
 
 
 def test_load_drops_leading_bom(tmp_path):
@@ -189,18 +348,24 @@ def test_load_drops_leading_bom(tmp_path):
     assert ground_concepts("a", kg) == {0}
 
 
-def test_loaded_kg_holds_at_most_400_bytes_per_triple(tmp_path):
+def test_loaded_kg_holds_at_most_400_bytes_per_triple(tmp_path, monkeypatch):
     _, triples = make_synthetic_task(seed=0, n_inputs=30, k_modes=3, kg_size=20_000)
     p = tmp_path / "kg.tsv"
     save_kg_tsv(p, triples)
-    tracemalloc.start()
-    try:
-        kg = load_kg(p)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(kg.triples) >= 20_000
-    assert held / len(kg.triples) <= 400
+    parses = count_parses(monkeypatch)
+    held = []
+    for _ in range(2):                  # cold: parse and write the sidecar; warm: read it
+        tracemalloc.start()
+        try:
+            kg = load_kg(p)
+            held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        del kg
+    assert len(parses) == 1
+    assert len(load_kg(p).triples) >= 20_000
+    assert max(held) / 20_000 <= 400
+    assert held[1] <= held[0]
 
 
 # --- stemming and grounding ------------------------------------------------

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgmoe.cli import main as cli_main
-from kgmoe.kg import extract_subgraph, ground_concepts
+from kgmoe.kg import KnowledgeGraph, extract_subgraph, ground_concepts, load_kg
 from kgmoe.moe import TrainConfig
 from kgmoe.pipeline import (Example, RunConfig, apply_overrides, load_dataset,
                             load_generations, load_model, load_run_config,
@@ -188,6 +189,38 @@ def test_synthetic_extra_budget_adds_distractors():
     _, grown = make_synthetic_task(seed=0, n_inputs=2, k_modes=2, kg_size=40)
     assert not any(t[2].startswith("bonus") for t in base)
     assert any(t[2].startswith("bonus") for t in grown)
+
+
+@pytest.mark.parametrize("triple, index, field", [
+    (("a", "r", "c\nd\te\tf"), 1, "tail"),      # loaded as two triples, with a relation e
+    ((" a", "r", "c"), 1, "head"),                # loaded stripped to a
+    (("a\tb", "r", "c"), 1, "head"),              # loaded as a malformed line
+    (("a", "", "c"), 1, "relation"),
+    (("a", "r", "c\r"), 1, "tail"),
+    (("a", "r\u2028 ", "c"), 1, "relation"),
+    (("\ufeffa", "r", "c"), 0, "head"),           # the first head would lose its mark
+], ids=["line-break", "padded", "tab", "empty", "cr", "padded-unicode", "bom"])
+def test_save_kg_tsv_refuses_a_field_that_would_not_load_back(tmp_path, triple, index, field):
+    triples = [("x", "r", "y"), triple][1 - index:] + [("y", "r", "z")]
+    with pytest.raises(ValueError, match=rf"k\.tsv: triple {index}: the {field} "):
+        save_kg_tsv(tmp_path / "k.tsv", triples)
+    assert not (tmp_path / "k.tsv").exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.one_of(st.text("ab_Ü", min_size=1, max_size=3),
+                                      st.text("ab \t\n\r\x0b\x85\u2028\ufeff", max_size=3))] * 3),
+                max_size=4))
+def test_save_kg_tsv_writes_what_load_kg_reads_back(tmp_path_factory, triples):
+    path = tmp_path_factory.mktemp("kg") / "kg.tsv"
+    try:
+        save_kg_tsv(path, triples)
+    except ValueError:
+        assert not path.exists()
+        return
+    kg, want = load_kg(path), KnowledgeGraph.from_triples(triples)
+    assert kg.concepts == want.concepts and kg.relations == want.relations
+    assert np.array_equal(kg.triples, want.triples)
 
 
 def test_synthetic_needs_two_modes():

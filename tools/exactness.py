@@ -19,7 +19,11 @@ once in embed mode with the disjoint rule at ``top_concepts`` 9:
 For each task and mode the digests are ``params`` (names, shapes and float64
 bytes), ``log`` (the training log) and one key per decoder (``moe``, ``beam``
 at width 3, ``truncated`` at k 5 and ``nucleus`` at p 0.9, each sampler
-drawing 3 outputs at seed 3): 36 keys, named ``task/mode/what``.
+drawing 3 outputs at seed 3), named ``task/mode/what``.  Each task also has
+``task/kg``, the digest of its KG as ``load_kg`` reads it from a TSV that
+``save_kg_tsv`` wrote: surfaces, triples, CSR adjacency, loop table, surface
+index and longest surface.  The KG is loaded twice, so a second load that a
+cache serves must give the first load's digest, or the run fails.  39 keys.
 
 The digests are computed in a child process whose BLAS pools are fixed at one
 thread, since a matrix product may round differently on more threads.
@@ -37,6 +41,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,6 +68,35 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _kg_digest(kg) -> str:
+    """The digest of every field of a loaded KG that extraction and grounding read."""
+    import numpy as np
+
+    digest = hashlib.sha256(json.dumps(
+        [kg.concepts, kg.relations, sorted(kg._loops.items()),
+         sorted(kg._surface_index.items()), kg._max_surface_len]).encode())
+    for name in ("triples", "indptr", "neighbours", "triple_index"):
+        a = getattr(kg, name)
+        digest.update(f"{name}{a.dtype.str}{list(a.shape)}".encode())
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def _loaded_kg_digest(triples) -> str:
+    """The digest of the KG that ``load_kg`` reads from the saved triples,
+    loaded twice; the two loads must agree."""
+    from kgmoe.kg import load_kg
+    from kgmoe.pipeline import save_kg_tsv
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "kg.tsv"
+        save_kg_tsv(path, triples)
+        first, second = (_kg_digest(load_kg(path)) for _ in range(2))
+    if first != second:
+        raise RuntimeError("a second load of the KG differs from the first")
+    return first
+
+
 def _digests(tiny: bool) -> dict[str, str]:
     """Every key's digest, computed with the kgmoe on sys.path."""
     import numpy as np
@@ -82,6 +116,7 @@ def _digests(tiny: bool) -> dict[str, str]:
     for task, (kg_size, n_train, epochs, n_decode, shape) in (TINY if tiny else TASKS).items():
         examples, triples = make_synthetic_task(TASK_SEED, 30, 3, kg_size)
         kg = synthetic_kg(triples)
+        out[f"{task}/kg"] = _loaded_kg_digest(triples)
         vocab = Vocab.build([t for ex in examples for t in (ex.input, *ex.references)], 3)
         for mode, extra in (("prompt", {}), ("embed", EMBED)):
             cfg = TrainConfig(**{**SHAPE, **shape, **extra, "epochs": epochs})
