@@ -13,11 +13,12 @@ import os
 import re
 import struct
 from array import array
+from collections.abc import Sequence
 from itertools import repeat
 
 import numpy as np
 
-from .tensor import replace_file
+from .tensor import replace_file, row_elements
 
 # Suffixes tried longest-first; a rule only applies if the stem keeps >= 3 chars.
 _SUFFIXES = ("ing", "es", "ed", "s")
@@ -113,6 +114,63 @@ class Subgraph:
             self._messages[n_relations] = arrays
         return arrays
 
+    def message_elements(self, n_relations: int, i: int, width: int) -> np.ndarray:
+        """`tensor.row_elements` of `message_arrays(n_relations)[i]` (0 src,
+        1 dst, 2 rel) for rows of `width` elements: the element indexes that
+        the R-GCN's scatters read.  Built on first use and kept."""
+        key = (n_relations, i, width)
+        elements = self._messages.get(key)
+        if elements is None:
+            elements = row_elements(self.message_arrays(n_relations)[i], width)
+            self._messages[key] = elements
+        return elements
+
+
+class Surfaces(Sequence):
+    """A read-only sequence of n strings held as one UTF-8 text, `text`, in
+    which each string is followed by a newline, and n + 1 byte offsets:
+    string i runs from offset i up to the newline before offset i + 1.
+
+    The collector walks no entry of it, whereas a young list of n strings
+    costs every young collection n visits until it is old.
+    """
+
+    __slots__ = ("text", "_starts")
+
+    def __init__(self, text: np.ndarray, starts: np.ndarray):
+        self.text = memoryview(text)
+        self._starts = memoryview(starts)   # indexes to Python ints
+
+    @classmethod
+    def of(cls, strings: list[str]) -> Surfaces:
+        """The surfaces of `strings`, any of which may hold a newline."""
+        text = _text(strings)
+        starts = _line_starts(text)
+        if len(starts) != len(strings) + 1:     # some string holds a newline
+            starts = np.cumsum([0, *(len(s.encode("utf-8", "surrogatepass")) + 1
+                                     for s in strings)])
+        return cls(text, starts)
+
+    def __len__(self) -> int:
+        return len(self._starts) - 1
+
+    def __getitem__(self, i: int) -> str:
+        n = len(self._starts) - 1
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("surface index out of range")
+        return str(self.text[self._starts[i]:self._starts[i + 1] - 1], "utf-8",
+                   "surrogatepass")
+
+
+def _line_starts(text: np.ndarray) -> np.ndarray:
+    """0 and the offset after each newline of a UTF-8 byte array."""
+    ends = np.flatnonzero(text == ord("\n"))
+    starts = np.zeros(len(ends) + 1, np.int64)
+    np.add(ends, 1, out=starts[1:])
+    return starts
+
 
 class KnowledgeGraph:
     """Immutable columnar triple store with id<->surface tables and CSR adjacency.
@@ -121,10 +179,11 @@ class KnowledgeGraph:
     adjacency covers both directions in CSR form: the entries of concept v are
     positions `indptr[v]:indptr[v + 1]` of `neighbours` (the other endpoint)
     and `triple_index` (the row of `triples`), in triple order.  A self-loop
-    is stored once.  Build one with `from_triples` or `load_kg`.
+    is stored once.  `concepts` holds the concept surfaces, in id order.
+    Build one with `from_triples` or `load_kg`.
     """
 
-    def __init__(self, concepts: list[str], relations: list[str], triples: np.ndarray,
+    def __init__(self, concepts: Surfaces, relations: list[str], triples: np.ndarray,
                  indptr: np.ndarray, neighbours: np.ndarray, triple_index: np.ndarray,
                  keys: list[str], max_surface_len: int):
         """Take the columns that `_columns` computes, as they are; `keys` holds
@@ -190,8 +249,8 @@ def _ids(surface_triples) -> tuple[dict[str, int], dict[str, int], np.ndarray]:
 def _columns(concept_ids: dict[str, int], relation_ids: dict[str, int], triples: np.ndarray):
     """The `KnowledgeGraph` arguments for id triples whose ids follow the
     insertion order of the two maps, a repeated triple dropped."""
-    concepts, relations = list(concept_ids), list(relation_ids)
-    n_c = len(concepts)
+    surfaces, relations = list(concept_ids), list(relation_ids)
+    n_c = len(surfaces)
     key = (triples[:, 0].astype(np.int64) * len(relations) + triples[:, 1]) * n_c
     _, first = np.unique(key + triples[:, 2], return_index=True)
     if len(first) < len(triples):
@@ -208,9 +267,10 @@ def _columns(concept_ids: dict[str, int], relation_ids: dict[str, int], triples:
     triple_index = np.arange(len(triples), dtype=np.int32).repeat(2)[once][order]
     indptr = np.zeros(n_c + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_c), out=indptr[1:])
-    keys = _surface_keys(concepts)
+    keys = _surface_keys(surfaces)
     max_surface_len = max(map(str.count, keys, repeat(" ")), default=-1) + 1
-    return concepts, relations, triples, indptr, neighbours, triple_index, keys, max_surface_len
+    return (Surfaces.of(surfaces), relations, triples, indptr, neighbours, triple_index, keys,
+            max_surface_len)
 
 
 def _from_ids(concept_ids, relation_ids, triples) -> KnowledgeGraph:
@@ -243,13 +303,22 @@ def load_kg(path) -> KnowledgeGraph:
     module's source (see `_read_cache`).  Any other sidecar is a miss: the TSV
     is parsed and the sidecar rewritten if it can be.  Deleting it is safe.
     """
+    # A hit needs only the TSV's digest: hashing it in 64 KB chunks spares a
+    # warm load a buffer of the whole file (hashlib.file_digest's 256 KB one
+    # costs a small KG's load more than its read).  A miss keys the sidecar
+    # to the bytes it parses, in case the file changed in between.
+    digest = hashlib.sha256()
     with open(path, "rb") as f:
-        data = f.read()
+        while chunk := f.read(1 << 16):
+            digest.update(chunk)
     cache = f"{os.fspath(path)}.kgcache"
-    header = {"version": _CACHE_VERSION, "tsv_sha256": hashlib.sha256(data).hexdigest(),
+    header = {"version": _CACHE_VERSION, "tsv_sha256": digest.hexdigest(),
               "code_sha256": _code_sha256()}
     columns = _read_cache(cache, header)
     if columns is None:
+        with open(path, "rb") as f:
+            data = f.read()
+        header["tsv_sha256"] = hashlib.sha256(data).hexdigest()
         columns = _columns(*_ids(_parse_kg(path, text_lines(path, "KG line", data))))
         with contextlib.suppress(OSError):
             _write_cache(cache, header, columns)
@@ -277,14 +346,22 @@ def _code_sha256() -> str:
 
 def _text(strings: list[str]) -> np.ndarray:
     """The strings' UTF-8, each ended by a newline, as a byte array."""
-    return np.frombuffer("\n".join([*strings, ""]).encode("utf-8"), np.uint8)
+    return np.frombuffer("\n".join([*strings, ""]).encode("utf-8", "surrogatepass"), np.uint8)
+
+
+def _lines(text) -> list[str]:
+    """The newline-ended strings of UTF-8 bytes, in a new list."""
+    lines = str(text, "utf-8").split("\n")
+    lines.pop()     # what follows the last newline; cheaper than a [:-1] copy
+    return lines
 
 
 def _write_cache(cache: str, header: dict, columns):
     """Write the sidecar of `columns`, whose TSV and code `header` names."""
     concepts, relations, triples, indptr, neighbours, triple_index, keys, longest = columns
-    key_rows = np.flatnonzero(np.fromiter(map(operator.ne, keys, concepts), bool, len(keys)))
-    arrays = (triples, indptr, neighbours, triple_index, _text(concepts), _text(relations),
+    surfaces = _lines(concepts.text)     # no surface read from a TSV holds a newline
+    key_rows = np.flatnonzero(np.fromiter(map(operator.ne, keys, surfaces), bool, len(keys)))
+    arrays = (triples, indptr, neighbours, triple_index, concepts.text, _text(relations),
               key_rows, _text([keys[i] for i in key_rows.tolist()]), np.array(longest))
     chunks, payload = [], hashlib.sha256()
     for a, (_, dtype, _) in zip(arrays, _CACHE_ARRAYS):
@@ -320,43 +397,52 @@ def _read_cache(cache: str, header: dict):
             count = math.prod(shape)
             arrays.append(np.frombuffer(data, dtype, count, offset).reshape(shape))
             offset += -(-count * np.dtype(dtype).itemsize // 8) * 8
-        triples, indptr, neighbours, triple_index, concepts, relations, key_rows, keys, longest \
+        triples, indptr, neighbours, triple_index, text, relations, key_rows, keys, longest \
             = arrays
-        concepts, relations, keys = (str(a, "utf-8").split("\n")[:-1]
-                                     for a in (concepts, relations, keys))
+        surface_keys, relations, keys = map(_lines, (text, relations, keys))
         key_rows = key_rows.tolist()
     except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return None
-    if (offset != len(data) or triples.shape[1] != 3 or len(concepts) + 1 != len(indptr)
-            or len(key_rows) != len(keys) or not all(0 <= i < len(concepts) for i in key_rows)):
+    n = len(surface_keys)
+    if (offset != len(data) or triples.shape[1] != 3 or n + 1 != len(indptr)
+            or len(key_rows) != len(keys) or not all(0 <= i < n for i in key_rows)):
         return None
-    surface_keys = concepts.copy()
     for i, key in zip(key_rows, keys):
         surface_keys[i] = key
-    return (concepts, relations, triples, indptr, neighbours, triple_index, surface_keys,
-            int(longest))
+    # the split is transient: the graph keeps the surfaces as the sidecar's text
+    return (Surfaces(text, _line_starts(text)), relations, triples, indptr, neighbours,
+            triple_index, surface_keys, int(longest))
 
 
 def text_lines(path, what: str = "line", data: bytes | None = None):
     """(line number from 1, line) for each line of a UTF-8 text file, read
     lazily in text mode (lines end at \\n, \\r or \\r\\n) with a leading
     byte-order mark dropped.  An undecodable byte raises a ValueError naming
-    the file and its line, which the message calls `what`.  Given `data`, the
-    file's bytes already read, the lines are those of `data`."""
+    the file and its line, which the message calls `what`, after every line
+    before that one is yielded, so a caller that rejects an earlier line names
+    it first.  Given `data`, the file's bytes already read, the lines are
+    those of `data`."""
+    count = 0
     try:
         with (open(path, encoding="utf-8-sig") if data is None
               else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")) as f:
-            yield from enumerate(f, start=1)
+            for count, line in enumerate(f, start=1):
+                yield count, line
+        return
     except UnicodeDecodeError as err:
-        raise _undecodable(path, err, what, data) from None
+        error, before = _undecodable(path, err, what, data)
+    # the lines that the failed decode chunk held before the undecodable one
+    yield from enumerate(before[count:], start=count + 1)
+    raise error
 
 
-def _undecodable(path, err: UnicodeDecodeError, what: str, data: bytes | None) -> ValueError:
-    """The ValueError for a text file that `err` says is not UTF-8.
+def _undecodable(path, err: UnicodeDecodeError, what: str, data: bytes | None):
+    """The ValueError for a text file that `err` says is not UTF-8, and the
+    lines before its first undecodable line, as text mode reads them.
 
-    It names the file, the first undecodable line (lines end at \\n, \\r or
-    \\r\\n, as in text mode) and its byte.  `data` is the file's bytes, or
-    None to read them.
+    The error names the file, that line (lines end at \\n, \\r or \\r\\n, as
+    in text mode) and its byte.  `data` is the file's bytes, or None to read
+    them.
     """
     if data is None:
         with open(path, "rb") as f:
@@ -364,11 +450,12 @@ def _undecodable(path, err: UnicodeDecodeError, what: str, data: bytes | None) -
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as e:
-        before = data[: e.start].decode("utf-8")
-        lineno = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
-        return ValueError(f"{path}: undecodable {what} {lineno}: {e.reason} "
-                          f"(byte {data[e.start]:#04x})")
-    return ValueError(f"{path}: {err}")     # the file changed since it was read
+        before = data[: e.start].decode("utf-8").removeprefix("\ufeff")
+        lines = before.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        return (ValueError(f"{path}: undecodable {what} {len(lines)}: {e.reason} "
+                           f"(byte {data[e.start]:#04x})"),
+                [line + "\n" for line in lines[:-1]])
+    return ValueError(f"{path}: {err}"), []     # the file changed since it was read
 
 
 def ground_concepts(text: str, kg: KnowledgeGraph) -> set[int]:

@@ -130,10 +130,12 @@ def _rows(table: Tensor, ids) -> np.ndarray:
     return idx
 
 
-def _scatter_rows(table: Tensor, idx: np.ndarray, g: np.ndarray):
+def _scatter_rows(table: Tensor, idx: np.ndarray, g: np.ndarray,
+                  elements: np.ndarray | None = None):
     """Add the rows of g into table's gradient at rows idx (an embedding's
-    backward).  A fresh buffer remembers the row ids while only such scatters
-    write it, for `Adam`'s touched-row check."""
+    backward); `elements` is as in `_scatter_add`.  A fresh buffer remembers
+    the row ids while only such scatters write it, for `Adam`'s touched-row
+    check."""
     if not table.requires_grad:
         return
     if table.grad is None:
@@ -141,22 +143,30 @@ def _scatter_rows(table: Tensor, idx: np.ndarray, g: np.ndarray):
         table._touched = (table.grad, [])
     if table._touched is not None:
         table._touched[1].append(idx)
-    _scatter_add(table.grad, idx, g)
+    _scatter_add(table.grad, idx, g, elements)
 
 
-def _scatter_add(dst: np.ndarray, idx: np.ndarray, rows: np.ndarray):
+def row_elements(idx: np.ndarray, width: int) -> np.ndarray:
+    """The flat indexes of the elements of rows idx, in order, in a C-order
+    array whose rows hold `width` elements."""
+    return (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+
+
+def _scatter_add(dst: np.ndarray, idx: np.ndarray, rows: np.ndarray,
+                 elements: np.ndarray | None = None):
     """np.add.at(dst, idx, rows) for row ids idx on dst's axis 0, bit for bit.
 
     The row scatter runs as one 1-D scatter over element indices, which numpy
     does far faster; each element still takes its contributions one by one in
-    index order onto what dst holds, so every sum is the same.
+    index order onto what dst holds, so every sum is the same.  `elements`,
+    if given, is `row_elements(idx, width of dst's rows)` built beforehand.
     """
     if not dst.flags.c_contiguous:
         np.add.at(dst, idx, rows)
         return
-    width = math.prod(dst.shape[1:])
-    flat = idx.reshape(-1, 1) * width + np.arange(width)
-    np.add.at(dst.reshape(-1), flat.reshape(-1), rows.reshape(-1))
+    if elements is None:
+        elements = row_elements(idx, math.prod(dst.shape[1:]))
+    np.add.at(dst.reshape(-1), elements, rows.reshape(-1))
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -410,13 +420,15 @@ def feed_forward_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1:
 
 
 def rgcn_conv(h_rel: Tensor, h: Tensor, w_neighbor: Tensor, w_self: Tensor,
-              messages) -> Tensor:
+              messages, elements) -> Tensor:
     """ReLU(mean over the messages into each node + h w_self), one relational
     graph convolution of node states h [n, d].
 
     messages is (src, dst, rel, divisor): the message along edge i is
     (h[src[i]] - h_rel[rel[i]]) w_neighbor, sent to node dst[i], and
-    divisor [n] holds each node's in-degree, at least 1.
+    divisor [n] holds each node's in-degree, at least 1.  elements(i, width)
+    is `row_elements(messages[i], width)`, which the scatters over dst, src
+    and rel read (a subgraph builds it once, see `Subgraph.message_elements`).
     """
     src, dst, rel, divisor = messages
     pre = np.matmul(h.data, w_self.data)
@@ -424,7 +436,7 @@ def rgcn_conv(h_rel: Tensor, h: Tensor, w_neighbor: Tensor, w_self: Tensor,
         diff = h.data[src] - h_rel.data[rel]
         msg = np.matmul(diff, w_neighbor.data)
         agg = np.zeros(pre.shape)
-        _scatter_add(agg, dst, msg)
+        _scatter_add(agg, dst, msg, elements(1, agg.shape[1]))
         agg /= divisor[:, None]
         pre = agg + pre
     mask = pre > 0
@@ -436,8 +448,8 @@ def rgcn_conv(h_rel: Tensor, h: Tensor, w_neighbor: Tensor, w_self: Tensor,
             gdiff = np.matmul(gmsg, w_neighbor.data.T)
             _accum(w_neighbor, np.matmul(diff.T, gmsg))
             # the edge scatter into h comes before the dense self term
-            _scatter_rows(h, src, gdiff)
-            _scatter_rows(h_rel, rel, -gdiff)
+            _scatter_rows(h, src, gdiff, elements(0, gdiff.shape[1]))
+            _scatter_rows(h_rel, rel, -gdiff, elements(2, gdiff.shape[1]))
         _accum(h, np.matmul(gpre, w_self.data.T))
         _accum(w_self, np.matmul(h.data.T, gpre))
     # h_rel first: the sweep reaches h's layers before h_rel's projection
@@ -522,13 +534,17 @@ class Adam:
     row (index on axis 0) goes live once any element of its gradient, after
     weight decay, is nonzero, and stays live.  Until then its moments are
     exactly 0 and the dense rule would compute m = v = 0 and subtract
-    lr * 0 / (0 + eps) = 0, so only live rows are gathered, updated with the
-    dense arithmetic and scattered back; the result is bit-identical to
-    updating every row.  The moment buffers come from ``np.zeros``, so pages of
-    rows that never go live are never written.  1-D and scalar parameters are
-    updated densely.  When only ``embedding`` backwards wrote a gradient (no
-    dense accumulation, no hand-assigned buffer) and there is no weight decay,
-    every untouched row is +0.0, so the live check reads just the touched rows
+    lr * 0 / (0 + eps) = 0, so Adam keeps the moments of live rows only:
+    ``rows[k]`` holds their ids in the order they went live, and the first
+    ``len(rows[k])`` rows of ``m[k]`` and ``v[k]`` their moments, in that
+    order.  A step updates those rows with the dense arithmetic and scatters
+    them back; the result is bit-identical to updating every row.  New rows
+    are appended; the buffers grow by doubling.  Once every row is live the
+    moments move to full buffers in row order and ``rows[k]`` is dropped: the
+    parameter is then updated densely, as 1-D and scalar parameters always
+    are.  When only ``embedding`` backwards wrote a gradient (no dense
+    accumulation, no hand-assigned buffer) and there is no weight decay, every
+    untouched row is +0.0, so the live check reads each touched row once
     instead of the whole table.
     """
 
@@ -538,10 +554,10 @@ class Adam:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros(p.shape) for k, p in params.items()}
-        self.v = {k: np.zeros(p.shape) for k, p in params.items()}
-        self.live = {k: np.zeros(p.shape[0], dtype=bool)
-                     for k, p in params.items() if len(p.shape) >= 2}
+        self.rows = {k: np.empty(0, np.int64) for k, p in params.items() if len(p.shape) >= 2}
+        self.m = {k: np.zeros((0, *p.shape[1:]) if k in self.rows else p.shape)
+                  for k, p in params.items()}
+        self.v = {k: m.copy() for k, m in self.m.items()}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -560,25 +576,53 @@ class Adam:
             g = p.grad
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
-            rows = ...
-            live = self.live.get(k)
-            if live is not None and not live.all():
-                touched = p._touched
-                if touched is not None and touched[0] is p.grad and not self.weight_decay:
-                    # only embedding scatters wrote g: every other row is +0.0
-                    ids = np.concatenate([i.reshape(-1) for i in touched[1]])
-                    live[ids[g[ids].any(axis=tuple(range(1, g.ndim)))]] = True
-                else:
-                    live |= g.any(axis=tuple(range(1, g.ndim)))
-                if not live.all():
-                    rows = np.flatnonzero(live)
-                    g = g[rows]
-            m = b1 * self.m[k][rows] + (1 - b1) * g
-            v = b2 * self.v[k][rows] + (1 - b2) * g * g
-            self.m[k][rows] = m
-            self.v[k][rows] = v
+            rows = self._live_rows(k, p, g) if k in self.rows else ...
+            m, v = self.m[k], self.v[k]
+            if rows is not ...:
+                m, v, g = m[:len(rows)], v[:len(rows)], g[rows]
+            m *= b1         # in place: m and v may be views of the row buffers
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
             data = p.data if rows is ... else p.drawn(rows)
             data[rows] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+    def _live_rows(self, k: str, p: Tensor, g: np.ndarray):
+        """The ids of parameter k's live rows once gradient g (after weight
+        decay) has been seen, their moments zeroed where new; ``...`` once
+        every row is live."""
+        live = self.rows[k]
+        touched = p._touched
+        if touched is not None and touched[0] is p.grad and not self.weight_decay:
+            # only embedding scatters wrote g: every other row is +0.0.  Each
+            # touched id once, by a sort (np.unique takes ten times as long)
+            ids = np.sort(np.concatenate([i.reshape(-1) for i in touched[1]]))
+            once = np.empty(len(ids), bool)
+            once[:1] = True
+            np.not_equal(ids[1:], ids[:-1], out=once[1:])
+            new = ids[once]
+            new = new[~np.isin(new, live, assume_unique=True)]
+            new = new[g[new].any(axis=tuple(range(1, g.ndim)))]
+        else:
+            new = np.flatnonzero(g.any(axis=tuple(range(1, g.ndim))))
+            new = new[~np.isin(new, live, assume_unique=True)]
+        n = len(live)
+        if n + len(new) == len(g):
+            for moments in (self.m, self.v):
+                dense = np.zeros(g.shape)
+                dense[live] = moments[k][:n]
+                moments[k] = dense
+            del self.rows[k]
+            return ...
+        if len(new):
+            live = self.rows[k] = np.concatenate([live, new])
+            if len(live) > len(self.m[k]):
+                size = min(max(len(live), 2 * len(self.m[k])), len(g))
+                for moments in (self.m, self.v):
+                    grown = np.zeros((size, *g.shape[1:]))
+                    grown[:n] = moments[k][:n]
+                    moments[k] = grown
+        return live
 
 
 def _check_lr(lr: float) -> float:

@@ -1,5 +1,6 @@
 """Autodiff engine: op semantics, gradient oracles, optimizer, checkpoints."""
 
+import functools
 import json
 import math
 import re
@@ -267,7 +268,7 @@ def chain_feed_forward(x, gain, bias, w1, b1, w2, b2):
     return T.add(x, T.add(T.matmul(hidden, w2), b2))
 
 
-def chain_rgcn(h_rel, h, w_neighbor, w_self, messages):
+def chain_rgcn(h_rel, h, w_neighbor, w_self, messages, elements):
     src, dst, rel, _ = messages
     self_term = T.matmul(h, w_self)
     if not len(src):
@@ -390,13 +391,15 @@ def test_rgcn_conv_matches_chain_bit_for_bit(edges):
     from kgmoe.kg import Subgraph
     rng = np.random.default_rng(91)
     n, n_relations, d = 5, 2, 6
-    messages = Subgraph(nodes=set(range(n)), edges=edges, seeds=set()).message_arrays(n_relations)
+    sub = Subgraph(nodes=set(range(n)), edges=edges, seeds=set())
+    messages = sub.message_arrays(n_relations), functools.partial(sub.message_elements,
+                                                                  n_relations)
     arrays = [rng.normal(size=(2 * n_relations, d)), rng.normal(size=(n, d)),
               rng.normal(size=(d, d)), rng.normal(size=(d, d))]
-    grads = assert_layer_matches_chain(T.rgcn_conv, chain_rgcn, arrays, (n, d), rng, messages)
+    grads = assert_layer_matches_chain(T.rgcn_conv, chain_rgcn, arrays, (n, d), rng, *messages)
     # without messages, the relation states and w_neighbor get no gradient
     assert [g is None for g in grads] == [not edges, False, not edges, False]
-    assert_layer_matches_finite_differences(T.rgcn_conv, arrays, (n, d), rng, messages)
+    assert_layer_matches_finite_differences(T.rgcn_conv, arrays, (n, d), rng, *messages)
 
 
 def test_sigmoid_mlp_matches_chain_bit_for_bit():
@@ -581,6 +584,24 @@ def _same_bits(a, b):
     return np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
+def _dense_moments(opt, k):
+    """Adam's first and second moments of parameter k as full arrays, rebuilt
+    from its live-row state: rows that never went live hold +0.0.  The unused
+    tail of each moment buffer must be +0.0 too, since rows going live later
+    start from it."""
+    if k not in opt.rows:
+        return opt.m[k], opt.v[k]
+    rows = opt.rows[k]
+    assert len(set(rows.tolist())) == len(rows)
+    dense = []
+    for buf in (opt.m[k], opt.v[k]):
+        assert _same_bits(buf[len(rows):], np.zeros((len(buf) - len(rows), *buf.shape[1:])))
+        full = np.zeros(opt.params[k].shape)
+        full[rows] = buf[:len(rows)]
+        dense.append(full)
+    return dense
+
+
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 def test_adam_row_skipping_matches_dense_oracle(weight_decay):
     rng = np.random.default_rng(11)
@@ -621,15 +642,16 @@ def test_adam_row_skipping_matches_dense_oracle(weight_decay):
         ref.step(lr)
         for k in init:
             assert _same_bits(fast[k].data, dense[k].data), (s, k)
-            assert _same_bits(opt.m[k], ref.m[k]), (s, k)
-            assert _same_bits(opt.v[k], ref.v[k]), (s, k)
+            m, v = _dense_moments(opt, k)
+            assert _same_bits(m, ref.m[k]), (s, k)
+            assert _same_bits(v, ref.v[k]), (s, k)
 
     # under weight decay every row with a nonzero value goes live
     never = [6] if weight_decay else [5, 6, 7]
-    for buf in (opt.m["table"], opt.v["table"]):
+    for buf in _dense_moments(opt, "table"):
         assert _same_bits(buf[never], np.zeros((len(never), 3)))
-    assert opt.live["table"].tolist() == [r not in never for r in range(8)]
-    assert "bias" not in opt.live
+    assert sorted(opt.rows["table"].tolist()) == [r for r in range(8) if r not in never]
+    assert "bias" not in opt.rows
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
@@ -679,16 +701,33 @@ def test_adam_touched_rows_match_dense_oracle_through_embedding(weight_decay):
         ref.step(lr)
         for k in init:
             assert _same_bits(fast[k].data, dense[k].data), (s, k)
-            assert _same_bits(opt.m[k], ref.m[k]), (s, k)
-            assert _same_bits(opt.v[k], ref.v[k]), (s, k)
+            m, v = _dense_moments(opt, k)
+            assert _same_bits(m, ref.m[k]), (s, k)
+            assert _same_bits(v, ref.v[k]), (s, k)
 
-    live = opt.live["table"].tolist()
+    live = sorted(opt.rows["table"].tolist())
     if weight_decay:
-        assert live == [r != 9 for r in range(10)]
+        assert live == [r for r in range(10) if r != 9]
     else:
-        assert live == [r in (0, 1, 2, 3, 5, 6) for r in range(10)]
-        for buf in (opt.m["table"], opt.v["table"]):
+        assert live == [0, 1, 2, 3, 5, 6]
+        for buf in _dense_moments(opt, "table"):
             assert _same_bits(buf[8], np.zeros(3))
+
+
+def test_adam_keeps_moments_for_live_rows_only():
+    # a 1,000,000-row table of which two steps touch 3 rows: the moments
+    # follow the rows touched, not the table
+    table = T.Tensor(np.ones((1_000_000, 4)), requires_grad=True)
+    opt = T.Adam({"table": table}, lr=0.1)
+    for ids in ([3, 999_999, 3], [3, 42]):
+        opt.zero_grad()
+        mean_all(T.embedding(table, ids)).backward()
+        opt.step()
+    for moments in (opt.m["table"], opt.v["table"]):
+        assert moments.shape[1:] == (4,) and len(moments) <= 2 * 3
+    assert sorted(opt.rows["table"].tolist()) == [3, 42, 999_999]
+    assert table.data[[3, 42, 999_999]].max() < 1.0
+    assert np.count_nonzero(table.data != 1.0) == 3 * 4
 
 
 @pytest.mark.parametrize("kwargs", [dict(lr=float("nan")), dict(lr=-float("inf")), dict(lr=-1e-3),

@@ -73,7 +73,7 @@ def _kg_digest(kg) -> str:
     import numpy as np
 
     digest = hashlib.sha256(json.dumps(
-        [kg.concepts, kg.relations, sorted(kg._loops.items()),
+        [list(kg.concepts), kg.relations, sorted(kg._loops.items()),
          sorted(kg._surface_index.items()), kg._max_surface_len]).encode())
     for name in ("triples", "indptr", "neighbours", "triple_index"):
         a = getattr(kg, name)
