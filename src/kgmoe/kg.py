@@ -18,7 +18,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .tensor import replace_file, row_elements
+from .tensor import replace_file
 
 # Suffixes tried longest-first; a rule only applies if the stem keeps >= 3 chars.
 _SUFFIXES = ("ing", "es", "ed", "s")
@@ -114,17 +114,6 @@ class Subgraph:
             self._messages[n_relations] = arrays
         return arrays
 
-    def message_elements(self, n_relations: int, i: int, width: int) -> np.ndarray:
-        """`tensor.row_elements` of `message_arrays(n_relations)[i]` (0 src,
-        1 dst, 2 rel) for rows of `width` elements: the element indexes that
-        the R-GCN's scatters read.  Built on first use and kept."""
-        key = (n_relations, i, width)
-        elements = self._messages.get(key)
-        if elements is None:
-            elements = row_elements(self.message_arrays(n_relations)[i], width)
-            self._messages[key] = elements
-        return elements
-
 
 class Surfaces(Sequence):
     """A read-only sequence of n strings held as one UTF-8 text, `text`, in
@@ -154,14 +143,27 @@ class Surfaces(Sequence):
     def __len__(self) -> int:
         return len(self._starts) - 1
 
-    def __getitem__(self, i: int) -> str:
+    def __getitem__(self, i):
+        """Surface i, or a list of the surfaces a slice i names."""
         n = len(self._starts) - 1
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(n))]
+        i = operator.index(i)
         if i < 0:
             i += n
         if not 0 <= i < n:
             raise IndexError("surface index out of range")
         return str(self.text[self._starts[i]:self._starts[i + 1] - 1], "utf-8",
                    "surrogatepass")
+
+    def __eq__(self, other) -> bool:
+        """Equal, as a list of the surfaces would be, to a list or `Surfaces`
+        of the same strings in the same order."""
+        if not isinstance(other, (list, Surfaces)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
 
 
 def _line_starts(text: np.ndarray) -> np.ndarray:

@@ -7,8 +7,6 @@ h_v' = ReLU(mean of incoming messages + W_S h_v); relations: h_r' = W_R h_r.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import tensor as T
@@ -41,8 +39,7 @@ def rgcn_layer(h: T.Tensor, h_rel: T.Tensor, subgraph: Subgraph, w_neighbor: T.T
     n = len(subgraph.nodes)
     if h.shape[0] != n:
         raise ValueError(f"node states have {h.shape[0]} rows for a subgraph of {n} nodes")
-    updated = T.rgcn_conv(h_rel, h, w_neighbor, w_self, subgraph.message_arrays(n_relations),
-                          functools.partial(subgraph.message_elements, n_relations))
+    updated = T.rgcn_conv(h_rel, h, w_neighbor, w_self, subgraph.message_arrays(n_relations))
     return updated, None if w_rel is None else T.matmul(h_rel, w_rel)
 
 

@@ -130,12 +130,10 @@ def _rows(table: Tensor, ids) -> np.ndarray:
     return idx
 
 
-def _scatter_rows(table: Tensor, idx: np.ndarray, g: np.ndarray,
-                  elements: np.ndarray | None = None):
+def _scatter_rows(table: Tensor, idx: np.ndarray, g: np.ndarray):
     """Add the rows of g into table's gradient at rows idx (an embedding's
-    backward); `elements` is as in `_scatter_add`.  A fresh buffer remembers
-    the row ids while only such scatters write it, for `Adam`'s touched-row
-    check."""
+    backward).  A fresh buffer remembers the row ids while only such scatters
+    write it, for `Adam`'s touched-row check."""
     if not table.requires_grad:
         return
     if table.grad is None:
@@ -143,30 +141,22 @@ def _scatter_rows(table: Tensor, idx: np.ndarray, g: np.ndarray,
         table._touched = (table.grad, [])
     if table._touched is not None:
         table._touched[1].append(idx)
-    _scatter_add(table.grad, idx, g, elements)
+    _scatter_add(table.grad, idx, g)
 
 
-def row_elements(idx: np.ndarray, width: int) -> np.ndarray:
-    """The flat indexes of the elements of rows idx, in order, in a C-order
-    array whose rows hold `width` elements."""
-    return (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-
-
-def _scatter_add(dst: np.ndarray, idx: np.ndarray, rows: np.ndarray,
-                 elements: np.ndarray | None = None):
+def _scatter_add(dst: np.ndarray, idx: np.ndarray, rows: np.ndarray):
     """np.add.at(dst, idx, rows) for row ids idx on dst's axis 0, bit for bit.
 
     The row scatter runs as one 1-D scatter over element indices, which numpy
     does far faster; each element still takes its contributions one by one in
-    index order onto what dst holds, so every sum is the same.  `elements`,
-    if given, is `row_elements(idx, width of dst's rows)` built beforehand.
+    index order onto what dst holds, so every sum is the same.
     """
     if not dst.flags.c_contiguous:
         np.add.at(dst, idx, rows)
         return
-    if elements is None:
-        elements = row_elements(idx, math.prod(dst.shape[1:]))
-    np.add.at(dst.reshape(-1), elements, rows.reshape(-1))
+    width = math.prod(dst.shape[1:])
+    flat = idx.reshape(-1, 1) * width + np.arange(width)
+    np.add.at(dst.reshape(-1), flat.reshape(-1), rows.reshape(-1))
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -420,15 +410,13 @@ def feed_forward_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1:
 
 
 def rgcn_conv(h_rel: Tensor, h: Tensor, w_neighbor: Tensor, w_self: Tensor,
-              messages, elements) -> Tensor:
+              messages) -> Tensor:
     """ReLU(mean over the messages into each node + h w_self), one relational
     graph convolution of node states h [n, d].
 
     messages is (src, dst, rel, divisor): the message along edge i is
     (h[src[i]] - h_rel[rel[i]]) w_neighbor, sent to node dst[i], and
-    divisor [n] holds each node's in-degree, at least 1.  elements(i, width)
-    is `row_elements(messages[i], width)`, which the scatters over dst, src
-    and rel read (a subgraph builds it once, see `Subgraph.message_elements`).
+    divisor [n] holds each node's in-degree, at least 1.
     """
     src, dst, rel, divisor = messages
     pre = np.matmul(h.data, w_self.data)
@@ -436,7 +424,7 @@ def rgcn_conv(h_rel: Tensor, h: Tensor, w_neighbor: Tensor, w_self: Tensor,
         diff = h.data[src] - h_rel.data[rel]
         msg = np.matmul(diff, w_neighbor.data)
         agg = np.zeros(pre.shape)
-        _scatter_add(agg, dst, msg, elements(1, agg.shape[1]))
+        _scatter_add(agg, dst, msg)
         agg /= divisor[:, None]
         pre = agg + pre
     mask = pre > 0
@@ -448,8 +436,8 @@ def rgcn_conv(h_rel: Tensor, h: Tensor, w_neighbor: Tensor, w_self: Tensor,
             gdiff = np.matmul(gmsg, w_neighbor.data.T)
             _accum(w_neighbor, np.matmul(diff.T, gmsg))
             # the edge scatter into h comes before the dense self term
-            _scatter_rows(h, src, gdiff, elements(0, gdiff.shape[1]))
-            _scatter_rows(h_rel, rel, -gdiff, elements(2, gdiff.shape[1]))
+            _scatter_rows(h, src, gdiff)
+            _scatter_rows(h_rel, rel, -gdiff)
         _accum(h, np.matmul(gpre, w_self.data.T))
         _accum(w_self, np.matmul(h.data.T, gpre))
     # h_rel first: the sweep reaches h's layers before h_rel's projection

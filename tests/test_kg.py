@@ -108,7 +108,7 @@ def test_pickled_copy_extracts_the_same_subgraphs():
     rng = np.random.default_rng(3)
     kg, seeds = random_case(rng)
     copy = pickle.loads(pickle.dumps(kg))
-    assert list(copy.concepts) == list(kg.concepts) and triple_tuples(copy) == triple_tuples(kg)
+    assert copy.concepts == kg.concepts and triple_tuples(copy) == triple_tuples(kg)
     assert extract_subgraph(seeds, copy) == extract_subgraph(seeds, kg)
 
 
@@ -116,7 +116,7 @@ def test_ids_assigned_first_seen_order(tmp_path):
     p = tmp_path / "kg.tsv"
     p.write_text("b\tr\ta\nc\tr\tb\n")
     kg = load_kg(p)
-    assert list(kg.concepts) == ["b", "a", "c"]
+    assert kg.concepts == ["b", "a", "c"]
 
 
 def naive_load(path):
@@ -176,7 +176,7 @@ def count_parses(monkeypatch) -> list:
 
 def assert_same_kg(got, want):
     """Every field a load builds: surfaces, triples, CSR, loop table, surface index."""
-    assert list(got.concepts) == list(want.concepts) and got.relations == want.relations
+    assert got.concepts == want.concepts and got.relations == want.relations
     assert got.relation_ids == want.relation_ids and got.concept_ids == want.concept_ids
     for name in ("triples", "indptr", "neighbours", "triple_index"):
         a, b = getattr(got, name), getattr(want, name)
@@ -198,7 +198,7 @@ def test_load_matches_naive_reference_on_random_tsvs(tmp_path, monkeypatch):
             before = len(parses)
             kg = load_kg(p)
             assert len(parses) == before + (not warm) and sidecar(p).is_file()
-            assert list(kg.concepts) == concepts and kg.relations == relations
+            assert kg.concepts == concepts and kg.relations == relations
             assert kg.concept_ids == {c: i for i, c in enumerate(concepts)}
             assert triple_tuples(kg) == triples
             assert kg.triples.dtype == np.int32 and kg.triples.shape == (len(triples), 3)
@@ -239,12 +239,12 @@ def test_edited_tsv_is_parsed_again_and_its_sidecar_rewritten(tmp_path, monkeypa
     p = tmp_path / "kg.tsv"
     p.write_text("a\tr\tb\n")
     parses = count_parses(monkeypatch)
-    assert list(load_kg(p).concepts) == ["a", "b"]
+    assert load_kg(p).concepts == ["a", "b"]
     stat = p.stat()
     p.write_text("a\tr\tc\n")                          # same size, same times
     os.utime(p, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-    assert list(load_kg(p).concepts) == ["a", "c"] and len(parses) == 2
-    assert list(load_kg(p).concepts) == ["a", "c"] and len(parses) == 2
+    assert load_kg(p).concepts == ["a", "c"] and len(parses) == 2
+    assert load_kg(p).concepts == ["a", "c"] and len(parses) == 2
 
 
 def test_tsv_edited_during_a_cold_load_keys_the_sidecar_to_the_bytes_parsed(tmp_path,
@@ -260,11 +260,11 @@ def test_tsv_edited_during_a_cold_load_keys_the_sidecar_to_the_bytes_parsed(tmp_
         return read_cache(cache, header)
 
     monkeypatch.setattr(kgmod, "_read_cache", edit_then_read)
-    assert list(load_kg(p).concepts) == ["a", "c"]
+    assert load_kg(p).concepts == ["a", "c"]
     monkeypatch.undo()
     p.write_text("a\tr\tb\n")
-    assert list(load_kg(p).concepts) == ["a", "b"]
-    assert list(load_kg(p).concepts) == ["a", "b"]
+    assert load_kg(p).concepts == ["a", "b"]
+    assert load_kg(p).concepts == ["a", "b"]
 
 
 def rewrite_header(path, **changes):
@@ -335,7 +335,7 @@ def test_directory_at_the_sidecar_path_still_loads(tmp_path, monkeypatch):
     sidecar(p).mkdir()
     parses = count_parses(monkeypatch)
     for _ in range(2):
-        assert list(load_kg(p).concepts) == ["a", "b"]
+        assert load_kg(p).concepts == ["a", "b"]
     assert len(parses) == 2
     assert sorted(q.name for q in tmp_path.iterdir()) == ["kg.tsv", "kg.tsv.kgcache"]
 
@@ -423,13 +423,20 @@ def test_surfaces_holding_line_breaks_read_back_as_themselves():
     for i in (6, -7):
         with pytest.raises(IndexError):
             kg.concepts[i]
+    # compared and sliced as the list of surfaces would be
+    assert kg.concepts == surfaces and surfaces == kg.concepts and kg.concepts == kg.concepts
+    assert kg.concepts != surfaces[:-1] and kg.concepts != [*surfaces[:-1], "x"]
+    assert kg.concepts != tuple(surfaces) and kg.concepts != "a\nb"
+    assert kg.concepts[1:5:2] == surfaces[1:5:2] and kg.concepts[::-1] == surfaces[::-1]
+    with pytest.raises(TypeError):
+        kg.concepts["0"]
 
 
 def test_load_drops_leading_bom(tmp_path):
     p = tmp_path / "kg.tsv"
     p.write_bytes("\ufeffa\tr\tb\n".encode("utf-8"))
     kg = load_kg(p)
-    assert list(kg.concepts) == ["a", "b"]
+    assert kg.concepts == ["a", "b"]
     assert ground_concepts("a", kg) == {0}
 
 

@@ -219,7 +219,7 @@ def test_save_kg_tsv_writes_what_load_kg_reads_back(tmp_path_factory, triples):
         assert not path.exists()
         return
     kg, want = load_kg(path), KnowledgeGraph.from_triples(triples)
-    assert list(kg.concepts) == list(want.concepts) and kg.relations == want.relations
+    assert kg.concepts == want.concepts and kg.relations == want.relations
     assert np.array_equal(kg.triples, want.triples)
 
 

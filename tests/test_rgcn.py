@@ -99,11 +99,6 @@ def test_message_arrays_interleave_forward_and_reverse_in_edge_order():
     assert rel.tolist() == [0, 2, 1, 3]
     assert divisor.tolist() == [2.0, 1.0, 1.0]     # in-degrees, built with the arrays
     assert all(a is b for a, b in zip(sub.message_arrays(2), (src, dst, rel, divisor)))
-    # the element indexes of each array's rows in a C-order [*, 3] buffer, built once
-    for i, ids in enumerate((src, dst, rel)):
-        elements = sub.message_elements(2, i, 3)
-        assert elements.tolist() == [3 * r + c for r in ids.tolist() for c in range(3)]
-        assert sub.message_elements(2, i, 3) is elements
 
 
 def test_layer_rejects_states_out_of_subgraph_order():

@@ -1,6 +1,5 @@
 """Autodiff engine: op semantics, gradient oracles, optimizer, checkpoints."""
 
-import functools
 import json
 import math
 import re
@@ -268,7 +267,7 @@ def chain_feed_forward(x, gain, bias, w1, b1, w2, b2):
     return T.add(x, T.add(T.matmul(hidden, w2), b2))
 
 
-def chain_rgcn(h_rel, h, w_neighbor, w_self, messages, elements):
+def chain_rgcn(h_rel, h, w_neighbor, w_self, messages):
     src, dst, rel, _ = messages
     self_term = T.matmul(h, w_self)
     if not len(src):
@@ -391,15 +390,13 @@ def test_rgcn_conv_matches_chain_bit_for_bit(edges):
     from kgmoe.kg import Subgraph
     rng = np.random.default_rng(91)
     n, n_relations, d = 5, 2, 6
-    sub = Subgraph(nodes=set(range(n)), edges=edges, seeds=set())
-    messages = sub.message_arrays(n_relations), functools.partial(sub.message_elements,
-                                                                  n_relations)
+    messages = Subgraph(nodes=set(range(n)), edges=edges, seeds=set()).message_arrays(n_relations)
     arrays = [rng.normal(size=(2 * n_relations, d)), rng.normal(size=(n, d)),
               rng.normal(size=(d, d)), rng.normal(size=(d, d))]
-    grads = assert_layer_matches_chain(T.rgcn_conv, chain_rgcn, arrays, (n, d), rng, *messages)
+    grads = assert_layer_matches_chain(T.rgcn_conv, chain_rgcn, arrays, (n, d), rng, messages)
     # without messages, the relation states and w_neighbor get no gradient
     assert [g is None for g in grads] == [not edges, False, not edges, False]
-    assert_layer_matches_finite_differences(T.rgcn_conv, arrays, (n, d), rng, *messages)
+    assert_layer_matches_finite_differences(T.rgcn_conv, arrays, (n, d), rng, messages)
 
 
 def test_sigmoid_mlp_matches_chain_bit_for_bit():
