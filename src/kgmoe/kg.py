@@ -12,6 +12,7 @@ import operator
 import os
 import re
 import struct
+import zlib
 from array import array
 from collections.abc import Sequence
 from itertools import repeat
@@ -133,7 +134,7 @@ class Surfaces(Sequence):
     @classmethod
     def of(cls, strings: list[str]) -> Surfaces:
         """The surfaces of `strings`, any of which may hold a newline."""
-        text = _text(strings)
+        text = np.frombuffer(_text(strings), np.uint8)
         starts = _line_starts(text)
         if len(starts) != len(strings) + 1:     # some string holds a newline
             starts = np.cumsum([0, *(len(s.encode("utf-8", "surrogatepass")) + 1
@@ -174,6 +175,70 @@ def _line_starts(text: np.ndarray) -> np.ndarray:
     return starts
 
 
+_UNASKED = object()      # a key that a `KeyIndex` memo has no answer for yet
+
+
+class KeyIndex:
+    """The concept id of each grounding key, or None for a text that no
+    concept has as its key; the first concept with a key owns it.
+
+    The keys are `text`, their UTF-8 in concept id order, each ended by a
+    newline, and a crc32 hash table over them: with B = len(buckets) - 1 a
+    power of two, bucket b holds the ids of the keys whose
+    ``zlib.crc32(key) & (B - 1)`` is b, ascending, as ``ids[buckets[b]:
+    buckets[b + 1]]``.  `find` hashes a text, scans its bucket and compares
+    bytes; `memo` keeps every answer, a miss included, so a text asked again
+    costs one dict lookup.  Nothing is built per concept: a warm load maps
+    the three arrays from the sidecar.
+    """
+
+    __slots__ = ("memo", "text", "ids", "buckets", "_starts", "_mask")
+
+    def __init__(self, text: np.ndarray, ids: np.ndarray, buckets: np.ndarray):
+        self.memo: dict[str, int | None] = {}
+        # memoryviews index to Python ints and slice without a copy
+        self.text, self._starts = memoryview(text), memoryview(_line_starts(text))
+        self.ids, self.buckets = memoryview(ids), memoryview(buckets)
+        self._mask = len(buckets) - 2
+
+    @classmethod
+    def of(cls, text: bytes) -> KeyIndex:
+        """The index of the newline-ended keys of a UTF-8 text."""
+        keys = text.split(b"\n")
+        keys.pop()
+        n_buckets = 1 << max(len(keys) - 1, 0).bit_length()   # the least power of 2 >= n
+        hashes = np.fromiter(map(zlib.crc32, keys), np.uint32, len(keys))
+        del keys
+        hashes &= n_buckets - 1
+        buckets = np.zeros(n_buckets + 1, np.int32)
+        np.cumsum(np.bincount(hashes, minlength=n_buckets), out=buckets[1:])
+        ids = np.argsort(hashes, kind="stable").astype(np.int32)
+        return cls(np.frombuffer(text, np.uint8), ids, buckets)
+
+    def get(self, key: str) -> int | None:
+        """The id of the concept whose grounding key is `key`, or None."""
+        cid = self.memo.get(key, _UNASKED)
+        return self.find(key) if cid is _UNASKED else cid
+
+    def find(self, key: str) -> int | None:
+        """`get` read from the table, not the memo; the answer is memoised."""
+        raw = key.encode("utf-8", "surrogatepass")
+        buckets = self.buckets
+        b = zlib.crc32(raw) & self._mask
+        j, end = buckets[b], buckets[b + 1]
+        cid = None
+        if j < end:
+            text, starts, ids = self.text, self._starts, self.ids
+            while j < end:
+                i = ids[j]
+                if text[starts[i]:starts[i + 1] - 1] == raw:
+                    cid = i
+                    break
+                j += 1
+        self.memo[key] = cid
+        return cid
+
+
 class KnowledgeGraph:
     """Immutable columnar triple store with id<->surface tables and CSR adjacency.
 
@@ -187,9 +252,9 @@ class KnowledgeGraph:
 
     def __init__(self, concepts: Surfaces, relations: list[str], triples: np.ndarray,
                  indptr: np.ndarray, neighbours: np.ndarray, triple_index: np.ndarray,
-                 keys: list[str], max_surface_len: int):
-        """Take the columns that `_columns` computes, as they are; `keys` holds
-        each concept's grounding key."""
+                 keys: KeyIndex, max_surface_len: int):
+        """Take the columns that `_columns` computes, as they are; `keys`
+        indexes each concept's grounding key."""
         self.concepts = concepts
         self.relations = relations
         self.relation_ids = {r: i for i, r in enumerate(relations)}
@@ -205,8 +270,7 @@ class KnowledgeGraph:
         h = triples[:, 0]
         for i in np.flatnonzero(h == triples[:, 2]).tolist():
             self._loops.setdefault(int(h[i]), []).append(i)
-        # The first concept with a key owns it.
-        self._surface_index = dict(zip(reversed(keys), reversed(range(len(keys)))))
+        self._surface_index = keys
         self._max_surface_len = max_surface_len
 
     @classmethod
@@ -224,7 +288,7 @@ class KnowledgeGraph:
 
     def __reduce__(self):
         # Memoryviews do not pickle; a copy is rebuilt from the id triples.
-        return _from_ids, (self.concept_ids, self.relation_ids, self.triples)
+        return _from_ids, (list(self.concepts), self.relations, self.triples)
 
     @property
     def num_concepts(self) -> int:
@@ -235,8 +299,8 @@ class KnowledgeGraph:
         return len(self.relations)
 
 
-def _ids(surface_triples) -> tuple[dict[str, int], dict[str, int], np.ndarray]:
-    """The concept and relation id maps, in first-seen order, and the [n, 3]
+def _ids(surface_triples) -> tuple[list[str], list[str], np.ndarray]:
+    """The concept and relation surfaces, in first-seen order, and the [n, 3]
     int32 id triples of the surface triples."""
     concept_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
@@ -245,13 +309,13 @@ def _ids(surface_triples) -> tuple[dict[str, int], dict[str, int], np.ndarray]:
         ids.extend((concept_ids.setdefault(h, len(concept_ids)),
                     relation_ids.setdefault(r, len(relation_ids)),
                     concept_ids.setdefault(t, len(concept_ids))))
-    return concept_ids, relation_ids, np.frombuffer(ids, dtype=np.int32).reshape(-1, 3)
+    # the surfaces' id map is dropped here, before the key index is built
+    return list(concept_ids), list(relation_ids), np.frombuffer(ids, np.int32).reshape(-1, 3)
 
 
-def _columns(concept_ids: dict[str, int], relation_ids: dict[str, int], triples: np.ndarray):
-    """The `KnowledgeGraph` arguments for id triples whose ids follow the
-    insertion order of the two maps, a repeated triple dropped."""
-    surfaces, relations = list(concept_ids), list(relation_ids)
+def _columns(surfaces: list[str], relations: list[str], triples: np.ndarray):
+    """The `KnowledgeGraph` arguments for id triples whose ids are positions
+    in the two surface lists, a repeated triple dropped."""
     n_c = len(surfaces)
     key = (triples[:, 0].astype(np.int64) * len(relations) + triples[:, 1]) * n_c
     _, first = np.unique(key + triples[:, 2], return_index=True)
@@ -271,12 +335,14 @@ def _columns(concept_ids: dict[str, int], relation_ids: dict[str, int], triples:
     np.cumsum(np.bincount(rows, minlength=n_c), out=indptr[1:])
     keys = _surface_keys(surfaces)
     max_surface_len = max(map(str.count, keys, repeat(" ")), default=-1) + 1
-    return (Surfaces.of(surfaces), relations, triples, indptr, neighbours, triple_index, keys,
-            max_surface_len)
+    key_text = _text(keys)
+    del keys        # before the index and the surfaces are built: it sets the peak
+    return (Surfaces.of(surfaces), relations, triples, indptr, neighbours, triple_index,
+            KeyIndex.of(key_text), max_surface_len)
 
 
-def _from_ids(concept_ids, relation_ids, triples) -> KnowledgeGraph:
-    return KnowledgeGraph(*_columns(concept_ids, relation_ids, triples))
+def _from_ids(surfaces, relations, triples) -> KnowledgeGraph:
+    return KnowledgeGraph(*_columns(surfaces, relations, triples))
 
 
 def _parse_kg(path, numbered):
@@ -331,12 +397,13 @@ def load_kg(path) -> KnowledgeGraph:
 # after its newline starts at a multiple of 8 bytes, then these arrays' raw
 # little-endian bytes in this order, each padded with zeros to a multiple of 8.
 # A text is its strings' UTF-8, each ended by a newline (no concept, relation
-# or grounding key holds one); `keys` are the grounding keys that differ from
-# their concept's surface, at rows `key_rows`.
-_CACHE_VERSION = 1
+# or grounding key holds one); `keys`, `key_ids` and `key_buckets` are the
+# `KeyIndex` of the concepts' grounding keys.
+_CACHE_VERSION = 2
 _CACHE_ARRAYS = (("triples", "<i4", 2), ("indptr", "<i8", 1), ("neighbours", "<i4", 1),
                  ("triple_index", "<i4", 1), ("concepts", "|u1", 1), ("relations", "|u1", 1),
-                 ("key_rows", "<i4", 1), ("keys", "|u1", 1), ("max_surface_len", "<i8", 0))
+                 ("keys", "|u1", 1), ("key_ids", "<i4", 1), ("key_buckets", "<i4", 1),
+                 ("max_surface_len", "<i8", 0))
 
 
 @functools.cache
@@ -346,9 +413,9 @@ def _code_sha256() -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def _text(strings: list[str]) -> np.ndarray:
-    """The strings' UTF-8, each ended by a newline, as a byte array."""
-    return np.frombuffer("\n".join([*strings, ""]).encode("utf-8", "surrogatepass"), np.uint8)
+def _text(strings: list[str]) -> bytes:
+    """The strings' UTF-8, each ended by a newline."""
+    return "\n".join([*strings, ""]).encode("utf-8", "surrogatepass")
 
 
 def _lines(text) -> list[str]:
@@ -361,10 +428,9 @@ def _lines(text) -> list[str]:
 def _write_cache(cache: str, header: dict, columns):
     """Write the sidecar of `columns`, whose TSV and code `header` names."""
     concepts, relations, triples, indptr, neighbours, triple_index, keys, longest = columns
-    surfaces = _lines(concepts.text)     # no surface read from a TSV holds a newline
-    key_rows = np.flatnonzero(np.fromiter(map(operator.ne, keys, surfaces), bool, len(keys)))
-    arrays = (triples, indptr, neighbours, triple_index, concepts.text, _text(relations),
-              key_rows, _text([keys[i] for i in key_rows.tolist()]), np.array(longest))
+    arrays = (triples, indptr, neighbours, triple_index, concepts.text,
+              np.frombuffer(_text(relations), np.uint8), keys.text, keys.ids, keys.buckets,
+              np.array(longest))
     chunks, payload = [], hashlib.sha256()
     for a, (_, dtype, _) in zip(arrays, _CACHE_ARRAYS):
         raw = np.ascontiguousarray(a, dtype)
@@ -399,21 +465,22 @@ def _read_cache(cache: str, header: dict):
             count = math.prod(shape)
             arrays.append(np.frombuffer(data, dtype, count, offset).reshape(shape))
             offset += -(-count * np.dtype(dtype).itemsize // 8) * 8
-        triples, indptr, neighbours, triple_index, text, relations, key_rows, keys, longest \
-            = arrays
-        surface_keys, relations, keys = map(_lines, (text, relations, keys))
-        key_rows = key_rows.tolist()
+        triples, indptr, neighbours, triple_index, text, relations, keys, key_ids, \
+            key_buckets, longest = arrays
+        relations = _lines(relations)
     except (OSError, ValueError, TypeError, KeyError, RecursionError):
         return None
-    n = len(surface_keys)
+    concepts, index = Surfaces(text, _line_starts(text)), KeyIndex(keys, key_ids, key_buckets)
+    n, n_buckets = len(concepts), len(key_buckets) - 1
+    # an index that does not fit the keys would raise, or read another key, at grounding
     if (offset != len(data) or triples.shape[1] != 3 or n + 1 != len(indptr)
-            or len(key_rows) != len(keys) or not all(0 <= i < n for i in key_rows)):
+            or len(index._starts) != n + 1 or index._starts[n] != len(keys)
+            or n_buckets < 1 or n_buckets & (n_buckets - 1) or key_buckets[0] != 0
+            or key_buckets[-1] != n or (key_buckets[1:] < key_buckets[:-1]).any()
+            or len(key_ids) != n or n and not 0 <= key_ids.min() <= key_ids.max() < n):
         return None
-    for i, key in zip(key_rows, keys):
-        surface_keys[i] = key
-    # the split is transient: the graph keeps the surfaces as the sidecar's text
-    return (Surfaces(text, _line_starts(text)), relations, triples, indptr, neighbours,
-            triple_index, surface_keys, int(longest))
+    return (concepts, relations, triples, indptr, neighbours, triple_index, index,
+            int(longest))
 
 
 def text_lines(path, what: str = "line", data: bytes | None = None):
@@ -467,17 +534,22 @@ def ground_concepts(text: str, kg: KnowledgeGraph) -> set[int]:
     """
     tokens = norm_tokens(text)
     index, longest = kg._surface_index, kg._max_surface_len
+    # `index.get`, inlined: a span met before costs one dict lookup
+    memo, find = index.memo.get, index.find
     found: set[int] = set()
-    i = 0
-    while i < len(tokens):
-        for span in range(min(longest, len(tokens) - i), 0, -1):
-            cid = index.get(" ".join(tokens[i : i + span]))
+    n, i = len(tokens), 0
+    while i < n:
+        span = min(longest, n - i)
+        while span > 0:
+            key = " ".join(tokens[i : i + span]) if span > 1 else tokens[i]
+            cid = memo(key, _UNASKED)
+            if cid is _UNASKED:
+                cid = find(key)
             if cid is not None:
                 found.add(cid)
                 break
-        else:
-            span = 1
-        i += span
+            span -= 1
+        i += span if span > 0 else 1    # the matched span, or one token that no key starts
     return found
 
 

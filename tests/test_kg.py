@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from itertools import groupby
 from pathlib import Path
 
@@ -175,14 +176,15 @@ def count_parses(monkeypatch) -> list:
 
 
 def assert_same_kg(got, want):
-    """Every field a load builds: surfaces, triples, CSR, loop table, surface index."""
+    """Every field a load builds: surfaces, triples, CSR, loop table, and the
+    concept that each grounding key resolves to."""
     assert got.concepts == want.concepts and got.relations == want.relations
     assert got.relation_ids == want.relation_ids and got.concept_ids == want.concept_ids
     for name in ("triples", "indptr", "neighbours", "triple_index"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
     assert got._loops == want._loops and got._max_surface_len == want._max_surface_len
-    assert list(got._surface_index.items()) == list(want._surface_index.items())
+    assert_grounds_as_first_owner(got, kgmod._surface_keys(list(want.concepts)), ["zz"])
 
 
 def test_load_matches_naive_reference_on_random_tsvs(tmp_path, monkeypatch):
@@ -214,25 +216,40 @@ def test_load_matches_naive_reference_on_random_tsvs(tmp_path, monkeypatch):
     assert seen_dup and seen_loop
 
 
+def sidecar_arrays(data: bytes) -> tuple[dict, dict[str, np.ndarray], int]:
+    """A sidecar's header, its arrays by name, and the offset where they end."""
+    end = data.index(b"\n") + 1
+    header = json.loads(data[:end])
+    arrays, offset = {}, end
+    for name, dtype, shape in header["arrays"]:
+        count = int(np.prod(shape))
+        arrays[name] = np.frombuffer(data, dtype, count, offset).reshape(shape)
+        offset += -(-np.dtype(dtype).itemsize * count // 8) * 8
+    return header, arrays, offset
+
+
 def test_sidecar_layout(tmp_path):
     p = tmp_path / "kg.tsv"
     p.write_text("Pianos\tr\tice_cream\nb\tr\tb\n")
     load_kg(p)
     data = sidecar(p).read_bytes()
+    header, arrays, offset = sidecar_arrays(data)
     end = data.index(b"\n") + 1
-    header = json.loads(data[:end])
     assert end % 8 == 0 and data[:end].isascii()
-    assert header["version"] == 1 and header["code_sha256"] == kgmod._code_sha256()
+    assert header["version"] == 2 and header["code_sha256"] == kgmod._code_sha256()
     assert header["tsv_sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
     assert [name for name, _, _ in header["arrays"]] == [
         "triples", "indptr", "neighbours", "triple_index", "concepts", "relations",
-        "key_rows", "keys", "max_surface_len"]
-    shapes = {name: shape for name, _, shape in header["arrays"]}
-    assert shapes["triples"] == [2, 3] and shapes["key_rows"] == [2]
-    offset = end + sum(-(-np.dtype(dtype).itemsize * int(np.prod(shape)) // 8) * 8
-                       for _, dtype, shape in header["arrays"][:7])
-    assert data[offset:offset + 16] == b"piano\nice cream\n"
-    assert np.frombuffer(data[-8:], "<i8").tolist() == [2]     # the longest key, in words
+        "keys", "key_ids", "key_buckets", "max_surface_len"]
+    assert offset == len(data) and arrays["triples"].shape == (2, 3)
+    # every concept's key, in id order; ids by crc32 bucket, ascending within one
+    assert arrays["keys"].tobytes() == b"piano\nice cream\nb\n"
+    buckets = [zlib.crc32(key) & 3 for key in (b"piano", b"ice cream", b"b")]
+    assert arrays["key_buckets"].tolist() == [0, *np.cumsum(np.bincount(buckets, minlength=4))]
+    assert arrays["key_ids"].tolist() == sorted(range(3), key=buckets.__getitem__)
+    assert arrays["max_surface_len"].tolist() == 2     # the longest key, in words
+    rewrite_arrays(sidecar(p))          # what the bad sidecars below start from
+    assert sidecar(p).read_bytes() == data
 
 
 def test_edited_tsv_is_parsed_again_and_its_sidecar_rewritten(tmp_path, monkeypatch):
@@ -290,6 +307,20 @@ def flip_last_payload_byte(path):
     path.write_bytes(bytes(data))
 
 
+def rewrite_arrays(path, **arrays):
+    """Replace arrays of a sidecar by name, with new shapes and a recomputed
+    payload digest: a sidecar that passes every digest but the TSV's."""
+    header, stored, _ = sidecar_arrays(path.read_bytes())
+    stored.update(arrays)
+    raw = [np.array(stored[name], dtype) for name, dtype, _ in header["arrays"]]
+    payload = b"".join(a.tobytes() + bytes(-a.nbytes % 8) for a in raw)
+    header.update(payload_sha256=hashlib.sha256(payload).hexdigest(),
+                  arrays=[[name, dtype, list(a.shape)]
+                          for (name, dtype, _), a in zip(header["arrays"], raw)])
+    line = json.dumps(header)
+    path.write_bytes((line + " " * (-(len(line) + 1) % 8) + "\n").encode() + payload)
+
+
 def foreign_sidecar(path):
     """Put another TSV's sidecar at `path`."""
     other = path.with_name("other.tsv")
@@ -302,22 +333,36 @@ BAD_SIDECARS = {
     "truncated": lambda p: p.write_bytes(p.read_bytes()[:-9]),
     "header-only": lambda p: p.write_bytes(p.read_bytes().split(b"\n")[0] + b"\n"),
     "payload-byte-flipped": flip_last_payload_byte,
-    "wrong-version": lambda p: rewrite_header(p, version=2),
+    "wrong-version": lambda p: rewrite_header(p, version=1),
     "garbage-header": lambda p: p.write_bytes(b"\x00\xff{[" * 16 + p.read_bytes()),
     "deep-json-header": lambda p: p.write_bytes(b"[" * 100_000 + b"\n"),
     "json-list-header": lambda p: p.write_bytes(b"[1, 2, 3]\n"),
     "bad-array-entry": lambda p: rewrite_header(p, arrays=[["triples", "<i4", [-1]]]),
     "triples-reshaped": reshape_triples,
     "empty": lambda p: p.write_bytes(b""),
+    # the key index of the 3-concept KG below has 4 buckets
+    "buckets-not-power-of-two": lambda p: rewrite_arrays(p, key_buckets=[0, 1, 2, 3]),
+    "no-buckets": lambda p: rewrite_arrays(p, key_buckets=[0]),
+    "buckets-decreasing": lambda p: rewrite_arrays(p, key_buckets=[0, 2, 1, 3, 3]),
+    "buckets-from-1": lambda p: rewrite_arrays(p, key_buckets=[1, 1, 2, 3, 3]),
+    "buckets-past-n": lambda p: rewrite_arrays(p, key_buckets=[0, 1, 2, 3, 4]),
+    "key-id-past-n": lambda p: rewrite_arrays(p, key_ids=[0, 1, 3]),
+    "key-id-negative": lambda p: rewrite_arrays(p, key_ids=[-1, 1, 2]),
+    "key-ids-short": lambda p: rewrite_arrays(p, key_ids=[0, 1], key_buckets=[0, 1, 2, 2, 2]),
+    "keys-short": lambda p: rewrite_arrays(p, keys=np.frombuffer(b"a\nb\n", np.uint8)),
+    "keys-unended": lambda p: rewrite_arrays(p, keys=np.frombuffer(b"a\nb\nc\nd", np.uint8)),
 }
 
 
 @pytest.mark.parametrize("spoil", [*BAD_SIDECARS.values(), foreign_sidecar, "other-code"],
                          ids=[*BAD_SIDECARS, "foreign", "other-code"])
 def test_bad_sidecar_is_a_miss(tmp_path, monkeypatch, spoil):
+    # each load is checked by asking its index for every key: a foreign index
+    # taken as it is would raise there, or name another concept
     p = tmp_path / "kg.tsv"
     p.write_text("a\tr\tb\nb\tq\tc\nc\tr\tc\n")
     want = load_kg(p)
+    assert len(want._surface_index.buckets) == 5
     if spoil == "other-code":       # as if kg.py changed since the sidecar was written
         monkeypatch.setattr(kgmod, "_code_sha256", lambda: "0" * 64)
     else:
@@ -440,23 +485,28 @@ def test_load_drops_leading_bom(tmp_path):
     assert ground_concepts("a", kg) == {0}
 
 
-def test_loaded_kg_holds_at_most_400_bytes_per_triple(tmp_path, monkeypatch):
+def test_loaded_kg_holds_at_most_120_bytes_per_triple(tmp_path, monkeypatch):
+    # a structure with an entry per concept (a dict of the grounding keys held
+    # 175 bytes per triple here) breaks the held bound; a transient one built
+    # while parsing breaks the peak bound
     _, triples = make_synthetic_task(seed=0, n_inputs=30, k_modes=3, kg_size=20_000)
     p = tmp_path / "kg.tsv"
     save_kg_tsv(p, triples)
     parses = count_parses(monkeypatch)
-    held = []
+    held, peak = [], []
     for _ in range(2):                  # cold: parse and write the sidecar; warm: read it
         tracemalloc.start()
         try:
             kg = load_kg(p)
             held.append(tracemalloc.get_traced_memory()[0])
+            peak.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         del kg
     assert len(parses) == 1
     assert len(load_kg(p).triples) >= 20_000
-    assert max(held) / 20_000 <= 400
+    assert max(held) / 20_000 <= 120
+    assert peak[0] / 20_000 <= 326
     assert held[1] <= held[0]
 
 
@@ -502,6 +552,83 @@ def token_stem(text):
 @settings(max_examples=500, deadline=None)
 def test_stem_matches_a_plain_per_token_rule(text):
     assert stem(text) == token_stem(text)
+
+
+def first_owners(keys: list[str]) -> dict[str, int]:
+    """Naive key index: each key's first concept."""
+    owner = {}
+    for cid, key in enumerate(keys):
+        owner.setdefault(key, cid)
+    return owner
+
+
+def assert_grounds_as_first_owner(kg, keys: list[str], others: list[str]):
+    """Every key of the concepts, and each of `others`, resolves as a dict
+    of each key's first concept does (asked twice: the second answer is the
+    index's memo)."""
+    owner, index = first_owners(keys), kg._surface_index
+    for text in [*keys, *others] * 2:
+        assert index.get(text) == owner.get(text), text
+
+
+def naive_ground(text: str, owner: dict[str, int]) -> set[int]:
+    """`ground_concepts` by hand: the longest known span first, left to right."""
+    tokens = [loop_stem(t) for t in text.split()]
+    longest = max((key.count(" ") + 1 for key in owner), default=0)
+    found, i = set(), 0
+    while i < len(tokens):
+        for span in range(min(longest, len(tokens) - i), 0, -1):
+            key = " ".join(tokens[i:i + span])
+            if key in owner:
+                found.add(owner[key])
+                break
+        else:
+            span = 1
+        i += span
+    return found
+
+
+# stemming and underscore collisions, multiword and non-ASCII keys
+SURFACES = ["piano", "Pianos", "PIANO", "ice_cream", "ice cream", "Ice  Cream", "ice", "cream",
+            "big_red ball", "big red balls", "red", "Ünï", "ünï", "naïve café", "ΣΑΣ", "σας",
+            "playing", "play", "x", "_", "a_b_c", "ab"]
+
+
+def test_keys_resolve_as_a_first_owner_dict(tmp_path, monkeypatch):
+    rng = np.random.default_rng(29)
+    p = tmp_path / "kg.tsv"
+    parses = count_parses(monkeypatch)
+    collided = multiword = surrogates = 0
+    for case in range(120):
+        pool = [*rng.choice(SURFACES, size=int(rng.integers(1, 9))),
+                *(f"n{i}" for i in range(int(rng.integers(0, 6))))]
+        triples = [(str(rng.choice(pool)), "r", str(rng.choice(pool)))
+                   for _ in range(int(rng.integers(1, 12)))]
+        if case % 2:                     # only `from_triples` takes a lone surrogate
+            triples.append(("\ud800x", "r", str(rng.choice(pool))))
+            kgs = [build_kg(triples)]
+        else:                            # parsed, then read from the sidecar
+            save_kg_tsv(p, triples)
+            sidecar(p).unlink(missing_ok=True)
+            kgs = [build_kg(triples), load_kg(p), load_kg(p)]
+            assert len(parses) == case // 2 + 1
+        surfaces = list(kgs[0].concepts)
+        keys = [" ".join(loop_stem(t) for t in s.replace("_", " ").split()) for s in surfaces]
+        words = sorted({w for key in keys for w in key.split()} | {"zz", "é", "\ud800"})
+        others = [*(key + "s" for key in keys), *(key[1:] for key in keys), *surfaces,
+                  *(" ".join(rng.choice(words, size=int(rng.integers(1, 4)))) for _ in range(40))]
+        texts = [" ".join(rng.choice([*surfaces, *words], size=6)) for _ in range(5)]
+        for kg in kgs:
+            assert_grounds_as_first_owner(kg, keys, others)
+            for text in texts:
+                assert ground_concepts(text, kg) == naive_ground(text, first_owners(keys))
+        index = kgs[-1]._surface_index
+        distinct = {key: zlib.crc32(key.encode("utf-8", "surrogatepass"))
+                    & (len(index.buckets) - 2) for key in keys}
+        collided += len(set(distinct.values())) < len(distinct)
+        multiword += kgs[0]._max_surface_len > 1
+        surrogates += "\ud800x" in keys
+    assert collided and multiword and surrogates
 
 
 def test_ground_multiconcept_sentence():

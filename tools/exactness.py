@@ -69,12 +69,19 @@ def _sha(data: bytes) -> str:
 
 
 def _kg_digest(kg) -> str:
-    """The digest of every field of a loaded KG that extraction and grounding read."""
+    """The digest of every field of a loaded KG that extraction and grounding
+    read.  The surface index enters as the answer of its ``get`` for each
+    concept's grounding key, sorted by key: a dict of every key and an index
+    that keeps only the answers it was asked for give the same digest."""
     import numpy as np
 
+    from kgmoe.kg import _surface_keys
+
+    index = kg._surface_index
+    answers = {key: index.get(key) for key in _surface_keys(list(kg.concepts))}
     digest = hashlib.sha256(json.dumps(
         [list(kg.concepts), kg.relations, sorted(kg._loops.items()),
-         sorted(kg._surface_index.items()), kg._max_surface_len]).encode())
+         sorted(answers.items()), kg._max_surface_len]).encode())
     for name in ("triples", "indptr", "neighbours", "triple_index"):
         a = getattr(kg, name)
         digest.update(f"{name}{a.dtype.str}{list(a.shape)}".encode())
