@@ -9,10 +9,13 @@ Expert conditioning is either an added per-expert embedding ("embed" mode) or a
 reserved prefix token ("prompt" mode).  The shape, the expert count and the
 expert mode are read from the model's `TrainConfig`, passed as `cfg`.
 
-`encode_inputs` stacks K requests that share an input on a leading batch axis
-that `decoder_logits` and `generation_loss` carry through; slice z equals a
-one-request call bit for bit.  `memory_next_dist` likewise runs H decoder
-prefixes of one length in one `decoder_logits` call.
+`encode_inputs` stacks S requests whose inputs have one length and whose
+concept counts are equal on a leading batch axis that `decoder_logits` and
+`generation_loss` carry through; slice i equals a one-request call bit for
+bit.  Training stacks the requests of many units, each with its own input
+and target; decoding stacks K requests that share an input.
+`memory_next_dist` likewise runs H decoder prefixes of one length in one
+`decoder_logits` call.
 
 The decoder has one path, through a `DecoderCache` (KV caching, Pope et al.
 2022): it holds each layer's cross-attention K/V, projected from the memory
@@ -213,7 +216,7 @@ def _weights(params, prefix: str, names) -> list[T.Tensor]:
 
 
 def _concept_embeddings(inps: list[GeneratorInput], n_concepts: int, params) -> T.Tensor:
-    """Mean-pooled token embeddings [K, n_concepts, d] of every request's
+    """Mean-pooled token embeddings [S, n_concepts, d] of every request's
     concepts, from one gather; no positional encoding."""
     flat, seg = [], []
     for i, toks in enumerate(c for inp in inps for c in inp.concept_token_ids):
@@ -221,30 +224,31 @@ def _concept_embeddings(inps: list[GeneratorInput], n_concepts: int, params) -> 
             raise ValueError("concept with no surface tokens")
         flat.extend(toks)
         seg.extend([i] * len(toks))
-    rows = T.embedding(params["gen.tok_embed"], flat)
+    with T.ragged([sum(map(len, inp.concept_token_ids)) for inp in inps]):
+        rows = T.embedding(params["gen.tok_embed"], flat)
     pooled = T.segment_mean(rows, seg, len(inps) * n_concepts)
     return T.reshape(pooled, (len(inps), n_concepts, pooled.shape[-1]))
 
 
 def encode_inputs(inps: list[GeneratorInput], params: dict[str, T.Tensor], vocab: Vocab,
                   cfg: TrainConfig) -> T.Tensor:
-    """Encoder memory [K, s, d] of K requests, each over [prefix?] + x + concepts
-    with positions only on x.  The requests share x_ids and the concept count;
-    the input embedding is computed once and every concept surface goes
-    through one gather."""
-    x_ids, n_concepts = inps[0].x_ids, len(inps[0].concept_token_ids)
-    if any(inp.x_ids != x_ids or len(inp.concept_token_ids) != n_concepts for inp in inps):
-        raise ValueError("batched requests must share x_ids and the concept count")
-    if len(x_ids) > cfg.max_len:
-        raise ValueError(f"input length {len(x_ids)} exceeds max_len {cfg.max_len}")
+    """Encoder memory [S, s, d] of S requests, each over [prefix?] + x + concepts
+    with positions only on x.  The requests' x_ids share one length and their
+    concept counts are equal; the inputs go through one gather and every
+    concept surface through another."""
+    x_len, n_concepts = len(inps[0].x_ids), len(inps[0].concept_token_ids)
+    if any(len(inp.x_ids) != x_len or len(inp.concept_token_ids) != n_concepts
+           for inp in inps):
+        raise ValueError("batched requests must share the input length and the concept count")
+    if x_len > cfg.max_len:
+        raise ValueError(f"input length {x_len} exceeds max_len {cfg.max_len}")
     experts = [inp.expert for inp in inps]
     for z in experts:
         if not 0 <= z < cfg.n_experts:
             raise ValueError(f"invalid expert id {z} for {cfg.n_experts} experts")
 
-    x_emb = T.add(T.embedding(params["gen.tok_embed"], x_ids),
-                  T.constant(sinusoidal_positions(cfg.max_len, cfg.d_model)[: len(x_ids)]))
-    parts = [T.broadcast_to(x_emb, (len(inps),) + x_emb.shape)]
+    parts = [T.add(T.embedding(params["gen.tok_embed"], [inp.x_ids for inp in inps]),
+                   T.constant(sinusoidal_positions(cfg.max_len, cfg.d_model)[:x_len]))]
     if n_concepts:
         parts.append(_concept_embeddings(inps, n_concepts, params))
     if cfg.expert_mode == "prompt":
@@ -309,17 +313,20 @@ def decoder_logits(memory: T.Tensor, dec_ids, params, cfg: TrainConfig,
     return T.add(T.matmul(stream, params["gen.out_w"]), params["gen.out_b"])
 
 
-def generation_loss(inps: list[GeneratorInput], y_ids: list[int], params, vocab: Vocab,
+def generation_loss(inps: list[GeneratorInput], y_ids, params, vocab: Vocab,
                     cfg: TrainConfig) -> T.Tensor:
-    """Teacher-forced mean token NLL of y (which must end with EOS) under each
-    of K requests that share x_ids and the concept count: a [K] tensor from one
-    encoder pass and one decoder pass."""
-    if not y_ids or y_ids[-1] != EOS:
+    """Teacher-forced mean token NLL of each of S requests' target: a [S]
+    tensor from one encoder pass and one decoder pass.  The requests stack as
+    in `encode_inputs`; y_ids is one target per request, or one target shared
+    by all, and the targets share one length and end with EOS."""
+    rows = y_ids if y_ids and isinstance(y_ids[0], list) else [y_ids] * len(inps)
+    if len(rows) != len(inps) or len({len(y) for y in rows}) != 1:
+        raise ValueError(f"{len(inps)} requests need one target each, of one length")
+    if not rows[0] or any(y[-1] != EOS for y in rows):
         raise ValueError("target sequence must end with EOS")
     memory = encode_inputs(inps, params, vocab, cfg)
-    dec_in = [BOS] + list(y_ids[:-1])
-    logits = decoder_logits(memory, dec_in, params, cfg)
-    return T.softmax_cross_entropy(logits, y_ids)
+    logits = decoder_logits(memory, [[BOS, *y[:-1]] for y in rows], params, cfg)
+    return T.softmax_cross_entropy(logits, rows)
 
 
 def memory_next_dist(memory: T.Tensor, prefixes: list[list[int]], params,

@@ -1,9 +1,13 @@
 """Hard-EM training over K experts with the joint generation + selection loss.
 
-Each (example, reference) pair is one EM unit.  The E-step assigns the unit to
-the expert with the lowest joint loss (ties go to the lowest id, realizing the
-argmax of the joint probability under a uniform expert prior); the M-step takes
-one Adam step on the mean joint loss of the chosen experts only.
+Each (example, reference) pair is one EM unit, trained a mini-batch at a time
+(minibatched hard-EM, Shen et al. 2019).  The E-step assigns each unit of the
+batch to the expert with the lowest joint loss (ties go to the lowest id,
+realizing the argmax of the joint probability under a uniform expert prior);
+the M-step takes one Adam step on the mean joint loss of the chosen experts.
+Both run `joint_loss`, which stacks the generator requests of one shape into
+one pass (length bucketing, Khomenko et al. 2016) built in `tensor.stacked`,
+so the M-step's gradients are those of one graph per unit, bit for bit.
 """
 
 from __future__ import annotations
@@ -160,14 +164,6 @@ def prepare_example(example, kg: KnowledgeGraph, vocab: Vocab, cfg: TrainConfig)
     return ExampleContext(example.id, x_ids, subgraph, y_ids, labels)
 
 
-@dataclass
-class Responsibility:
-    """Hard one-hot expert assignment for one (example, reference) unit."""
-
-    expert: int
-    losses: list[float]
-
-
 def generator_input(ctx: ExampleContext, model: Model, concepts: list[int],
                     expert: int) -> GeneratorInput:
     """The generator's request for the chosen concept ids: each surface is
@@ -197,39 +193,49 @@ def select_concepts(ctx: ExampleContext, model: Model, n_experts: int = 1) -> li
     return selections
 
 
-def joint_losses(ctx: ExampleContext, ref_idx: int, experts, model: Model
-                 ) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
-    """The unit's [E] (joint, generation, concept) losses under each of the E
-    listed experts.  Each expert selects its top-N concepts from its own
-    scores; the E generation losses come from one batched generator pass."""
+def joint_loss(triples: list[tuple[ExampleContext, int, int]], model: Model
+               ) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
+    """The [N] (joint, generation, concept) losses of N (ctx, ref_idx, expert)
+    triples.  Each triple's expert selects its top-N concepts from its own
+    scores; the generator requests of one shape go through one stacked
+    `generation_loss` call, its rows owned by their triples' indexes."""
     cfg = model.cfg
-    concept_losses, requests = [], []
-    for z in experts:
+    concept_losses, stacks = [], {}
+    for i, (ctx, ref_idx, z) in enumerate(triples):
         if not 0 <= z < cfg.n_experts:
             raise ValueError(f"invalid expert id {z}")
-        # one encode per expert: perfbench pins rgcn.encodes_per_unit at K + 1
+        # one encode per triple: perfbench pins rgcn.encodes_per_unit at K + 1
         states = encode(ctx.subgraph, model.params, model.kg, cfg.rgcn_layers)
         p = score_concepts(states, model.params, z)
         concept_losses.append(T.reshape(concept_loss(p, ctx.labels[ref_idx]), (1,)))
         chosen = top_n(ctx.subgraph.node_array, p.data, cfg.top_concepts)
-        requests.append(generator_input(ctx, model, chosen, z))
-    l_gen = generation_loss(requests, ctx.y_ids[ref_idx], model.params, model.vocab, cfg)
+        inp, y = generator_input(ctx, model, chosen, z), ctx.y_ids[ref_idx]
+        stacks.setdefault((len(inp.x_ids), len(chosen), len(y)), []).append((i, inp, y))
+    owners, parts = [], []
+    for stack in stacks.values():
+        index, inps, ys = zip(*stack)
+        with T.stacked(index):
+            parts.append(generation_loss(list(inps), list(ys), model.params, model.vocab, cfg))
+        owners.extend(index)
+    l_gen = T.embedding(T.concat(parts), np.argsort(owners))
     l_concept = T.concat(concept_losses)
     return T.add(l_gen, T.scale(l_concept, cfg.concept_weight)), l_gen, l_concept
 
 
-def joint_loss(ctx: ExampleContext, ref_idx: int, expert: int,
-               model: Model) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
-    """Returns the scalar (joint, generation, concept) losses for one unit and expert."""
-    return tuple(T.reshape(loss, ()) for loss in joint_losses(ctx, ref_idx, [expert], model))
-
-
-def e_step(ctx: ExampleContext, ref_idx: int, model: Model) -> Responsibility:
-    """Assign the unit to the expert with the smallest joint loss."""
+def e_step(units: list[tuple[ExampleContext, int]], model: Model
+           ) -> tuple[np.ndarray, list[int]]:
+    """The [B, K] joint losses of a batch's (ctx, ref_idx) units under every
+    expert, and each unit's expert: the smallest loss, ties to the lowest id.
+    A non-finite loss raises, naming the example and the reference."""
+    k = model.cfg.n_experts
     with T.no_grad():
-        losses = joint_losses(ctx, ref_idx, range(model.cfg.n_experts), model)[0].data.tolist()
-    best = min(range(len(losses)), key=lambda z: (losses[z], z))
-    return Responsibility(best, losses)
+        joint = joint_loss([(ctx, ri, z) for ctx, ri in units for z in range(k)], model)[0]
+    losses = joint.data.reshape(len(units), k)
+    for b, z in np.argwhere(~np.isfinite(losses))[:1]:
+        raise RuntimeError(f"non-finite joint loss {losses[b, z]} for example "
+                           f"{units[b][0].example_id!r}, reference {units[b][1]}, "
+                           f"expert {z}; aborting")
+    return losses, losses.argmin(axis=1).tolist()
 
 
 def m_step(batch: list[tuple[ExampleContext, int, int]], model: Model,
@@ -238,21 +244,18 @@ def m_step(batch: list[tuple[ExampleContext, int, int]], model: Model,
 
     Returns the step's log fields: `mean_loss` (the optimised mean) and the
     batch means of its two parts, `gen_loss` and `concept_loss`."""
-    losses, gen, concept = [], [], []
-    for ctx, ref_idx, expert in batch:
-        loss, l_gen, l_concept = joint_loss(ctx, ref_idx, expert, model)
-        losses.append(loss)
-        gen.append(l_gen.item())
-        concept.append(l_concept.item())
-    mean = T.scale(functools.reduce(T.add, losses), 1.0 / len(losses))
+    joint, gen, concept = joint_loss(batch, model)
+    n = len(batch)
+    # summed in unit order, as a sum of scalars
+    mean = T.scale(functools.reduce(T.add, (T.embedding(joint, [i]) for i in range(n))), 1.0 / n)
     value = mean.item()
     if not np.isfinite(value):
         raise RuntimeError(f"non-finite training loss {value}; aborting")
     optimizer.zero_grad()
     mean.backward()
     optimizer.step(lr=lr)
-    return {"mean_loss": value, "gen_loss": sum(gen) / len(gen),
-            "concept_loss": sum(concept) / len(concept)}
+    return {"mean_loss": value, "gen_loss": sum(gen.data.tolist()) / n,
+            "concept_loss": sum(concept.data.tolist()) / n}
 
 
 def epoch_unit_order(n_units: int, epoch: int, seed: int) -> list[int]:
@@ -287,7 +290,7 @@ def train(dataset, kg: KnowledgeGraph, cfg: TrainConfig,
     model = build_model(kg, vocab, cfg)
     contexts = [prepare_example(ex, kg, vocab, cfg) for ex in dataset]
 
-    units = [(ei, ri) for ei, ctx in enumerate(contexts) for ri in range(len(ctx.y_ids))]
+    units = [(ctx, ri) for ctx in contexts for ri in range(len(ctx.y_ids))]
     steps_per_epoch = max(1, (len(units) + cfg.batch_size - 1) // cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
     optimizer = T.Adam(model.params, lr=cfg.learning_rate,
@@ -298,15 +301,12 @@ def train(dataset, kg: KnowledgeGraph, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         order = epoch_unit_order(len(units), epoch, cfg.seed)
         for start in range(0, len(units), cfg.batch_size):
-            chosen_batch = []
-            histogram = [0] * cfg.n_experts
-            for idx in order[start : start + cfg.batch_size]:
-                ei, ri = units[idx]
-                resp = e_step(contexts[ei], ri, model)
-                histogram[resp.expert] += 1
-                chosen_batch.append((contexts[ei], ri, resp.expert))
+            batch = [units[i] for i in order[start : start + cfg.batch_size]]
+            _, experts = e_step(batch, model)
+            histogram = np.bincount(experts, minlength=cfg.n_experts).tolist()
             lr = learning_rate_at(step, total_steps, cfg)
+            chosen = [(ctx, ri, z) for (ctx, ri), z in zip(batch, experts)]
             log.append({"epoch": epoch, "step": step, "expert_histogram": histogram,
-                        **m_step(chosen_batch, model, optimizer, lr)})
+                        **m_step(chosen, model, optimizer, lr)})
             step += 1
     return model, log

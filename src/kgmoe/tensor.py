@@ -4,6 +4,11 @@ Everything is float64 and single-threaded.  A Tensor produced by an op keeps
 references to its parents and a backward closure; calling ``backward`` on a
 scalar loss walks the recorded graph in reverse topological order and fills
 ``grad`` buffers on every reachable tensor with ``requires_grad``.
+
+Nodes built inside ``stacked(owners)`` stack the work of several owners on
+their leading axis, row i owned by owners[i].  The sweep adds a parameter
+gradient from such a node per owner, in owner order, as separate graphs of
+the owners would (see ``Tensor.backward``).
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import os
 import numpy as np
 
 _GRAD_ENABLED = True
+_STACK = None       # (owner, rows) pairs of the nodes being built, see `stacked`
+_SWEEP = None       # (those pairs, queue) while the sweep visits a stacked node
 
 
 @contextlib.contextmanager
@@ -31,9 +38,36 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+@contextlib.contextmanager
+def _stack(owners):
+    global _STACK
+    prev, _STACK = _STACK, owners
+    try:
+        yield
+    finally:
+        _STACK = prev
+
+
+def stacked(owners):
+    """Build nodes whose leading row i is the work of owners[i] (sortable
+    keys): the sweep adds each row's share of a parameter gradient on its
+    own, in owner order, so the parameters receive what one graph per owner,
+    swept in owner order, would give them bit for bit."""
+    return _stack([(owner, slice(i, i + 1)) for i, owner in enumerate(owners)])
+
+
+def ragged(sizes):
+    """Inside `stacked`: nodes built here hold sizes[i] consecutive rows for
+    row i of the stack (a flat gather of ragged rows); elsewhere nothing."""
+    if _STACK is None:
+        return contextlib.nullcontext()
+    ends = np.cumsum([0, *sizes]).tolist()
+    return _stack([(owner, slice(ends[rows.start], ends[rows.stop])) for owner, rows in _STACK])
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_backward_done",
-                 "_touched")
+                 "_touched", "_owners")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = (data if type(data) is np.ndarray and data.dtype == np.float64
@@ -45,6 +79,7 @@ class Tensor:
         self._backward_done = False
         # (grad buffer, row-id arrays) while only embedding scatters wrote that buffer
         self._touched = None
+        self._owners = None      # (owner, rows) pairs of a node built in `stacked`
 
     @property
     def shape(self):
@@ -66,7 +101,14 @@ class Tensor:
 
         Fills ``grad`` on every tensor on the path that has requires_grad.
         A second call on the same graph root is an error.
+
+        A parameter's gradient term from a stacked node is split by owner
+        and queued; after the sweep the queue is added in owner order, each
+        owner's terms in sweep order.  The stacked graph repeats the node
+        order of a one-owner graph, so each parameter receives the terms of
+        a sweep over one graph per owner, in the same order.
         """
+        global _SWEEP
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.data.shape}")
         if self._backward_done:
@@ -75,9 +117,17 @@ class Tensor:
 
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in order:
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        queue = []
+        try:
+            for node in order:
+                if node._backward is not None and node.grad is not None:
+                    _SWEEP = None if node._owners is None else (node._owners, queue)
+                    node._backward(node.grad)
+        finally:
+            _SWEEP = None
+        queue.sort(key=lambda entry: entry[0])        # stable: sweep order per owner
+        for _, add, p, operands in queue:
+            add(p, *operands)
 
 
 def _toposort(root: Tensor):
@@ -106,6 +156,7 @@ def _make(data, parents, backward):
     if req:
         out._parents = tuple(parents)
         out._backward = backward
+        out._owners = _STACK
     return out
 
 
@@ -119,6 +170,34 @@ def _accum(t: Tensor, g: np.ndarray):
     else:
         t.grad += g
     t._touched = None
+
+
+def _add_sum(p: Tensor, g: np.ndarray):
+    _accum(p, _unbroadcast(g, p.data.shape))
+
+
+def _add_product(p: Tensor, a: np.ndarray, g: np.ndarray):
+    """Add a^T g, summed over leading axes, to p's gradient."""
+    _accum(p, _unbroadcast(np.matmul(a.swapaxes(-1, -2), g), p.data.shape))
+
+
+def _param_grad(add, p: Tensor, *operands):
+    """add(p, *operands): `_add_sum`, `_add_product` or `_scatter_rows`.
+    While the sweep visits a stacked node, a parameter's term is taken per
+    owner, from the owner's rows of every operand, and queued; a sum is
+    reduced at once, a product or a scatter keeps its operands (views)."""
+    if not p.requires_grad:
+        return
+    if _SWEEP is None or p._backward is not None:
+        add(p, *operands)
+        return
+    owners, queue = _SWEEP
+    for owner, rows in owners:
+        parts = [x[rows] for x in operands]
+        if add is _add_sum:
+            queue.append((owner, _accum, p, [_unbroadcast(parts[0], p.data.shape)]))
+        else:
+            queue.append((owner, add, p, parts))
 
 
 def _rows(table: Tensor, ids) -> np.ndarray:
@@ -182,8 +261,8 @@ def constant(data) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _param_grad(_add_sum, a, g)
+        _param_grad(_add_sum, b, g)
     return _make(a.data + b.data, (a, b), backward)
 
 
@@ -202,7 +281,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
-        _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
+        _param_grad(_add_product, b, a.data, g)
     return _make(np.matmul(a.data, b.data), (a, b), backward)
 
 
@@ -224,21 +303,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
 
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    """a repeated over new or size-1 leading axes; gradient sums back."""
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-    out = np.empty(shape)
-    out[...] = a.data                # an exact copy, cheaper than np.broadcast_to's wrapper
-    return _make(out, (a,), backward)
-
-
 def embedding(table: Tensor, ids) -> Tensor:
     """Row gather; gradient scatter-adds back into the table."""
     idx = _rows(table, ids)
 
     def backward(g):
-        _scatter_rows(table, idx, g)
+        _param_grad(_scatter_rows, table, idx, g)
     return _make(table.drawn(idx)[idx], (table,), backward)
 
 
@@ -314,8 +384,8 @@ def _norm(x: np.ndarray, gain: Tensor, bias: Tensor):
     xhat = centred * inv
 
     def backward(g):
-        _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accum(bias, _unbroadcast(g, bias.data.shape))
+        _param_grad(_add_sum, gain, g * xhat)
+        _param_grad(_add_sum, bias, g)
         gx = g * gain.data
         t1 = np.add.reduce(gx, axis=-1, keepdims=True)
         t2 = np.add.reduce(gx * xhat, axis=-1, keepdims=True)
@@ -370,16 +440,16 @@ def attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, k: Ten
 
     def backward(g):
         _accum(x, _unbroadcast(g, x.data.shape))
-        _accum(wo, _unbroadcast(np.matmul(a.swapaxes(-1, -2), g), wo.data.shape))
+        _param_grad(_add_product, wo, a, g)
         gq, gk, gv = attend_backward(np.matmul(g, wo.data.swapaxes(-1, -2)))
         gq = np.ascontiguousarray(_unbroadcast(gq, q.shape))
-        _accum(wq, _unbroadcast(np.matmul(xn.swapaxes(-1, -2), gq), wq.data.shape))
+        _param_grad(_add_product, wq, xn, gq)
         gxn = np.matmul(gq, wq.data.swapaxes(-1, -2))
         if project:
             t = xn.shape[-2]
             for w, gw in ((k, gk), (v, gv)):
                 gw = np.ascontiguousarray(_unbroadcast(gw[..., -t:, :], xn.shape))
-                _accum(w, _unbroadcast(np.matmul(xn.swapaxes(-1, -2), gw), w.data.shape))
+                _param_grad(_add_product, w, xn, gw)
                 gxn += np.matmul(gw, w.data.swapaxes(-1, -2))
         else:
             _accum(k, _unbroadcast(gk, keys.shape))
@@ -400,11 +470,11 @@ def feed_forward_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1:
 
     def backward(g):
         _accum(x, _unbroadcast(g, x.data.shape))
-        _accum(b2, _unbroadcast(g, b2.data.shape))
-        _accum(w2, _unbroadcast(np.matmul(hidden.swapaxes(-1, -2), g), w2.data.shape))
+        _param_grad(_add_sum, b2, g)
+        _param_grad(_add_product, w2, hidden, g)
         gpre = np.matmul(g, w2.data.swapaxes(-1, -2)) * mask
-        _accum(b1, _unbroadcast(gpre, b1.data.shape))
-        _accum(w1, _unbroadcast(np.matmul(xn.swapaxes(-1, -2), gpre), w1.data.shape))
+        _param_grad(_add_sum, b1, gpre)
+        _param_grad(_add_product, w1, xn, gpre)
         _accum(x, norm_backward(np.matmul(gpre, w1.data.swapaxes(-1, -2))))
     return _make(out, (x, gain, bias, w1, b1, w2, b2), backward)
 
@@ -488,26 +558,28 @@ def binary_cross_entropy(p: Tensor, labels: np.ndarray, eps: float) -> Tensor:
 def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of integer targets under row softmax.
 
-    logits [..., n, V] and targets [n] give one mean per leading index, a
+    logits [..., n, V] and targets [n], shared by every leading index, or
+    [..., n], one row per leading index, give one mean per leading index, a
     tensor of shape [...] (a scalar for 2-D logits).  Uses a log-sum-exp
     stable formulation; gradient is softmax minus one-hot.
     """
     t = np.asarray(targets, dtype=np.int64)
     x = logits.data
     n, v = x.shape[-2:]
-    if t.shape != (n,):
-        raise ValueError(f"targets shape {t.shape} does not match logits rows {n}")
+    if t.shape not in ((n,), x.shape[:-1]):
+        raise ValueError(f"targets shape {t.shape} does not match logits rows {x.shape[:-1]}")
     if t.size and (t.min() < 0 or t.max() >= v):
         raise IndexError(f"target id out of range for vocabulary of size {v}")
-    rows = np.arange(n)
+    # the target entry of every row, as a flat index into [..., n, V]
+    picks = (np.arange(x.size // v).reshape(x.shape[:-1]) * v + t).reshape(-1)
     shifted = x - x.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1)) + x.max(axis=-1)
-    nll = lse - x[..., rows, t]
+    nll = lse - x.reshape(-1)[picks].reshape(x.shape[:-1])
 
     def backward(g):
         p = np.exp(shifted)
         p /= p.sum(axis=-1, keepdims=True)
-        p[..., rows, t] -= 1.0
+        p.reshape(-1)[picks] -= 1.0
         _accum(logits, g[..., None, None] * p / n)
     return _make(nll.mean(axis=-1), (logits,), backward)
 

@@ -75,7 +75,7 @@ def test_criterion_1_gradient_integrity():
     ctx = contexts[0]
 
     def forward():
-        loss, _, _ = joint_loss(ctx, 0, 1, model)
+        loss, _, _ = joint_loss([(ctx, 0, 1)], model)
         return loss
 
     loss = forward()
@@ -217,9 +217,9 @@ def test_criterion_7_loss_weight_contract():
     ctx = contexts[0]
     assert model.cfg.concept_weight == 0.3
     with T.no_grad():
-        weighted, _, l_concept = joint_loss(ctx, 0, 1, model)
+        weighted, _, l_concept = joint_loss([(ctx, 0, 1)], model)
         model.cfg.concept_weight = 0.0
-        unweighted, _, _ = joint_loss(ctx, 0, 1, model)
+        unweighted, _, _ = joint_loss([(ctx, 0, 1)], model)
         model.cfg.concept_weight = 0.3
     drift = abs((weighted.item() - unweighted.item()) - 0.3 * l_concept.item())
     report(7, "loss weighting contract", drift < 1e-12)
@@ -239,17 +239,17 @@ def test_criterion_8_hard_em_contract(specialization_runs):
         ok &= all(min(e["expert_histogram"]) >= 0 for e in epoch_steps)
     # a responsibility names exactly one of the K experts
     _, _, _, model, contexts = tiny_training_setup()
-    resp = e_step(contexts[0], 0, model)
-    ok &= len(resp.losses) == 2 and resp.expert in (0, 1)
+    losses, experts = e_step([(contexts[0], 0)], model)
+    ok &= losses.shape == (1, 2) and len(experts) == 1 and experts[0] in (0, 1)
 
     # (b) all-equal expert losses tie to expert 0
     model.params["sel.expert_embed"].data[1] = model.params["sel.expert_embed"].data[0]
     tok0, tok1 = model.vocab.expert_token(0), model.vocab.expert_token(1)
     model.params["gen.tok_embed"].data[tok1] = model.params["gen.tok_embed"].data[tok0]
     model.params["gen.expert_embed"].data[1] = model.params["gen.expert_embed"].data[0]
-    tied = e_step(contexts[0], 0, model)
-    ok &= tied.losses[0] == pytest.approx(tied.losses[1], abs=1e-12)
-    ok &= tied.expert == 0
+    tied, experts = e_step([(contexts[0], 0)], model)
+    ok &= tied[0, 0] == pytest.approx(tied[0, 1], abs=1e-12)
+    ok &= experts == [0]
 
     # (c) K=1 training matches a plain no-mixture loop loss-for-loss
     examples, kg, cfg, _, _ = tiny_training_setup(n_experts=1, epochs=3)

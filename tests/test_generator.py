@@ -260,13 +260,39 @@ def test_batched_generation_loss_equals_single_calls_bit_for_bit(expert_mode, la
             assert np.array_equal(memory.data[z], encode_inputs([inp], params, vocab, cfg).data[0])
 
 
+@pytest.mark.parametrize("expert_mode", ["prompt", "embed"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_stacked_requests_with_own_inputs_and_targets_equal_single_calls_bit_for_bit(
+        expert_mode, layers):
+    # four requests of one input length and concept count, each with its own
+    # input, concepts, expert and target (targets of one length)
+    vocab, cfg, params = small_setup(n_experts=3, expert_mode=expert_mode, layers=layers)
+    ids = [vocab.ids[w] for w in ["dog", "mat", "cat", "ran", "on", "fast", "the", "sat", "a"]]
+    inps = [GeneratorInput(ids[i:i + 3], [ids[i + 3:i + 5 + i % 2], [ids[8 - i]]], i % 3)
+            for i in range(4)]
+    ys = [[ids[(i + j) % 9] for j in range(4)] + [EOS] for i in range(4)]
+    with T.no_grad():
+        stacked = generation_loss(inps, ys, params, vocab, cfg)
+        memory = encode_inputs(inps, params, vocab, cfg)
+        assert stacked.shape == (4,)
+        for i, (inp, y) in enumerate(zip(inps, ys)):
+            assert stacked.data[i] == generation_loss([inp], y, params, vocab, cfg).item()
+            assert np.array_equal(memory.data[i], encode_inputs([inp], params, vocab, cfg).data[0])
+    with pytest.raises(ValueError, match="one target each, of one length"):
+        generation_loss(inps, ys[:3], params, vocab, cfg)
+    with pytest.raises(ValueError, match="one target each, of one length"):
+        generation_loss(inps, ys[:3] + [ys[3][1:]], params, vocab, cfg)
+    with pytest.raises(ValueError, match="must end with EOS"):
+        generation_loss(inps, ys[:3] + [ys[3][:-1] + [UNK]], params, vocab, cfg)
+
+
 def test_batched_requests_must_share_input_and_concept_count():
     vocab, cfg, params = small_setup()
     x = vocab.encode("the cat")
-    with pytest.raises(ValueError, match="share x_ids and the concept count"):
+    with pytest.raises(ValueError, match="share the input length and the concept count"):
         encode_inputs([GeneratorInput(x, [], 0), GeneratorInput(x, [[UNK]], 1)],
                       params, vocab, cfg)
-    with pytest.raises(ValueError, match="share x_ids and the concept count"):
+    with pytest.raises(ValueError, match="share the input length and the concept count"):
         encode_inputs([GeneratorInput(x, [], 0), GeneratorInput(x[:1], [], 1)],
                       params, vocab, cfg)
 
@@ -328,8 +354,8 @@ def test_next_token_dist_is_normalized():
 
 
 def one_prefix_dist(memory, prefix, params, cfg):
-    """The next-token distribution of one prefix over one memory [s, d], from the
-    1-D decoder path that training takes."""
+    """The next-token distribution of one prefix over one memory [s, d], from a
+    teacher-forced call on a 1-D dec_ids."""
     with T.no_grad():
         logits = decoder_logits(memory, [BOS] + prefix, params, cfg).data[-1]
     e = np.exp(logits - logits.max())

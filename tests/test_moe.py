@@ -2,6 +2,7 @@
 update locality, determinism, and K=1 equivalence with a plain loop."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ import pytest
 from kgmoe import moe
 from kgmoe import tensor as T
 from kgmoe.kg import KnowledgeGraph
-from kgmoe.generator import UNK, Vocab
+from kgmoe.generator import UNK, Vocab, generation_loss
 from kgmoe.moe import (Model, TrainConfig, build_model, e_step,
                        epoch_unit_order, generator_input, joint_loss, learning_rate_at,
                        m_step, prepare_example, select_concepts, sub_seed, train)
 from kgmoe.pipeline import Example
 from kgmoe.rgcn import encode
-from kgmoe.selector import score_concepts, top_n
+from kgmoe.selector import concept_loss, score_concepts, top_n
 
 
 def tiny_kg():
@@ -59,14 +60,14 @@ def tiny_model(cfg=None):
 
 def test_joint_is_generation_plus_weighted_concept():
     model, contexts = tiny_model()
-    joint, l_gen, l_concept = joint_loss(contexts[0], 0, 0, model)
+    joint, l_gen, l_concept = joint_loss([(contexts[0], 0, 0)], model)
     assert joint.item() == pytest.approx(
         l_gen.item() + model.cfg.concept_weight * l_concept.item(), abs=1e-12)
 
 
 def test_zero_concept_weight_makes_joint_equal_generation():
     model, contexts = tiny_model(tiny_config(concept_weight=0.0))
-    joint, l_gen, _ = joint_loss(contexts[0], 0, 0, model)
+    joint, l_gen, _ = joint_loss([(contexts[0], 0, 0)], model)
     assert joint.item() == pytest.approx(l_gen.item(), abs=1e-15)
 
 
@@ -74,7 +75,7 @@ def test_joint_arithmetic_example():
     # generation 1.0 and concept 2.0 at weight 0.3 combine to 1.6
     assert 1.0 + 0.3 * 2.0 == pytest.approx(1.6)
     model, contexts = tiny_model()
-    joint, l_gen, l_concept = joint_loss(contexts[1], 0, 1, model)
+    joint, l_gen, l_concept = joint_loss([(contexts[1], 0, 1)], model)
     reconstructed = l_gen.item() + 0.3 * l_concept.item()
     assert model.cfg.concept_weight == 0.3
     assert joint.item() == pytest.approx(reconstructed, abs=1e-12)
@@ -83,16 +84,17 @@ def test_joint_arithmetic_example():
 def test_invalid_expert_raises():
     model, contexts = tiny_model()
     with pytest.raises(ValueError):
-        joint_loss(contexts[0], 0, 5, model)
+        joint_loss([(contexts[0], 0, 5)], model)
 
 
 # --- E-step ------------------------------------------------------------------
 
 def test_e_step_picks_argmin():
     model, contexts = tiny_model(tiny_config(n_experts=3))
-    r = e_step(contexts[0], 1, model)
-    assert r.losses == [joint_loss(contexts[0], 1, z, model)[0].item() for z in range(3)]
-    assert r.expert == min(range(3), key=lambda z: (r.losses[z], z))
+    losses, experts = e_step([(contexts[0], 1)], model)
+    assert losses[0].tolist() == [joint_loss([(contexts[0], 1, z)], model)[0].item()
+                                  for z in range(3)]
+    assert experts == [min(range(3), key=lambda z: (losses[0, z], z))]
 
 
 def test_e_step_tie_goes_to_lowest_id():
@@ -102,8 +104,8 @@ def test_e_step_tie_goes_to_lowest_id():
 
 def test_e_step_single_expert_always_zero():
     model, contexts = tiny_model(tiny_config(n_experts=1))
-    resp = e_step(contexts[0], 0, model)
-    assert resp.expert == 0 and len(resp.losses) == 1
+    losses, experts = e_step([(contexts[0], 0)], model)
+    assert experts == [0] and losses.shape == (1, 1)
 
 
 def test_e_step_identical_experts_tie_to_zero():
@@ -114,17 +116,17 @@ def test_e_step_identical_experts_tie_to_zero():
     tok1 = model.vocab.expert_token(1)
     model.params["gen.tok_embed"].data[tok1] = model.params["gen.tok_embed"].data[tok0]
     model.params["gen.expert_embed"].data[1] = model.params["gen.expert_embed"].data[0]
-    resp = e_step(contexts[0], 0, model)
-    assert resp.losses[0] == pytest.approx(resp.losses[1], abs=1e-12)
-    assert resp.expert == 0
+    losses, experts = e_step([(contexts[0], 0)], model)
+    assert losses[0, 0] == pytest.approx(losses[0, 1], abs=1e-12)
+    assert experts == [0]
 
 
 def test_e_step_losses_match_joint_loss():
     model, contexts = tiny_model()
-    resp = e_step(contexts[0], 1, model)
+    losses, _ = e_step([(contexts[0], 1)], model)
     for z in range(model.cfg.n_experts):
-        direct, _, _ = joint_loss(contexts[0], 1, z, model)
-        assert resp.losses[z] == pytest.approx(direct.item(), abs=1e-12)
+        direct, _, _ = joint_loss([(contexts[0], 1, z)], model)
+        assert losses[0, z] == pytest.approx(direct.item(), abs=1e-12)
 
 
 def test_e_step_invariant_under_loss_scaling():
@@ -140,9 +142,51 @@ def test_e_step_on_empty_subgraph_matches_joint_loss():
     ctx = prepare_example(Example("z", "nothing grounds here", ["none at all"]),
                           model.kg, model.vocab, model.cfg)
     assert ctx.node_ids == []
-    resp = e_step(ctx, 0, model)
+    losses, _ = e_step([(ctx, 0)], model)
     with T.no_grad():
-        assert resp.losses == [joint_loss(ctx, 0, z, model)[0].item() for z in range(2)]
+        assert losses[0].tolist() == [joint_loss([(ctx, 0, z)], model)[0].item()
+                                      for z in range(2)]
+
+
+def stack_sizes(monkeypatch) -> list[int]:
+    """The request count of every `generation_loss` call `moe` makes, in order."""
+    sizes = []
+
+    def counting(inps, *args):
+        sizes.append(len(inps))
+        return generation_loss(inps, *args)
+    monkeypatch.setattr(moe, "generation_loss", counting)
+    return sizes
+
+
+def test_batch_e_step_losses_equal_one_triple_joint_losses_bit_for_bit(monkeypatch):
+    model, contexts = tiny_model()
+    extra = [prepare_example(ex, model.kg, model.vocab, model.cfg) for ex in (
+        Example("e2", "tell me about music", ["music makes piano", "a song about piano"]),
+        Example("z", "nothing grounds here", ["none at all"]))]
+    assert extra[1].node_ids == []
+    # input, concept-count and reference lengths mix; two stacks hold two units
+    units = [(contexts[0], 0), (extra[1], 0), (contexts[1], 0), (extra[0], 1),
+             (contexts[0], 1), (extra[0], 0)]
+    sizes = stack_sizes(monkeypatch)
+    losses, experts = e_step(units, model)
+    assert sizes == [4, 2, 2, 4]
+    assert losses.shape == (6, 2)
+    with T.no_grad():
+        for b, (ctx, ri) in enumerate(units):
+            assert losses[b].tolist() == [joint_loss([(ctx, ri, z)], model)[0].item()
+                                          for z in range(2)]
+    assert experts == [min(range(2), key=lambda z: (row[z], z)) for row in losses.tolist()]
+
+
+@pytest.mark.parametrize("poisoned", [0, 1])
+def test_e_step_refuses_a_non_finite_joint_loss(poisoned):
+    # a NaN expert must not win the argmin (expert 0) or be skipped (a later one)
+    model, contexts = tiny_model(tiny_config(expert_mode="embed"))
+    model.params["gen.expert_embed"].data[poisoned] = np.nan
+    with pytest.raises(RuntimeError, match=r"non-finite joint loss nan for example 'e0', "
+                                           rf"reference 1, expert {poisoned}; aborting"):
+        e_step([(contexts[0], 1), (contexts[1], 0)], model)
 
 
 # --- M-step ------------------------------------------------------------------
@@ -191,8 +235,8 @@ def test_m_step_unchosen_expert_rows_have_zero_grad():
 def test_m_step_mean_matches_hand_average():
     model, contexts = tiny_model()
     with T.no_grad():
-        a, _, _ = joint_loss(contexts[0], 0, 0, model)
-        b, _, _ = joint_loss(contexts[1], 0, 1, model)
+        a, _, _ = joint_loss([(contexts[0], 0, 0)], model)
+        b, _, _ = joint_loss([(contexts[1], 0, 1)], model)
     opt = T.Adam(model.params, lr=0.0)
     value = m_step([(contexts[0], 0, 0), (contexts[1], 0, 1)], model, opt, lr=0.0)["mean_loss"]
     assert value == pytest.approx((a.item() + b.item()) / 2, abs=1e-12)
@@ -202,12 +246,48 @@ def test_m_step_logs_batch_means_of_generation_and_concept_losses():
     model, contexts = tiny_model()
     batch = [(contexts[0], 0, 0), (contexts[0], 1, 1), (contexts[1], 0, 1)]
     with T.no_grad():
-        parts = [joint_loss(ctx, ri, z, model) for ctx, ri, z in batch]
+        parts = [joint_loss([(ctx, ri, z)], model) for ctx, ri, z in batch]
     entry = m_step(batch, model, T.Adam(model.params, lr=0.0), lr=0.0)
     assert entry["gen_loss"] == sum(p[1].item() for p in parts) / 3
     assert entry["concept_loss"] == sum(p[2].item() for p in parts) / 3
     assert entry["mean_loss"] == pytest.approx(
         entry["gen_loss"] + model.cfg.concept_weight * entry["concept_loss"], abs=1e-12)
+
+
+def per_unit_joint_loss(ctx, ref_idx, expert, model):
+    """Oracle: one unit's joint loss as a graph of its own, no stacking."""
+    cfg = model.cfg
+    states = encode(ctx.subgraph, model.params, model.kg, cfg.rgcn_layers)
+    p = score_concepts(states, model.params, expert)
+    chosen = top_n(ctx.subgraph.node_array, p.data, cfg.top_concepts)
+    l_gen = generation_loss([generator_input(ctx, model, chosen, expert)], ctx.y_ids[ref_idx],
+                            model.params, model.vocab, cfg)
+    return T.add(l_gen, T.scale(concept_loss(p, ctx.labels[ref_idx]), cfg.concept_weight))
+
+
+@pytest.mark.parametrize("expert_mode", ["prompt", "embed"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_m_step_gradients_equal_per_unit_graphs_summed_in_unit_order(expert_mode, layers,
+                                                                      monkeypatch):
+    model, _ = tiny_model(tiny_config(expert_mode=expert_mode, n_encoder_layers=layers,
+                                      n_decoder_layers=layers, rgcn_layers=layers))
+    piano, music = (prepare_example(ex, model.kg, model.vocab, model.cfg) for ex in (
+        Example("p", "tell me about piano",
+                ["piano makes music", "a song about keys", "music is a song you sing"]),
+        Example("m", "tell me about music", ["music makes piano", "a song about piano"])))
+    # target lengths A, B, A, B, C: the stacks {0, 2}, {1, 3} and {4} interleave
+    batch = [(piano, 0, 0), (music, 1, 1), (music, 0, 1), (piano, 1, 0), (piano, 2, 1)]
+    losses = [per_unit_joint_loss(ctx, ri, z, model) for ctx, ri, z in batch]
+    T.scale(functools.reduce(T.add, losses), 1.0 / len(losses)).backward()
+    want = {k: None if p.grad is None else p.grad.copy() for k, p in model.params.items()}
+    opt = T.Adam(model.params, lr=0.0)
+    opt.zero_grad()
+    sizes = stack_sizes(monkeypatch)
+    m_step(batch, model, opt, lr=0.0)
+    assert sizes == [2, 2, 1]
+    for k, p in model.params.items():
+        assert (p.grad is None) == (want[k] is None), k
+        assert p.grad is None or np.array_equal(p.grad, want[k]), k
 
 
 def test_train_log_entries_carry_the_loss_split():

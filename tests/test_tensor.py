@@ -429,14 +429,6 @@ def test_binary_cross_entropy_matches_chain_bit_for_bit():
         lambda q: T.binary_cross_entropy(q, labels[interior], eps), [p[interior]], (), rng)
 
 
-def test_broadcast_to_sums_gradient_back():
-    a = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    out = T.broadcast_to(a, (4, 2, 3))
-    assert np.array_equal(out.data, np.broadcast_to(a.data, (4, 2, 3)))
-    mean_all(mul(out, T.constant(np.arange(24.0).reshape(4, 2, 3)))).backward()
-    assert np.allclose(a.grad, np.arange(24.0).reshape(4, 2, 3).sum(axis=0) / 24, atol=1e-15)
-
-
 def test_first_gradient_broadcasts_as_zeros_plus_g():
     # a [1, d] first gradient into an [n, d] tensor, -0.0 included: the grad
     # is zeros + g bit for bit, -0.0 turned +0.0, in t.data's layout
